@@ -371,6 +371,7 @@ def validate_in_context(
     mode: str = "strict",
     *,
     allow_caption_before_answer: bool = False,
+    parsed_violations: Sequence[ProtocolViolation] | None = None,
 ) -> list[ProtocolViolation]:
     """Validate a parsed turn against the turns that precede it.
 
@@ -380,10 +381,14 @@ def validate_in_context(
     turn. ``lenient`` checks only intra-turn grammar and downgrades
     UnknownTag to a warning. Strict findings are always a superset of
     lenient findings for the same input.
+
+    ``parsed_violations``, when given, must be the violations
+    ``parse_turn(turn.raw)`` returned; the intra-turn grammar is then taken
+    from it instead of parsing ``turn.raw`` again.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown validation mode: {mode!r}")
-    _, intra = parse_turn(turn.raw)
+    intra = parse_turn(turn.raw)[1] if parsed_violations is None else parsed_violations
     if mode == "lenient":
         return [v for v in intra if v.code is not ViolationCode.UNKNOWN_TAG]
 

@@ -1,11 +1,13 @@
 """Dense retrieval over section chunks and article images.
 
 Similarity is cosine over unit-normalized vectors, computed as a dot
-product. Search is an exact brute-force scan: the matrices are small enough
-at desk scale, and exactness is what the oracle tests check against. Rows
-are stored sorted by (article_id, section_id) (or image_id for images), so a
-stable sort on descending score breaks ties by ascending id without a
-second key.
+product. Search is exact, as in FAISS ``IndexFlatIP``: one matrix-vector
+product scores every row, then a partition finds the m-th best score and
+only the rows at or above it are sorted. Every row tied with that boundary
+is kept, so the sorted set is always an exact prefix of the full ranking.
+Rows are stored sorted by (article_id, section_id) (or image_id for
+images), so a stable sort on descending score breaks ties by ascending id
+without a second key.
 
 Two embedding providers share one duck-typed interface
 (``embed(list[str]) -> ndarray``):
@@ -272,11 +274,23 @@ def build_image_index(corpus: Corpus, provider) -> ImageIndex:
     return ImageIndex(keys=list(entries), matrix=matrix, dimension=matrix.shape[1])
 
 
-def _ranked_order(matrix: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scores = matrix @ query
-    # Stable sort + key-sorted rows == ties broken by ascending id.
-    order = np.argsort(-scores, kind="stable")
-    return order, scores
+def _ranked_order(scores: np.ndarray, m: int) -> np.ndarray:
+    """Rows of the first ``m`` places in descending score order, extended to
+    every row that ties the m-th score; all rows when ``m >= len(scores)``.
+
+    The result is an exact prefix of ``np.argsort(-scores, kind="stable")``.
+    The candidates come out of ``flatnonzero`` in ascending row order, so a
+    stable sort of that small set breaks ties by ascending id, as the full
+    sort does. A NaN boundary (fewer than m comparable scores) falls back to
+    the full sort, which orders NaN last.
+    """
+    neg = -scores
+    if m < len(neg):
+        boundary = np.partition(neg, m - 1)[m - 1]
+        if not np.isnan(boundary):
+            rows = np.flatnonzero(neg <= boundary)
+            return rows[np.argsort(neg[rows], kind="stable")]
+    return np.argsort(neg, kind="stable")
 
 
 def text_search(index: TextIndex, provider, query: str, k: int = 3) -> list[RetrievalHit]:
@@ -288,9 +302,9 @@ def text_search(index: TextIndex, provider, query: str, k: int = 3) -> list[Retr
     if len(index) == 0:
         return []
     vec = embed_batch(provider, [query])[0]
-    order, scores = _ranked_order(index.matrix, vec)
+    scores = index.matrix @ vec
     hits = []
-    for rank, row in enumerate(order[:k], start=1):
+    for rank, row in enumerate(_ranked_order(scores, k)[:k], start=1):
         aid, sid = index.keys[row]
         hits.append(RetrievalHit(article_id=aid, section_id=sid, score=float(scores[row]), rank=rank))
     return hits
@@ -302,6 +316,9 @@ def image_search(index: ImageIndex, provider, image_ref: str, k: int = 1) -> lis
     Articles are deduplicated: each keeps its best image (stable order means
     the first occurrence in rank order is the best; image-id ascending on
     ties). Returns fewer than k hits when fewer distinct articles exist.
+    The ranked window starts at k images and doubles until it holds k
+    distinct articles or covers the whole index; each window is a prefix of
+    the full ranking, so the hits are those of a full sort.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -313,26 +330,31 @@ def image_search(index: ImageIndex, provider, image_ref: str, k: int = 1) -> lis
         vec = embed_batch(provider, [image_ref])[0]
     except EmbeddingError as exc:
         raise EmbeddingError(f"could not resolve image ref {image_ref!r}: {exc}") from exc
-    order, scores = _ranked_order(index.matrix, vec)
-    hits: list[RetrievalHit] = []
-    seen: set[str] = set()
-    for row in order:
-        iid, aid = index.keys[row]
-        if aid in seen:
-            continue
-        seen.add(aid)
-        hits.append(
-            RetrievalHit(
-                article_id=aid,
-                section_id=None,
-                image_id=iid,
-                score=float(scores[row]),
-                rank=len(hits) + 1,
+    scores = index.matrix @ vec
+    m = k
+    while True:
+        order = _ranked_order(scores, m)
+        hits: list[RetrievalHit] = []
+        seen: set[str] = set()
+        for row in order:
+            iid, aid = index.keys[row]
+            if aid in seen:
+                continue
+            seen.add(aid)
+            hits.append(
+                RetrievalHit(
+                    article_id=aid,
+                    section_id=None,
+                    image_id=iid,
+                    score=float(scores[row]),
+                    rank=len(hits) + 1,
+                )
             )
-        )
-        if len(hits) == k:
-            break
-    return hits
+            if len(hits) == k:
+                return hits
+        if len(order) == len(scores):
+            return hits
+        m *= 2
 
 
 def save_index(index: TextIndex | ImageIndex, path: str | Path) -> None:

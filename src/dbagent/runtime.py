@@ -144,9 +144,6 @@ class AgentState:
 class StepKind(Enum):
     ANSWERED = "answered"
     EVIDENCE_ADDED = "evidence_added"
-    # Reserved: a parsed turn always carries an action, so a caption-only
-    # outcome is unreachable today; the variant keeps the surface stable.
-    CAPTION_NOTED = "caption_noted"
     PROTOCOL_ERROR = "protocol_error"
 
 
@@ -316,6 +313,7 @@ def _effective_violations(
         transcript,
         mode=mode,
         allow_caption_before_answer=config.allow_caption_before_answer,
+        parsed_violations=parse_violations,
     )
     if mode == "lenient":
         dropped = [v for v in parse_violations if v.code is ViolationCode.UNKNOWN_TAG]

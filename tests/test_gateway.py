@@ -190,6 +190,13 @@ def test_load_script_reports_correct_line_number(tmp_path):
         load_script(path)
 
 
+def test_load_script_names_line_of_bad_pattern_past_cache_size(tmp_path):
+    lines = [json.dumps({"match": {"pattern": f"ok {i}"}, "output": "fine"}) for i in range(599)]
+    lines.append(json.dumps({"match": {"pattern": "(unclosed"}, "output": "x"}))
+    with pytest.raises(ScriptError, match="line 600: bad pattern"):
+        load_script(_write_script(tmp_path, lines))
+
+
 # --- HTTP backend ----------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbagent import protocol
 from dbagent.protocol import (
     MAX_TURN_CHARS,
     ActionKind,
@@ -26,6 +27,23 @@ from protocol_cases import CASES, run_case
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_case_table(case):
     assert run_case(case) == []
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_preparsed_violations_change_nothing(case, monkeypatch):
+    record, violations = parse_turn(case.raw)
+    if record is None:
+        return
+    history = [parse_turn(raw)[0] for raw in case.context or ()]
+    for mode in ("strict", "lenient"):
+        for allow in (False, True):
+            kwargs = {"mode": mode, "allow_caption_before_answer": allow}
+            expected = validate_in_context(record, history, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(protocol, "parse_turn", None)  # must not be called
+                got = validate_in_context(record, history, parsed_violations=violations, **kwargs)
+            assert got == expected
+            assert got == sorted(got, key=lambda v: v.span)
 
 
 def test_parsed_fields_are_trimmed():

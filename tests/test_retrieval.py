@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbagent import retrieval
+from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import (
     DeterministicEmbedder,
     EmbeddingError,
+    ImageIndex,
     RemoteEmbedder,
+    TextIndex,
     build_image_index,
     build_text_index,
     embed_batch,
@@ -266,6 +270,172 @@ def test_index_rows_sorted_by_key(seed):
     corpus = make_corpus(5)
     index = build_text_index(corpus, DeterministicEmbedder(dimension=16, seed=seed))
     assert index.keys == sorted(index.keys)
+
+
+# --- exact top-k selection against a full sort ------------------------------
+#
+# Search ranks by partition plus a tie-complete boundary; these tests pin it
+# to the full stable argsort and to the plain-Python oracle on tie-heavy
+# indexes. Rows are signed basis vectors, so every score is exactly a query
+# component in both the numpy path and the oracle, and only a handful of
+# distinct scores exist: ties are the rule, not the exception. The query has
+# small integer components, so equal components tie in both paths and
+# unequal ones never collapse.
+
+
+class _Palette:
+    """Provider that looks every input up in a fixed input -> vector table."""
+
+    def __init__(self, table: dict[str, list[float]], dimension: int):
+        self.table = table
+        self.dimension = dimension
+
+    def embed(self, inputs):
+        return np.array([self.table[text] for text in inputs], dtype=np.float64)
+
+
+def _basis(dimension: int, axis: int, sign: int) -> list[float]:
+    vec = [0.0] * dimension
+    vec[axis] = float(sign)
+    return vec
+
+
+def _reference_rows(matrix: np.ndarray, provider, query: str) -> list[int]:
+    scores = matrix @ embed_batch(provider, [query])[0]
+    return [int(row) for row in np.argsort(-scores, kind="stable")]
+
+
+def _ks(n: int) -> list[int]:
+    return sorted({1, max(1, n - 1), n, n + 2})
+
+
+_row = st.tuples(st.integers(0, 3), st.sampled_from((-1, 1)))
+
+
+@st.composite
+def _palette_corpus(draw):
+    """Articles with 1-4 rows each, drawn from 2*dimension basis vectors (so
+    duplicate rows abound), and an integer query. Each article's rows are
+    both its sections and its images."""
+    dimension = draw(st.integers(1, 4))
+    articles = draw(st.lists(st.lists(_row, min_size=1, max_size=4), min_size=1, max_size=8))
+    query = draw(st.lists(st.integers(-3, 3), min_size=dimension, max_size=dimension))
+    table = {"query": [float(x) for x in query]}
+    lines = []
+    for a, rows in enumerate(articles):
+        aid = draw(st.sampled_from(("p", "q", "r", "s", "t", "u", "v", "w"))) + f"{a}"
+        sections, images = [], []
+        for r, (axis, sign) in enumerate(rows):
+            text = f"{aid} row {r}"
+            image_id = draw(st.sampled_from(("i", "j", "k"))) + f"-{aid}-{r}"
+            table[text] = table[image_id] = _basis(dimension, axis % dimension, sign)
+            sections.append({"section_id": f"s{r}", "heading": "H", "text": text})
+            images.append({"image_id": image_id, "uri": f"u/{image_id}"})
+        article = {"article_id": aid, "title": aid, "sections": sections, "images": images}
+        lines.append(json.dumps(article))
+    return parse_corpus_lines(lines), _Palette(table, dimension)
+
+
+@given(data=_palette_corpus())
+@settings(max_examples=80, deadline=None)
+def test_text_search_equals_full_sort_and_oracle_on_ties(data):
+    corpus, provider = data
+    index = build_text_index(corpus, provider)
+    n = len(index)
+    reference = [index.keys[row] for row in _reference_rows(index.matrix, provider, "query")]
+    for k in _ks(n):
+        hits = text_search(index, provider, "query", k=k)
+        got = [(h.article_id, h.section_id) for h in hits]
+        assert got == reference[:k], k
+        assert got == oracle_text_topk(corpus, provider, "query", k), k
+        assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+
+
+@given(data=_palette_corpus())
+@settings(max_examples=80, deadline=None)
+def test_image_search_equals_full_sort_and_oracle_on_ties(data):
+    corpus, provider = data
+    index = build_image_index(corpus, provider)
+    articles = []
+    for row in _reference_rows(index.matrix, provider, "query"):
+        iid, aid = index.keys[row]
+        if aid not in {a for a, _ in articles}:
+            articles.append((aid, iid))
+    for k in _ks(corpus.n_articles):
+        got = [(h.article_id, h.image_id) for h in image_search(index, provider, "query", k=k)]
+        assert got == articles[:k], k
+        assert got == oracle_image_topk(corpus, provider, "query", k), k
+
+
+@given(
+    rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=40),
+    query=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
+    # Any matrix, scores compared only against the same numpy scores.
+    matrix = np.asarray(rows, dtype=np.float64)
+    keys = [(f"a{i // 3:02d}", f"s{i % 3}") for i in range(len(rows))]
+    index = TextIndex(keys=keys, matrix=matrix, dimension=3)
+    provider = _Palette({"query": [float(x) for x in query]}, 3)
+    reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
+    for k in _ks(len(rows)):
+        got = [(h.article_id, h.section_id) for h in text_search(index, provider, "query", k=k)]
+        assert got == reference[:k], k
+
+
+def test_single_row_indexes():
+    provider = _Palette({"only": [0.0, 1.0], "query": [1.0, 0.0]}, 2)
+    text = TextIndex(keys=[("a", "s")], matrix=np.array([[0.0, 1.0]]), dimension=2)
+    image = ImageIndex(keys=[("only", "a")], matrix=np.array([[0.0, 1.0]]), dimension=2)
+    for k in (1, 3):
+        text_hits = text_search(text, provider, "query", k=k)
+        assert [(h.article_id, h.section_id, h.score) for h in text_hits] == [("a", "s", 0.0)]
+        image_hits = image_search(image, provider, "query", k=k)
+        assert [(h.article_id, h.image_id) for h in image_hits] == [("a", "only")]
+
+
+def test_image_window_grows_until_k_distinct_articles(monkeypatch):
+    # Article "a" owns the 9 best images (all tied), "b" the next 4, "c" one
+    # more: k=3 needs the window to grow 3 -> 6 -> 12 -> 24 of 29 rows.
+    keys, rows = [], []
+    spec = (("a", 9, 3.0), ("b", 4, 2.0), ("c", 1, 1.0), ("d", 10, 0.0), ("e", 5, -1.0))
+    for aid, count, score in spec:
+        for j in range(count):
+            keys.append((f"{aid}-img{j}", aid))
+            rows.append([score, 1.0])
+    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    index = ImageIndex(
+        keys=[keys[i] for i in order], matrix=np.array([rows[i] for i in order]), dimension=2
+    )
+    provider = _Palette({"query": [1.0, 0.0]}, 2)
+    windows = []
+    real = retrieval._ranked_order
+
+    def spy(scores, m):
+        windows.append(m)
+        return real(scores, m)
+
+    monkeypatch.setattr(retrieval, "_ranked_order", spy)
+    hits = image_search(index, provider, "query", k=3)
+    assert [(h.article_id, h.image_id, h.score) for h in hits] == [
+        ("a", "a-img0", 3.0),
+        ("b", "b-img0", 2.0),
+        ("c", "c-img0", 1.0),
+    ]
+    assert windows == [3, 6, 12, 24]
+
+
+def test_nan_scores_rank_last_as_in_a_full_sort():
+    matrix = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0], [np.nan, 1.0], [1.0, 0.0]])
+    keys = [("a", f"s{i}") for i in range(len(matrix))]
+    index = TextIndex(keys=keys, matrix=matrix, dimension=2)
+    provider = _Palette({"query": [1.0, 0.0]}, 2)
+    reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
+    assert reference[:3] == [("a", "s0"), ("a", "s4"), ("a", "s2")]
+    for k in range(1, 7):
+        got = [(h.article_id, h.section_id) for h in text_search(index, provider, "query", k=k)]
+        assert got == reference[:k], k
 
 
 # --- persistence ----------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from dbagent import protocol, runtime
 from dbagent.gateway import EmptyGenerationError, ScriptedBackend, ScriptedRule
 from dbagent.protocol import ActionKind, EvidenceItem, render_evidence, serialize_turn
 from dbagent.runtime import (
@@ -296,6 +297,35 @@ def test_violation_streak_resets_on_accepted_turn(tools12):
     assert traj.terminated_by == TERMINATED_ANSWER
     assert len(traj.protocol_events) == 2
     assert traj.action_kinds == (ActionKind.TEXT_SEARCH, ActionKind.ANSWER)
+
+
+def test_each_generation_is_parsed_once(tools12, monkeypatch):
+    parsed = []
+
+    def counting(raw):
+        parsed.append(raw)
+        return real(raw)
+
+    real = runtime.parse_turn
+    monkeypatch.setattr(runtime, "parse_turn", counting)
+    monkeypatch.setattr(protocol, "parse_turn", counting)
+    bad = f"<answer>{value(2)}</answer>"
+    backend = ScriptedBackend(
+        [
+            ScriptedRule(output=bad, turn_index=0),
+            ScriptedRule(
+                output=turn_raw("Search first.", "text_search", f"special fact of {marker(2)}"),
+                turn_index=1,
+            ),
+            ScriptedRule(output=turn_raw("Settled.", "answer", value(2)), turn_index=2),
+        ]
+    )
+    for strict in (True, False):
+        parsed.clear()
+        config = RolloutConfig(strict_protocol=strict)
+        traj = rollout("img-002", question(2), backend, tools12, config)
+        assert traj.terminated_by == TERMINATED_ANSWER
+        assert len(parsed) == 3
 
 
 def test_lenient_mode_tolerates_unknown_tags(tools12):
