@@ -184,11 +184,33 @@ def _backend(settings: Settings, parser: _Parser):
     parser.error("no backend: pass --script or --chat-url (or set " + ENV_CHAT_URL + ")")
 
 
+def _load_indexes(corpus, settings: Settings, index_dir: str) -> tuple:
+    """The indexes ``index build`` wrote to ``index_dir``, checked against
+    the embedding dimension and against ``corpus``: every row must name a
+    section or an image of it."""
+    text_path = Path(index_dir) / "text_index.json"
+    image_path = Path(index_dir) / "image_index.json"
+    text_index = load_index(text_path, expect_dimension=settings.dimension, expect_modality="text")
+    image_index = load_index(image_path, expect_dimension=settings.dimension, expect_modality="image")
+    sections = {(a.article_id, s.section_id) for a in corpus.articles.values() for s in a.sections}
+    images = {(img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images}
+    for path, index, known, what in (
+        (text_path, text_index, sections, "(article_id, section_id)"),
+        (image_path, image_index, images, "(image_id, article_id)"),
+    ):
+        stale = [key for key in index.keys if key not in known]
+        if stale:
+            raise DataError(
+                f"{path}: {len(stale)} of {len(index)} index rows name no {what} of the corpus, "
+                f"first {list(stale[0])}; rebuild with `dbagent index build`"
+            )
+    return text_index, image_index
+
+
 def _tools(corpus, settings: Settings, index_dir: str | None) -> ToolBinding:
     text_provider, image_provider = _embedders(settings)
     if index_dir:
-        text_index = load_index(Path(index_dir) / "text_index.json", expect_modality="text")
-        image_index = load_index(Path(index_dir) / "image_index.json", expect_modality="image")
+        text_index, image_index = _load_indexes(corpus, settings, index_dir)
     else:
         text_index = build_text_index(corpus, text_provider)
         image_index = build_image_index(corpus, image_provider)
@@ -421,7 +443,9 @@ def _detect_kind(path: Path) -> str:
             raise DataError(f"{path}: not JSON or JSONL ({exc.msg})") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: records must be JSON objects")
-    if "format_version" in obj and "entries" in obj:
+    # An index header lists its row keys; "entries" marks a version 1 file,
+    # which load_index rejects by its format_version.
+    if "format_version" in obj and ("keys" in obj or "entries" in obj):
         return "index"
     if "emitter_version" in obj and "dataset_sha256" in obj:
         return "manifest"
@@ -448,11 +472,15 @@ def _validate_trajectories(path: Path) -> str:
         mode = "strict" if traj.config.get("strict_protocol", True) else "lenient"
         allow = traj.config.get("allow_caption_before_answer", False)
         for i, turn in enumerate(traj.turns):
-            record, _ = parse_turn(turn.raw)
+            record, violations = parse_turn(turn.raw)
             if record is None:
                 raise DataError(f"{path}: {traj.task_id}: turn {i + 1} raw does not parse")
             problems = validate_in_context(
-                record, traj.turns[:i], mode=mode, allow_caption_before_answer=allow
+                record,
+                traj.turns[:i],
+                mode=mode,
+                allow_caption_before_answer=allow,
+                parsed_violations=violations,
             )
             if problems:
                 raise DataError(

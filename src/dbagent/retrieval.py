@@ -18,11 +18,24 @@ Two embedding providers share one duck-typed interface
 * ``RemoteEmbedder`` POSTs ``{"modality", "inputs"}`` to an HTTP endpoint
   and expects ``{"vectors": [[float]]}`` back. Input strings are refs the
   server resolves (image ids/uris for the image modality).
+
+On disk an index is two files side by side (format version 2):
+
+* ``<name>.json``: a one-line JSON header with ``format_version``,
+  ``dimension``, ``count``, ``modality``, ``keys`` (row order, each a
+  two-string list) and ``vectors_sha256``, the sha256 of the sidecar.
+* ``<name>.npy``: the ``(count, dimension)`` float64 matrix of unit rows,
+  as written by ``np.save`` without pickling.
+
+The header does not name its sidecar, so saving one index under two names
+writes byte-identical headers. Version 1 files (vectors inline as JSON
+text) are rejected on load; rebuild them with ``dbagent index build``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import time
@@ -55,8 +68,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 _NORM_TOLERANCE = 1e-6
+# Trigram memo entries a DeterministicEmbedder keeps before it starts over;
+# bounds its memory on an open-ended stream of texts.
+_MEMO_CAP = 1 << 16
 
 
 class EmbeddingError(BackendError):
@@ -73,7 +89,14 @@ class DeterministicEmbedder:
 
     Shared substrings share trigrams, so near-identical strings land close
     in cosine; an identical string reproduces the stored vector exactly.
-    Strings shorter than the n-gram size hash as a single feature.
+    Strings shorter than the n-gram size hash as a single feature. A text
+    whose features cancel to zero maps to the first basis vector.
+
+    Each gram's signed bucket (``+(bucket + 1)`` or ``-(bucket + 1)``) comes
+    from a blake2b hash that is memoized per instance, so ``seed``,
+    ``dimension`` and ``ngram`` must not change after the first ``embed``.
+    The memo is shared safely across threads: a racing miss stores the same
+    value twice.
     """
 
     dimension: int = 64
@@ -81,29 +104,45 @@ class DeterministicEmbedder:
     modality: str = "text"
     ngram: int = 3
     kind: str = field(default="deterministic_test", init=False)
+    _memo: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _vector(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        grams = (
-            [text[i : i + self.ngram] for i in range(len(text) - self.ngram + 1)]
-            if len(text) >= self.ngram
-            else [text]
-        )
-        prefix = f"{self.seed}:".encode("utf-8")
-        for gram in grams:
-            digest = hashlib.blake2b(prefix + gram.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "big")
-            bucket = value % self.dimension
-            sign = 1.0 if (value >> 62) & 1 else -1.0
-            vec[bucket] += sign
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            vec[0] = 1.0
-            return vec
-        return vec / norm
+    def _code(self, gram: str) -> int:
+        digest = hashlib.blake2b(f"{self.seed}:{gram}".encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        code = value % self.dimension + 1
+        if not (value >> 62) & 1:
+            code = -code
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+        self._memo[gram] = code
+        return code
 
     def embed(self, inputs: Sequence[str]) -> np.ndarray:
-        return np.stack([self._vector(text) for text in inputs])
+        n = self.ngram
+        grams: list[str] = []
+        counts: list[int] = []
+        for text in inputs:
+            text_grams = [text[i : i + n] for i in range(len(text) - n + 1)] or [text]
+            grams.extend(text_grams)
+            counts.append(len(text_grams))
+        codes = list(map(self._memo.get, grams))
+        if None in codes:  # a code is never 0, so `or` picks out the misses
+            codes = [code or self._code(gram) for code, gram in zip(codes, grams)]
+        signed = np.fromiter(codes, dtype=np.int64, count=len(codes))
+        rows = np.repeat(np.arange(len(counts)), counts)
+        # Every sum is a small integer, so neither the summation order nor
+        # the norm formula can change a bit of the result: a batch embeds
+        # each text exactly as embedding it alone does.
+        sums = np.bincount(
+            rows * self.dimension + np.abs(signed) - 1,
+            weights=np.sign(signed),
+            minlength=len(counts) * self.dimension,
+        ).reshape(len(counts), self.dimension)
+        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
+        zero = norms == 0.0
+        sums[zero, 0] = 1.0
+        norms[zero] = 1.0
+        return sums / norms[:, None]
 
 
 @dataclass
@@ -358,18 +397,25 @@ def image_search(index: ImageIndex, provider, image_ref: str, k: int = 1) -> lis
 
 
 def save_index(index: TextIndex | ImageIndex, path: str | Path) -> None:
-    """Persist as JSON with a self-describing header. Rebuilding the same
-    corpus with the same provider writes byte-identical files."""
+    """Persist as a JSON header at ``path`` and the vectors as ``.npy``
+    beside it (see the module docstring). Rebuilding the same corpus with
+    the same provider writes byte-identical files."""
     path = Path(path)
+    if path.suffix == ".npy":
+        raise ValueError(f"{path}: an index header may not end in .npy; that name is its sidecar")
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(index.matrix, dtype=np.float64), allow_pickle=False)
+    vectors = buffer.getvalue()
+    # The sidecar goes first, so a header left from an earlier save fails
+    # its checksum instead of describing vectors it never saw.
+    path.with_suffix(".npy").write_bytes(vectors)
     doc = {
         "format_version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,
         "count": len(index),
         "modality": index.modality,
-        "entries": [
-            {"key": list(key), "vector": [float(x) for x in index.matrix[i]]}
-            for i, key in enumerate(index.keys)
-        ],
+        "keys": [list(key) for key in index.keys],
+        "vectors_sha256": hashlib.sha256(vectors).hexdigest(),
     }
     path.write_text(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
 
@@ -379,34 +425,53 @@ def load_index(
     expect_dimension: int | None = None,
     expect_modality: str | None = None,
 ) -> TextIndex | ImageIndex:
+    """Read an index written by ``save_index``, checking the header against
+    the sidecar and every row for a finite unit norm."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable index file: {exc}") from exc
-    for field_name in ("format_version", "dimension", "count", "modality", "entries"):
-        if field_name not in doc:
-            raise ValueError(f"{path}: index header missing {field_name!r}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: index header is not a JSON object")
+    if "format_version" not in doc:
+        raise ValueError(f"{path}: index header missing 'format_version'")
     if doc["format_version"] != INDEX_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported index format_version {doc['format_version']}")
+    for field_name in ("dimension", "count", "modality", "keys", "vectors_sha256"):
+        if field_name not in doc:
+            raise ValueError(f"{path}: index header missing {field_name!r}")
     if expect_modality is not None and doc["modality"] != expect_modality:
         raise ValueError(f"{path}: index modality {doc['modality']!r}, expected {expect_modality!r}")
     dimension = int(doc["dimension"])
     if expect_dimension is not None and dimension != expect_dimension:
         raise ValueError(f"{path}: index dimension {dimension}, expected {expect_dimension}")
-    entries = doc["entries"]
-    if len(entries) != doc["count"]:
-        raise ValueError(f"{path}: header count {doc['count']} != {len(entries)} entries")
-    keys = [tuple(e["key"]) for e in entries]
-    matrix = (
-        np.asarray([e["vector"] for e in entries], dtype=np.float64)
-        if entries
-        else np.zeros((0, dimension))
-    )
-    if entries and matrix.shape[1] != dimension:
+    keys = doc["keys"]
+    if not isinstance(keys, list) or not all(
+        isinstance(key, list) and len(key) == 2 and all(isinstance(x, str) for x in key) for key in keys
+    ):
+        raise ValueError(f"{path}: index keys must be a list of string pairs")
+    if len(keys) != doc["count"]:
+        raise ValueError(f"{path}: header count {doc['count']} != {len(keys)} entries")
+    sidecar = path.with_suffix(".npy")
+    try:
+        vectors = sidecar.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path}: unreadable index vectors: {exc}") from exc
+    if hashlib.sha256(vectors).hexdigest() != doc["vectors_sha256"]:
+        raise ValueError(f"{path}: {sidecar.name} does not match the header's vectors_sha256")
+    try:
+        matrix = np.load(io.BytesIO(vectors), allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable index vectors: {exc}") from exc
+    if matrix.dtype != np.float64:
+        raise ValueError(f"{path}: index vectors are {matrix.dtype}, expected float64")
+    if matrix.ndim != 2 or matrix.shape[0] != len(keys):
+        raise ValueError(f"{path}: index vectors have shape {matrix.shape}, header count is {len(keys)}")
+    if matrix.shape[1] != dimension:
         raise ValueError(f"{path}: vectors are {matrix.shape[1]}-dimensional, header says {dimension}")
-    norms = np.linalg.norm(matrix, axis=1) if entries else np.zeros(0)
-    if entries and np.abs(norms - 1.0).max() > _NORM_TOLERANCE:
+    # Written so that a NaN norm fails too: NaN compares false.
+    if not (np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= _NORM_TOLERANCE).all():
         raise ValueError(f"{path}: stored vectors are not unit-normalized")
     cls = ImageIndex if doc["modality"] == "image" else TextIndex
-    return cls(keys=keys, matrix=matrix, dimension=dimension, modality=doc["modality"])
+    return cls(keys=[tuple(key) for key in keys], matrix=matrix, dimension=dimension, modality=doc["modality"])

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, derive_seed, main
+from dbagent.kb import parse_corpus_lines
+from dbagent.retrieval import DeterministicEmbedder, build_image_index, save_index
 from helpers import corpus_lines, factory_rules, marker, qa_obj, question, value, write_jsonl
 
 
@@ -199,6 +201,87 @@ def test_index_build_then_validate(tmp_path, capsys):
     assert "OK (index): 3 image vectors, dimension 8" in capsys.readouterr().out
 
 
+def test_validate_names_version_1_index(tmp_path, capsys):
+    path = tmp_path / "text_index.json"
+    v1 = {"format_version": 1, "dimension": 2, "count": 0, "modality": "text", "entries": []}
+    path.write_text(json.dumps(v1), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_DATA
+    assert "unsupported index format_version 1" in capsys.readouterr().err
+
+
+def agent_run_argv(corpus, script, *extra):
+    return [
+        "agent", "run", "--question", question(0), "--image", "img-000", "--corpus", corpus,
+        "--script", script, "--k-text", "1", *extra,
+    ]
+
+
+def test_agent_run_with_index_dir_matches_in_memory_index(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    out_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", out_dir, "--dimension", "256"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(agent_run_argv(corpus, script, "--dimension", "256")) == EXIT_OK
+    built = capsys.readouterr().out
+    assert main(agent_run_argv(corpus, script, "--dimension", "256", "--index-dir", out_dir)) == EXIT_OK
+    assert capsys.readouterr().out == built
+    assert "final_answer: val000" in built
+
+
+def test_index_dir_with_other_dimension_exits_2(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    out_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", out_dir, "--dimension", "8"]) == EXIT_OK
+    capsys.readouterr()
+    code = main(agent_run_argv(corpus, script, "--dimension", "64", "--index-dir", out_dir))
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "text_index.json: index dimension 8, expected 64" in captured.err
+    assert "<evidence>" not in captured.out
+
+
+def test_index_dir_built_from_other_corpus_exits_2(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    other_dir = tmp_path / "other"
+    other_dir.mkdir()
+    renamed = []
+    for line in corpus_lines(4):
+        article = json.loads(line)
+        article["article_id"] = "old-" + article["article_id"]
+        renamed.append(json.dumps(article))
+    other_corpus = str(write_jsonl(other_dir / "corpus.jsonl", renamed))
+    out_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--corpus", other_corpus, "--out-dir", out_dir]) == EXIT_OK
+    capsys.readouterr()
+    code = main(agent_run_argv(corpus, script, "--index-dir", out_dir))
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "text_index.json: 8 of 8 index rows name no (article_id, section_id) of the corpus" in captured.err
+    assert "['old-a000', 'a000-s0']" in captured.err
+    assert "<evidence>" not in captured.out
+
+
+def test_index_dir_image_rows_are_checked_too(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    out_dir = tmp_path / "idx"
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    # Rebuild only the image index from a corpus whose images moved articles.
+    moved = []
+    for line in corpus_lines(4):
+        article = json.loads(line)
+        article["images"] = [dict(img, image_id="moved-" + img["image_id"]) for img in article["images"]]
+        moved.append(json.dumps(article))
+    other = parse_corpus_lines(moved)
+    save_index(build_image_index(other, DeterministicEmbedder(modality="image")), out_dir / "image_index.json")
+    assert main(agent_run_argv(corpus, script, "--index-dir", str(out_dir))) == EXIT_DATA
+    assert "image_index.json: 4 of 4 index rows name no (image_id, article_id)" in capsys.readouterr().err
+
+
 def test_agent_run_prints_transcript(tmp_path, capsys):
     corpus = write_corpus(tmp_path, 4)
     script = agent_script(tmp_path, 4)
@@ -271,6 +354,81 @@ def test_agent_batch_then_eval_report(tmp_path, capsys):
     assert doc["overall_accuracy"] == 100.0
     assert (tmp_path / "report.txt").read_text(encoding="utf-8") == out
     assert (tmp_path / "report.csv").read_text(encoding="utf-8").startswith("row,label,")
+
+
+def _reference_verdict(path):
+    """The verdict of ``validate`` on a trajectory file when every turn was
+    parsed a second time inside ``validate_in_context``."""
+    from dbagent.protocol import parse_turn, validate_in_context
+    from dbagent.runtime import read_trajectory_file
+
+    for traj in read_trajectory_file(path):
+        mode = "strict" if traj.config.get("strict_protocol", True) else "lenient"
+        allow = traj.config.get("allow_caption_before_answer", False)
+        for i, turn in enumerate(traj.turns):
+            record, _ = parse_turn(turn.raw)
+            if record is None:
+                return f"{traj.task_id}: turn {i + 1} raw does not parse"
+            problems = validate_in_context(record, traj.turns[:i], mode=mode, allow_caption_before_answer=allow)
+            if problems:
+                return f"{traj.task_id}: turn {i + 1}: " + "; ".join(v.message for v in problems)
+    return None
+
+
+def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypatch):
+    from dbagent import protocol
+
+    corpus = write_corpus(tmp_path, 3)
+    dataset = write_dataset(tmp_path, 3)
+    script = agent_script(tmp_path, 3)
+    good = tmp_path / "trajectories.jsonl"
+    argv = ["agent", "batch", "--dataset", dataset, "--corpus", corpus, "--out", str(good)]
+    assert main(argv + ["--script", script, "--dimension", "256", "--k-text", "1"]) == EXIT_OK
+    rows = [json.loads(line) for line in good.read_text(encoding="utf-8").splitlines()]
+    n_turns = sum(len(row["turns"]) for row in rows)
+    assert n_turns >= 6
+
+    # Same files with one defect each: a caption before any image search
+    # (strict), the same in lenient mode (allowed), and an unparseable turn.
+    variants = {"good": rows}
+    caption = json.loads(json.dumps(rows))
+    caption[1]["turns"][0]["raw"] = caption[1]["turns"][0]["raw"].replace("</think>", "</think>\n<caption>a tower</caption>")
+    variants["caption"] = caption
+    lenient = json.loads(json.dumps(caption))
+    lenient[1]["config"]["strict_protocol"] = False
+    variants["lenient"] = lenient
+    garbled = json.loads(json.dumps(rows))
+    garbled[2]["turns"][1]["raw"] = "no tags at all"
+    variants["garbled"] = garbled
+
+    calls = []
+    parse_turn = protocol.parse_turn
+    monkeypatch.setattr(protocol, "parse_turn", lambda raw: calls.append(raw) or parse_turn(raw))
+    verdicts = {}
+    for name, variant in variants.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in variant), encoding="utf-8")
+        calls.clear()
+        code = main(["validate", str(path)])
+        parsed = list(calls)
+        captured = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "parse_turn", parse_turn)
+            want = _reference_verdict(path)
+        if want is None:
+            assert code == EXIT_OK, name
+            assert f"OK (trajectories): {len(variant)} trajectories" in captured.out
+        else:
+            assert code == EXIT_DATA, name
+            assert captured.err == f"error: {path}: {want}\n", name
+        verdicts[name] = (code, len(parsed))
+    first, second = len(rows[0]["turns"]), len(rows[1]["turns"])
+    assert verdicts == {
+        "good": (EXIT_OK, n_turns),
+        "caption": (EXIT_DATA, first + 1),
+        "lenient": (EXIT_OK, n_turns),
+        "garbled": (EXIT_DATA, first + second + 2),
+    }
 
 
 def test_factory_emit_validate_chain(tmp_path, capsys):

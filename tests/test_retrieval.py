@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import functools
+import hashlib
+import itertools
 import json
 import math
+import string
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +102,139 @@ def test_embed_batch_pins_zero_rows():
 
     out = embed_batch(Zero(), ["x"])
     assert np.array_equal(out, [[1.0, 0.0, 0.0]])
+
+
+# --- embedder against the per-trigram loop it replaced ------------------------
+
+
+def _reference_sums(text: str, dimension: int, seed: int, ngram: int = 3) -> np.ndarray:
+    """Signed bucket counts of one text, one blake2b hash per trigram, as the
+    embedder computed them before it was batched and memoized."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    grams = [text[i : i + ngram] for i in range(len(text) - ngram + 1)] if len(text) >= ngram else [text]
+    prefix = f"{seed}:".encode("utf-8")
+    for gram in grams:
+        digest = hashlib.blake2b(prefix + gram.encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        vec[value % dimension] += 1.0 if (value >> 62) & 1 else -1.0
+    return vec
+
+
+def _reference_vector(text: str, dimension: int, seed: int) -> np.ndarray:
+    vec = _reference_sums(text, dimension, seed)
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return vec / norm
+
+
+def _reference_embed(texts, dimension: int, seed: int) -> np.ndarray:
+    return np.stack([_reference_vector(text, dimension, seed) for text in texts])
+
+
+@functools.lru_cache(maxsize=None)
+def _cancelling_text(dimension: int, seed: int) -> str:
+    """A four-letter text whose two trigrams cancel to a zero row."""
+    for letters in itertools.product(string.ascii_lowercase, repeat=4):
+        text = "".join(letters)
+        if not _reference_sums(text, dimension, seed).any():
+            return text
+    raise AssertionError(f"no cancelling text for dimension {dimension}, seed {seed}")
+
+
+EMBED_DIMENSIONS = (1, 8, 64, 256)
+EMBED_SEEDS = (0, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dimension=st.sampled_from(EMBED_DIMENSIONS),
+    seed=st.sampled_from(EMBED_SEEDS),
+    texts=st.lists(
+        st.one_of(
+            st.text(max_size=2),
+            st.text(min_size=3, max_size=60),
+            st.text(alphabet="ab ", max_size=12),
+            st.just("cancel"),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_embed_matches_per_trigram_reference(dimension, seed, texts):
+    texts = [_cancelling_text(dimension, seed) if t == "cancel" else t for t in texts]
+    got = DeterministicEmbedder(dimension=dimension, seed=seed).embed(texts)
+    want = _reference_embed(texts, dimension, seed)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dimension", EMBED_DIMENSIONS)
+@pytest.mark.parametrize("seed", EMBED_SEEDS)
+def test_cancelling_grams_give_first_basis_vector(dimension, seed):
+    text = _cancelling_text(dimension, seed)
+    row = DeterministicEmbedder(dimension=dimension, seed=seed).embed(["some text", text, "x"])[1]
+    assert np.array_equal(row, np.eye(dimension)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(st.text(max_size=30), min_size=1, max_size=12),
+    chunk=st.integers(min_value=1, max_value=5),
+)
+def test_embed_in_one_call_equals_embed_in_chunks(texts, chunk):
+    whole = DeterministicEmbedder(dimension=16, seed=5).embed(texts)
+    chunked_embedder = DeterministicEmbedder(dimension=16, seed=5)
+    parts = [chunked_embedder.embed(texts[i : i + chunk]) for i in range(0, len(texts), chunk)]
+    assert whole.tobytes() == np.vstack(parts).tobytes()
+
+
+def test_memo_cap_clear_keeps_vectors(monkeypatch):
+    texts = [f"section {i} about the tower of pisa and its lean" for i in range(20)]
+    want = DeterministicEmbedder(dimension=64, seed=0).embed(texts)
+    monkeypatch.setattr(retrieval, "_MEMO_CAP", 4)
+    embedder = DeterministicEmbedder(dimension=64, seed=0)
+    for _ in range(2):  # a cold and then a partly warm memo
+        assert embedder.embed(texts).tobytes() == want.tobytes()
+        assert len(embedder._memo) <= 4
+
+
+def test_shared_embedder_under_threads_matches_reference(monkeypatch):
+    # Factory workers share one embedder. A tiny cap makes the threads clear
+    # the memo under each other while they read and fill it.
+    monkeypatch.setattr(retrieval, "_MEMO_CAP", 8)
+    batches = [[f"worker {w} text {i} on the eiffel tower" for i in range(12)] for w in range(8)]
+    want = [_reference_embed(batch, 32, 5) for batch in batches]
+    embedder = DeterministicEmbedder(dimension=32, seed=5)
+    mismatches = []
+
+    def work(w):
+        for _ in range(20):
+            if embedder.embed(batches[w]).tobytes() != want[w].tobytes():
+                mismatches.append(w)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    # Each thread can add one entry between another's size check and insert.
+    assert len(embedder._memo) < 8 + len(threads)
+
+
+def test_memo_stays_out_of_equality_and_repr():
+    used = DeterministicEmbedder(dimension=8)
+    used.embed(["warm the memo"])
+    assert used == DeterministicEmbedder(dimension=8)
+    assert repr(used) == repr(DeterministicEmbedder(dimension=8))
 
 
 # --- search vs oracle ----------------------------------------------------
@@ -477,22 +616,138 @@ def test_load_rejects_bad_files(tmp_path, embedder):
     with pytest.raises(ValueError, match="header count"):
         load_index(path)
 
-    broken = dict(doc, format_version=2)
+    broken = dict(doc, format_version=1)
     path.write_text(json.dumps(broken))
     with pytest.raises(ValueError, match="format_version"):
         load_index(path)
 
-    bad_vec = json.loads(json.dumps(doc))
-    bad_vec["entries"][0]["vector"] = [2.0] * 64
-    path.write_text(json.dumps(bad_vec))
+    bad_matrix = index.matrix.copy()
+    bad_matrix[0] = 2.0
+    save_index(TextIndex(keys=index.keys, matrix=bad_matrix, dimension=64), path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
 
-    path.write_text(json.dumps(doc))
+    save_index(index, path)
     with pytest.raises(ValueError, match="modality"):
         load_index(path, expect_modality="image")
     with pytest.raises(ValueError, match="dimension"):
         load_index(path, expect_dimension=32)
+
+
+def test_save_writes_header_and_npy_sidecar(tmp_path, embedder):
+    index = build_text_index(make_corpus(3), embedder)
+    path = tmp_path / "text_index.json"
+    save_index(index, path)
+    header = json.loads(path.read_text(encoding="utf-8"))
+    sidecar = tmp_path / "text_index.npy"
+    assert header == {
+        "format_version": 2,
+        "dimension": 64,
+        "count": 6,
+        "modality": "text",
+        "keys": [list(key) for key in index.keys],
+        "vectors_sha256": hashlib.sha256(sidecar.read_bytes()).hexdigest(),
+    }
+    assert np.load(sidecar, allow_pickle=False).tobytes() == index.matrix.tobytes()
+
+    loaded = load_index(path, expect_dimension=64, expect_modality="text")
+    assert isinstance(loaded, TextIndex)
+    assert loaded.keys == index.keys
+    assert loaded.matrix.dtype == np.float64
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+
+
+def test_image_and_empty_indexes_round_trip(tmp_path):
+    embedder = DeterministicEmbedder(dimension=8, modality="image")
+    image_index = build_image_index(make_corpus(3), embedder)
+    save_index(image_index, tmp_path / "image_index.json")
+    loaded = load_index(tmp_path / "image_index.json", expect_modality="image")
+    assert isinstance(loaded, ImageIndex)
+    assert loaded.keys == image_index.keys
+    assert loaded.matrix.tobytes() == image_index.matrix.tobytes()
+
+    empty = build_text_index(make_corpus(0), embedder)
+    save_index(empty, tmp_path / "empty.json")
+    loaded = load_index(tmp_path / "empty.json", expect_dimension=8)
+    assert len(loaded) == 0 and loaded.matrix.shape == (0, 8)
+
+
+def test_load_rejects_version_1_file(tmp_path):
+    path = tmp_path / "text_index.json"
+    v1 = {
+        "format_version": 1,
+        "dimension": 2,
+        "count": 1,
+        "modality": "text",
+        "entries": [{"key": ["a", "s0"], "vector": [1.0, 0.0]}],
+    }
+    path.write_text(json.dumps(v1), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported index format_version 1"):
+        load_index(path)
+
+
+def _rewrite_sidecar(path, matrix):
+    """Replace the sidecar and make the header's checksum agree with it."""
+    sidecar = path.with_suffix(".npy")
+    np.save(sidecar, matrix, allow_pickle=False)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["vectors_sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_load_checks_the_sidecar(tmp_path, embedder):
+    index = build_text_index(make_corpus(2), embedder)
+    path = tmp_path / "idx.json"
+    sidecar = tmp_path / "idx.npy"
+
+    save_index(index, path)
+    sidecar.unlink()
+    with pytest.raises(ValueError, match="unreadable index vectors"):
+        load_index(path)
+
+    save_index(index, path)
+    data = bytearray(sidecar.read_bytes())
+    data[-1] ^= 1
+    sidecar.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="vectors_sha256"):
+        load_index(path)
+
+    save_index(index, path)
+    _rewrite_sidecar(path, np.vstack([index.matrix, index.matrix[:1]]))
+    with pytest.raises(ValueError, match=r"shape \(5, 64\), header count is 4"):
+        load_index(path)
+
+    save_index(index, path)
+    _rewrite_sidecar(path, index.matrix[:, :32] * math.sqrt(2.0))
+    with pytest.raises(ValueError, match="32-dimensional, header says 64"):
+        load_index(path)
+
+    save_index(index, path)
+    _rewrite_sidecar(path, index.matrix.astype(np.float32))
+    with pytest.raises(ValueError, match="float32, expected float64"):
+        load_index(path)
+
+    save_index(index, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(doc, keys=[["a000", "a000-s0", "extra"]] * 4)), encoding="utf-8")
+    with pytest.raises(ValueError, match="string pairs"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]])
+def test_load_rejects_nan_inf_and_zero_rows(tmp_path, bad_row):
+    path = tmp_path / "idx.json"
+    index = TextIndex(keys=[("a", "s0"), ("a", "s1")], matrix=np.array([[1.0, 0.0], bad_row]), dimension=2)
+    save_index(index, path)
+    with pytest.raises(ValueError, match="not unit-normalized"):
+        load_index(path)
+
+
+def test_save_refuses_a_header_named_like_its_sidecar(tmp_path, embedder):
+    index = build_text_index(make_corpus(1), embedder)
+    with pytest.raises(ValueError, match=".npy"):
+        save_index(index, tmp_path / "idx.npy")
+    assert not (tmp_path / "idx.npy").exists()
 
 
 # --- remote provider ------------------------------------------------------
