@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -589,3 +591,94 @@ def test_read_outcome_file_reports_bad_lines(tmp_path):
     path.write_text(json.dumps({"sample_id": "x"}) + "\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="line 1.*missing 'trajectory_type'"):
         read_outcome_file(path)
+
+
+# --- golden outcome bytes ---------------------------------------------------
+
+
+class _FlakyOnce:
+    """Answers ``bad`` to the first attempt whose last user message matches
+    ``pattern``; everything else goes to ``inner``."""
+
+    def __init__(self, inner, pattern, bad):
+        self.inner, self.pattern, self.bad = inner, pattern, bad
+
+    def complete(self, messages, params, turn_index=0):
+        last_user = next(m.content for m in reversed(messages) if m.role == "user")
+        if turn_index == 0 and re.search(self.pattern, last_user, re.DOTALL):
+            return self.bad
+        return self.inner.complete(messages, params, turn_index)
+
+
+def _judge_rules(i, stage1, stage2=None, stage3=None):
+    # Each judge prompt is told apart by the label after the question line.
+    q = re.escape(question(i))
+    rules = [ScriptedRule(pattern=rf"{q}\n\[stage1_think\]", output=stage1)]
+    if stage2 is not None:
+        rules.append(ScriptedRule(pattern=rf"{q}\n.*\[stage2_answer\]", output=stage2))
+    if stage3 is not None:
+        rules.append(ScriptedRule(pattern=rf"{q}\n\[answer\]", output=stage3))
+    return rules
+
+
+def _golden_exact_runs():
+    doubled = "<think>t</think>\n<entity>e</entity><entity>f</entity>\n<answer>x</answer>"
+    plan = [(0, "A"), (1, "I-A"), (2, "T-A"), (3, "I-T-A"), (4, "T-T-A"), (5, "T-T-A", False)]
+    runs = [(qa_sample(entry[0]), factory_backend([entry])) for entry in plan]
+    runs.append((qa_sample(6), ScriptedBackend([ScriptedRule(pattern=stage1_pattern(6), output=doubled)])))
+    flaky = _FlakyOnce(factory_backend([(7, "I-T-A")]), r"\[evidence\]", "<think>no answer tag</think>")
+    runs.append((qa_sample(7), flaky))
+    runs.append((qa_sample(8, gold_entity=None), factory_backend([(8, "T-A")])))
+    return runs
+
+
+def _golden_model_runs():
+    text1 = "[wrong]\n<choose>Look the fact up.</choose>\n<text_search>{q}</text_search>"
+    image1 = "[wrong]\n<choose>Re-identify the image.</choose>\n<image_search>image_path</image_search>"
+    rewrite = "[wrong]\n<think>Target the fact.</think>\n<text_search>{q} special fact</text_search>"
+    same = "[wrong]\n<think>Retry.</think>\n<text_search>{q}</text_search>"
+    caption = (
+        "[wrong]\n<caption>The image shows {q}.</caption>\n<think>Now the fact.</think>\n<text_search>{q} fact</text_search>"
+    )
+    runs = [
+        (0, "A", _judge_rules(0, "[correct]")),
+        (1, "I-A", _judge_rules(1, image1, "[correct]")),
+        (2, "T-A", _judge_rules(2, text1.format(q=marker(2)), "[correct]")),
+        (3, "I-T-A", _judge_rules(3, image1, caption.format(q=marker(3)), "[correct]")),
+        (4, "T-T-A", _judge_rules(4, text1.format(q=marker(4)), rewrite.format(q=marker(4)), "[correct]")),
+        (5, "T-T-A", _judge_rules(5, text1.format(q=marker(5)), rewrite.format(q=marker(5)), "[wrong]")),
+        (6, "T-T-A", _judge_rules(6, text1.format(q=marker(6)), same.format(q=marker(6)))),
+        (7, "T-T-A", _judge_rules(7, text1.format(q=marker(7)), rewrite.format(q=marker(7)), "[correct]")),
+    ]
+    out = []
+    for i, route, rules in runs:
+        judge = ScriptedBackend(rules)
+        if i == 7:
+            judge = _FlakyOnce(judge, r"\[stage2_answer\]", "no verdict here")
+        out.append((qa_sample(i), factory_backend([(i, route)]), judge))
+    return out
+
+
+def test_outcome_bytes_are_pinned_in_both_judge_modes(tools, tmp_path):
+    exact = [build_outcome(s, b, tools, FactoryConfig(keep_failed=True)) for s, b in _golden_exact_runs()]
+    model = [
+        build_outcome(s, b, tools, FactoryConfig(judge_mode="model_judge", judge_backend=j, keep_failed=True))
+        for s, b, j in _golden_model_runs()
+    ]
+    assert [o.trajectory_type for o in exact] == [
+        TYPE_DIRECT, TYPE_IMAGE, TYPE_TEXT, TYPE_IMAGE_TEXT, TYPE_TEXT_TEXT, TYPE_FAILED, TYPE_DISCARDED,
+        TYPE_IMAGE_TEXT, TYPE_TEXT,
+    ]
+    assert [o.trajectory_type for o in model] == [
+        TYPE_DIRECT, TYPE_IMAGE, TYPE_TEXT, TYPE_IMAGE_TEXT, TYPE_TEXT_TEXT, TYPE_FAILED, TYPE_DISCARDED,
+        TYPE_TEXT_TEXT,
+    ]
+    digests = []
+    for outcomes in (exact, model):
+        path = tmp_path / "outcomes.jsonl"
+        write_outcome_file(outcomes, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [
+        "700871eedc418750ec0d758d12c47509b691829d5694e6b1a251e8c7219e419b",
+        "748cc1bcb00b06fbd443735b768821aa1d1370db33c4860c888715e68a743341",
+    ]
