@@ -425,22 +425,24 @@ def cmd_eval_kb_scale(args, parser: _Parser) -> int:
 
 
 def _detect_kind(path: Path) -> str:
-    head = ""
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                head = line
-                break
-    if not head:
-        raise DataError(f"{path}: empty file")
     try:
-        obj = json.loads(head)
-    except json.JSONDecodeError:
-        # maybe a single pretty-printed JSON document (index/manifest)
+        with path.open("r", encoding="utf-8") as fh:
+            head = next((line for line in fh if line.strip()), "")
+        if not head:
+            raise DataError(f"{path}: empty file")
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not JSON or JSONL ({exc.msg})") from exc
+            obj = json.loads(head)
+        except json.JSONDecodeError:
+            # maybe a single pretty-printed JSON document (index/manifest)
+            try:
+                obj = json.loads(path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: not JSON or JSONL ({exc.msg})") from exc
+    except UnicodeDecodeError as exc:
+        hint = f"; it is an index's vector matrix, validate its header {path.with_suffix('.json')}"
+        raise DataError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})" + (hint if path.suffix == ".npy" else "")
+        ) from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: records must be JSON objects")
     # An index header lists its row keys; "entries" marks a version 1 file,

@@ -15,4 +15,11 @@ class DataError(Exception):
 
 
 class BackendError(Exception):
-    """A remote or scripted backend could not produce a usable response."""
+    """A remote or scripted backend could not produce a usable response.
+
+    ``attempts`` counts the tries made when the backend is remote.
+    """
+
+    def __init__(self, message: str, attempts: int = 1):
+        super().__init__(message)
+        self.attempts = attempts

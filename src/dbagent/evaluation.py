@@ -26,6 +26,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from .errors import DataError
 from .factory import SFT_TYPES, JudgeParseFailure, QaSample, judge_answer, trajectory_type_of
 from .kb import Corpus, subsample_corpus
 from .retrieval import build_image_index, build_text_index
@@ -37,6 +38,7 @@ from .runtime import (
     batch_rollout,
     RolloutConfig,
 )
+from .wire import parse_jsonl
 
 __all__ = [
     "EvalRecord",
@@ -248,22 +250,17 @@ def records_to_jsonl(records: Sequence[EvalRecord]) -> str:
 
 
 def records_from_jsonl(text: str) -> list[EvalRecord]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        out.append(
-            EvalRecord(
-                sample_id=obj["sample_id"],
-                trajectory_type=obj["trajectory_type"],
-                answer_correct=obj["answer_correct"],
-                retrieval_hit=obj["retrieval_hit"],
-                n_tool_calls=obj["n_tool_calls"],
-                split_tags=tuple(obj.get("split_tags", ())),
-            )
+    def parse(obj: dict, line_no: int) -> EvalRecord:
+        return EvalRecord(
+            sample_id=obj["sample_id"],
+            trajectory_type=obj["trajectory_type"],
+            answer_correct=obj["answer_correct"],
+            retrieval_hit=obj["retrieval_hit"],
+            n_tool_calls=obj["n_tool_calls"],
+            split_tags=tuple(obj.get("split_tags", ())),
         )
-    return out
+
+    return parse_jsonl(text.splitlines(), "<records>", parse, DataError)
 
 
 # --- rendering -----------------------------------------------------------

@@ -49,6 +49,7 @@ from .protocol import (
     validate_in_context,
 )
 from .runtime import RolloutConfig, ToolBinding, Trajectory, trajectory_from_dict, trajectory_to_dict
+from .wire import parse_jsonl
 
 __all__ = [
     "DatasetError",
@@ -101,6 +102,11 @@ DIFFICULTY_TIERS = ("easy", "medium", "hard")
 _CORRECT = "[correct]"
 _WRONG = "[wrong]"
 _TERMINAL_PUNCT = ".,;:!?"
+# A stage output that does not parse is asked for once more, then the
+# sample is discarded.
+_STAGE_RETRIES = 1
+# Prompt id recorded for a stage graded by the normalized_exact judge.
+_EXACT_JUDGE = "judge-normalized-exact-v1"
 
 
 class DatasetError(DataError):
@@ -216,58 +222,42 @@ class QaSample:
 
 def load_qa_dataset(path: str | Path) -> list[QaSample]:
     """Load JSONL QA samples; ``answers`` is "a|b|c" or a JSON list."""
-    path = Path(path)
-    samples: list[QaSample] = []
     seen: dict[str, int] = {}
-    errors: list[str] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            try:
-                samples.append(_parse_sample(obj, line_no))
-            except DatasetError as exc:
-                errors.append(str(exc))
-                continue
-            sid = samples[-1].sample_id
-            if sid in seen:
-                errors.append(
-                    f"line {line_no}: duplicate sample_id {sid!r} (first seen on line {seen[sid]})"
-                )
-                samples.pop()
-            else:
-                seen[sid] = line_no
-    if errors:
-        raise DatasetError(f"{path}: {len(errors)} error(s)\n" + "\n".join(errors))
-    return samples
+
+    def parse(obj: object, line_no: int) -> QaSample:
+        sample = _parse_sample(obj)
+        if sample.sample_id in seen:
+            raise DatasetError(
+                f"duplicate sample_id {sample.sample_id!r} (first seen on line {seen[sample.sample_id]})"
+            )
+        seen[sample.sample_id] = line_no
+        return sample
+
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return parse_jsonl(fh, path, parse, DatasetError)
 
 
-def _parse_sample(obj: object, line_no: int) -> QaSample:
+def _parse_sample(obj: object) -> QaSample:
     if not isinstance(obj, dict):
-        raise DatasetError(f"line {line_no}: sample must be a JSON object")
+        raise DatasetError("sample must be a JSON object")
     for key in ("sample_id", "image_ref", "question"):
         if not isinstance(obj.get(key), str) or not obj[key].strip():
-            raise DatasetError(f"line {line_no}: field {key!r} must be a non-empty string")
+            raise DatasetError(f"field {key!r} must be a non-empty string")
     raw_answers = obj.get("answers")
     if isinstance(raw_answers, str):
         answers = tuple(a for a in raw_answers.split("|") if a.strip())
     elif isinstance(raw_answers, list) and all(isinstance(a, str) for a in raw_answers):
         answers = tuple(a for a in raw_answers if a.strip())
     else:
-        raise DatasetError(f"line {line_no}: 'answers' must be 'a|b|c' or a list of strings")
+        raise DatasetError("'answers' must be 'a|b|c' or a list of strings")
     if not answers:
-        raise DatasetError(f"line {line_no}: 'answers' is empty")
+        raise DatasetError("'answers' is empty")
     for key in ("gold_entity", "gold_article_id"):
         if obj.get(key) is not None and not isinstance(obj[key], str):
-            raise DatasetError(f"line {line_no}: field {key!r} must be a string")
+            raise DatasetError(f"field {key!r} must be a string")
     split = obj.get("split", "train")
     if split not in ("train", "val", "test"):
-        raise DatasetError(f"line {line_no}: split must be train/val/test, got {split!r}")
+        raise DatasetError(f"split must be train/val/test, got {split!r}")
     return QaSample(
         sample_id=obj["sample_id"],
         image_ref=obj["image_ref"],
@@ -304,7 +294,6 @@ class FactoryConfig:
     judge_mode: str = "normalized_exact"
     judge_backend: object | None = None
     keep_failed: bool = False
-    stage_retries: int = 1
     rollout_config: RolloutConfig = field(default_factory=RolloutConfig)
 
 
@@ -339,34 +328,57 @@ class _Pipeline:
     s3_answer: str = ""
 
 
-def _complete_with_retry(backend, messages, extract, cfg: FactoryConfig, stage: str):
-    """Call the backend and parse; retry once on a malformed stage output."""
+def _tags(*names: str):
+    """Stage-output parser that requires each named tag exactly once."""
+    return lambda output: {name: _extract_tag(output, name) for name in names}
+
+
+def _ask(pipe: _Pipeline, backend, template: str, lines: Sequence[str], extract, images=()) -> StageRecord:
+    """Send ``template``'s prompt with ``lines`` as the user message and
+    record the parsed reply.
+
+    A reply ``extract`` cannot parse is asked for again, up to
+    ``_STAGE_RETRIES`` times, before the sample is discarded. A ``verdict``
+    field (a model judge's) becomes the record's verdict.
+    """
+    messages = [
+        ChatMessage(role="system", content=load_prompt(template)),
+        ChatMessage(role="user", content="\n".join(lines), images=images),
+    ]
     params = GenerationParams()
-    last: Exception | None = None
-    for attempt in range(cfg.stage_retries + 1):
+    for attempt in range(_STAGE_RETRIES + 1):
         output = backend.complete(messages, params, turn_index=attempt)
         try:
-            return output, extract(output)
+            fields = extract(output)
+            break
         except StageParseError as exc:
             last = exc
-            logger.warning("%s parse failed (attempt %d): %s", stage, attempt + 1, exc)
-    raise _Discard(f"{stage}: {last}")
+            logger.warning("%s parse failed (attempt %d): %s", template, attempt + 1, exc)
+    else:
+        raise _Discard(f"{template}: {last}")
+    verdict = fields.pop("verdict", "n/a")
+    pipe.stages.append(StageRecord(template, prompt_id(template), output, fields, verdict))
+    return pipe.stages[-1]
 
 
 def _judge_backend(backend, cfg: FactoryConfig):
     return cfg.judge_backend if cfg.judge_backend is not None else backend
 
 
-def _verdict_for(pipe: _Pipeline, answer: str, backend, cfg: FactoryConfig) -> bool:
-    if cfg.judge_mode == "normalized_exact":
-        return judge_answer(answer, pipe.sample.answers)
-    return judge_answer(
-        answer,
-        pipe.sample.answers,
-        mode="model_judge",
-        backend=_judge_backend(backend, cfg),
-        question=pipe.sample.question,
-    )
+def _judge(pipe: _Pipeline, backend, cfg: FactoryConfig, template: str, answer: str, rewrite, lines, extract) -> StageRecord:
+    """Grade ``answer`` and record the judge; a wrong verdict's fields route
+    the next stage.
+
+    ``normalized_exact`` matches strings and synthesizes with ``rewrite(pipe)``
+    the fields a model judge writes; ``model_judge`` asks the judge backend
+    with ``lines`` and parses its reply with ``extract``.
+    """
+    if cfg.judge_mode != "normalized_exact":
+        return _ask(pipe, _judge_backend(backend, cfg), template, lines, extract)
+    correct = judge_answer(answer, pipe.sample.answers)
+    fields = {} if correct else rewrite(pipe)
+    pipe.stages.append(StageRecord(template, _EXACT_JUDGE, "", fields, "correct" if correct else "wrong"))
+    return pipe.stages[-1]
 
 
 # --- stage 1 -------------------------------------------------------------
@@ -379,138 +391,55 @@ def run_stage1(sample: QaSample, backend, cfg: FactoryConfig) -> _Pipeline:
     (entity right, fact missing; carries the first text query).
     """
     pipe = _Pipeline(sample=sample)
-    messages = [
-        ChatMessage(role="system", content=load_prompt("stage1_answer")),
-        ChatMessage(
-            role="user",
-            content=f"[question] {sample.question}",
-            images=(sample.image_ref,) if sample.image_ref else (),
-        ),
+    images = (sample.image_ref,) if sample.image_ref else ()
+    lines = [f"[question] {sample.question}"]
+    fields = _ask(pipe, backend, "stage1_answer", lines, _tags("think", "entity", "answer"), images).parsed_fields
+    pipe.s1_think, pipe.s1_entity, pipe.s1_answer = fields["think"], fields["entity"], fields["answer"]
+    lines += [
+        f"[stage1_think] {pipe.s1_think}",
+        f"[stage1_entity] {pipe.s1_entity}",
+        f"[stage1_answer] {pipe.s1_answer}",
+        f"[gold_answer] {'|'.join(sample.answers)}",
+        f"[gold_entity] {sample.gold_entity or '(not provided)'}",
     ]
-
-    def extract(output: str) -> dict[str, str]:
-        return {
-            "think": _extract_tag(output, "think") or "",
-            "entity": _extract_tag(output, "entity") or "",
-            "answer": _extract_tag(output, "answer") or "",
-        }
-
-    output, fields = _complete_with_retry(backend, messages, extract, cfg, "stage1_answer")
-    pipe.s1_think, pipe.s1_entity, pipe.s1_answer = (
-        fields["think"],
-        fields["entity"],
-        fields["answer"],
-    )
-    pipe.stages.append(
-        StageRecord(
-            stage="stage1_answer",
-            prompt_id=prompt_id("stage1_answer"),
-            model_output=output,
-            parsed_fields=fields,
-        )
-    )
-
-    if cfg.judge_mode == "normalized_exact":
-        _stage1_judge_exact(pipe)
+    judged = _judge(pipe, backend, cfg, "stage1_judge", pipe.s1_answer, _stage1_rewrite, lines, _parse_stage1_judge)
+    if judged.verdict == "correct":
+        pipe.s1_route = "done"
     else:
-        _stage1_judge_model(pipe, backend, cfg)
+        pipe.s1_route = "image" if "image_search" in judged.parsed_fields else "text"
+        pipe.s1_choose = judged.parsed_fields["choose"]
+        pipe.query1 = judged.parsed_fields.get("text_search", "")
     return pipe
 
 
-def _stage1_judge_exact(pipe: _Pipeline) -> None:
+def _stage1_rewrite(pipe: _Pipeline) -> dict[str, str]:
     sample = pipe.sample
-    correct = judge_answer(pipe.s1_answer, sample.answers)
-    if correct:
-        pipe.s1_route = "done"
-        verdict = "correct"
-        fields: dict[str, str] = {}
-    else:
-        verdict = "wrong"
-        # Without a gold entity there is no way to certify a mismatch, so
-        # default to the text branch.
-        matched = sample.gold_entity is not None and entity_matches(pipe.s1_entity, sample.gold_entity)
-        if matched or sample.gold_entity is None:
-            pipe.s1_route = "text"
-            pipe.query1 = f"{pipe.s1_entity} {sample.question}".strip()
-            pipe.s1_choose = (
-                "The entity is correct but the needed fact is missing, so it must be looked up."
-            )
-            fields = {"text_search": pipe.query1, "choose": pipe.s1_choose}
-        else:
-            pipe.s1_route = "image"
-            pipe.s1_choose = (
-                "The identified entity does not match the image, so the image itself must be re-identified."
-            )
-            fields = {"image_search": IMAGE_PAYLOAD, "choose": pipe.s1_choose}
-    pipe.stages.append(
-        StageRecord(
-            stage="stage1_judge",
-            prompt_id="judge-normalized-exact-v1",
-            model_output="",
-            parsed_fields=fields,
-            verdict=verdict,
-        )
-    )
+    # Without a gold entity there is no way to certify a mismatch, so
+    # default to the text branch.
+    if sample.gold_entity is None or entity_matches(pipe.s1_entity, sample.gold_entity):
+        return {
+            "choose": "The entity is correct but the needed fact is missing, so it must be looked up.",
+            "text_search": f"{pipe.s1_entity} {sample.question}".strip(),
+        }
+    return {
+        "choose": "The identified entity does not match the image, so the image itself must be re-identified.",
+        "image_search": IMAGE_PAYLOAD,
+    }
 
 
-def _stage1_judge_model(pipe: _Pipeline, backend, cfg: FactoryConfig) -> None:
-    sample = pipe.sample
-    messages = [
-        ChatMessage(role="system", content=load_prompt("stage1_judge")),
-        ChatMessage(
-            role="user",
-            content="\n".join(
-                [
-                    f"[question] {sample.question}",
-                    f"[stage1_think] {pipe.s1_think}",
-                    f"[stage1_entity] {pipe.s1_entity}",
-                    f"[stage1_answer] {pipe.s1_answer}",
-                    f"[gold_answer] {'|'.join(sample.answers)}",
-                    f"[gold_entity] {sample.gold_entity or '(not provided)'}",
-                ]
-            ),
-        ),
-    ]
-
-    def extract(output: str) -> dict[str, str]:
-        verdict = _parse_verdict(output)
-        if verdict == "correct":
-            return {"verdict": verdict}
-        image = _extract_tag(output, "image_search", required=False)
-        query = _extract_tag(output, "text_search", required=False)
-        choose = _extract_tag(output, "choose") or ""
-        if (image is None) == (query is None):
-            raise StageParseError("judge must emit exactly one of <image_search>/<text_search>")
-        if image is not None and image != IMAGE_PAYLOAD:
-            raise StageParseError(f"<image_search> payload must be '{IMAGE_PAYLOAD}'")
-        out = {"verdict": verdict, "choose": choose}
-        if image is not None:
-            out["image_search"] = image
-        else:
-            out["text_search"] = query or ""
-        return out
-
-    judge = _judge_backend(backend, cfg)
-    output, fields = _complete_with_retry(judge, messages, extract, cfg, "stage1_judge")
-    verdict = fields.pop("verdict")
+def _parse_stage1_judge(output: str) -> dict[str, str]:
+    verdict = _parse_verdict(output)
     if verdict == "correct":
-        pipe.s1_route = "done"
-    elif "image_search" in fields:
-        pipe.s1_route = "image"
-        pipe.s1_choose = fields["choose"]
-    else:
-        pipe.s1_route = "text"
-        pipe.query1 = fields["text_search"]
-        pipe.s1_choose = fields["choose"]
-    pipe.stages.append(
-        StageRecord(
-            stage="stage1_judge",
-            prompt_id=prompt_id("stage1_judge"),
-            model_output=output,
-            parsed_fields=fields,
-            verdict=verdict,
-        )
-    )
+        return {"verdict": verdict}
+    image = _extract_tag(output, "image_search", required=False)
+    query = _extract_tag(output, "text_search", required=False)
+    choose = _extract_tag(output, "choose")
+    if (image is None) == (query is None):
+        raise StageParseError("judge must emit exactly one of <image_search>/<text_search>")
+    if image is not None and image != IMAGE_PAYLOAD:
+        raise StageParseError(f"<image_search> payload must be '{IMAGE_PAYLOAD}'")
+    route = {"image_search": image} if image is not None else {"text_search": query}
+    return {"verdict": verdict, "choose": choose, **route}
 
 
 # --- stage 2 -------------------------------------------------------------
@@ -529,143 +458,56 @@ def run_stage2(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig)
     """Retrieval-grounded second pass on the routed branch."""
     sample = pipe.sample
     rc = cfg.rollout_config
-    if pipe.s1_route == "image":
+    branch = "image" if pipe.s1_route == "image" else "text"
+    if branch == "image":
         pipe.stage2_items = tools.image_retriever.search(sample.image_ref, rc.k_image)
-        template = "stage2_image_answer"
     else:
         pipe.stage2_items = tools.text_retriever.search(pipe.query1, rc.k_text)
-        template = "stage2_text_answer"
-    evidence = render_evidence(pipe.stage2_items, 1).rendered
-    messages = [
-        ChatMessage(role="system", content=load_prompt(template)),
-        ChatMessage(
-            role="user",
-            content="\n".join(
-                [
-                    f"[question] {sample.question}",
-                    f"[stage1_output] {_stage1_output_repr(pipe)}",
-                    f"[evidence] {evidence}",
-                ]
-            ),
-        ),
+    lines = [
+        f"[question] {sample.question}",
+        f"[stage1_output] {_stage1_output_repr(pipe)}",
+        f"[evidence] {render_evidence(pipe.stage2_items, 1).rendered}",
     ]
-
-    def extract(output: str) -> dict[str, str]:
-        return {
-            "think": _extract_tag(output, "think") or "",
-            "answer": _extract_tag(output, "answer") or "",
-        }
-
-    output, fields = _complete_with_retry(backend, messages, extract, cfg, template)
+    fields = _ask(pipe, backend, f"stage2_{branch}_answer", lines, _tags("think", "answer")).parsed_fields
     pipe.s2_think, pipe.s2_answer = fields["think"], fields["answer"]
-    pipe.stages.append(
-        StageRecord(
-            stage=template,
-            prompt_id=prompt_id(template),
-            model_output=output,
-            parsed_fields=fields,
-        )
-    )
 
-    if cfg.judge_mode == "normalized_exact":
-        _stage2_judge_exact(pipe)
-    else:
-        _stage2_judge_model(pipe, backend, cfg, evidence)
-
-
-def _stage2_judge_exact(pipe: _Pipeline) -> None:
-    correct = judge_answer(pipe.s2_answer, pipe.sample.answers)
-    stage = "stage2_image_judge" if pipe.s1_route == "image" else "stage2_text_judge"
-    if correct:
-        pipe.s2_route = "done"
-        fields: dict[str, str] = {}
-    else:
-        pipe.s2_route = "refine"
-        if pipe.s1_route == "image":
-            anchor = pipe.stage2_items[0].title if pipe.stage2_items else pipe.s1_entity
-            pipe.caption = f"The image shows {anchor}."
-            pipe.rewrite_think = (
-                "The retrieved article identifies the entity but does not state the asked fact, "
-                "so a focused text query is needed."
-            )
-            pipe.query2 = f"{anchor} {pipe.sample.question}".strip()
-            fields = {
-                "caption": pipe.caption,
-                "think": pipe.rewrite_think,
-                "text_search": pipe.query2,
-            }
-        else:
-            pipe.rewrite_think = (
-                "The evidence does not contain the asked fact; the query needs to target it more directly."
-            )
-            pipe.query2 = f"{pipe.query1} additional details"
-            fields = {"think": pipe.rewrite_think, "text_search": pipe.query2}
-    pipe.stages.append(
-        StageRecord(
-            stage=stage,
-            prompt_id="judge-normalized-exact-v1",
-            model_output="",
-            parsed_fields=fields,
-            verdict="correct" if correct else "wrong",
-        )
-    )
-
-
-def _stage2_judge_model(pipe: _Pipeline, backend, cfg: FactoryConfig, evidence: str) -> None:
-    sample = pipe.sample
-    image_branch = pipe.s1_route == "image"
-    template = "stage2_image_judge" if image_branch else "stage2_text_judge"
-    messages = [
-        ChatMessage(role="system", content=load_prompt(template)),
-        ChatMessage(
-            role="user",
-            content="\n".join(
-                [
-                    f"[question] {sample.question}",
-                    f"[stage1_output] {_stage1_output_repr(pipe)}",
-                    f"[evidence] {evidence}",
-                    f"[stage2_answer] {pipe.s2_answer}",
-                    f"[gold_answer] {'|'.join(sample.answers)}",
-                ]
-            ),
-        ),
-    ]
-
-    def extract(output: str) -> dict[str, str]:
+    def parse_judge(output: str) -> dict[str, str]:
         verdict = _parse_verdict(output)
         if verdict == "correct":
             return {"verdict": verdict}
-        out = {"verdict": verdict}
-        if image_branch:
-            out["caption"] = _extract_tag(output, "caption") or ""
-        out["think"] = _extract_tag(output, "think") or ""
-        query = _extract_tag(output, "text_search") or ""
+        caption = {"caption": _extract_tag(output, "caption")} if branch == "image" else {}
+        think = _extract_tag(output, "think")
+        query = _extract_tag(output, "text_search")
         if not query:
             raise StageParseError("judge rewrite needs a <text_search> query")
-        if not image_branch and normalize_answer(query) == normalize_answer(pipe.query1):
+        if branch == "text" and normalize_answer(query) == normalize_answer(pipe.query1):
             raise StageParseError("rewrite query must differ from the previous query")
-        out["text_search"] = query
-        return out
+        return {"verdict": verdict, **caption, "think": think, "text_search": query}
 
-    judge = _judge_backend(backend, cfg)
-    output, fields = _complete_with_retry(judge, messages, extract, cfg, template)
-    verdict = fields.pop("verdict")
-    if verdict == "correct":
+    lines += [f"[stage2_answer] {pipe.s2_answer}", f"[gold_answer] {'|'.join(sample.answers)}"]
+    judged = _judge(pipe, backend, cfg, f"stage2_{branch}_judge", pipe.s2_answer, _stage2_rewrite, lines, parse_judge)
+    if judged.verdict == "correct":
         pipe.s2_route = "done"
     else:
         pipe.s2_route = "refine"
-        pipe.caption = fields.get("caption", "")
-        pipe.rewrite_think = fields.get("think", "")
-        pipe.query2 = fields["text_search"]
-    pipe.stages.append(
-        StageRecord(
-            stage=template,
-            prompt_id=prompt_id(template),
-            model_output=output,
-            parsed_fields=fields,
-            verdict=verdict,
-        )
-    )
+        pipe.caption = judged.parsed_fields.get("caption", "")
+        pipe.rewrite_think = judged.parsed_fields["think"]
+        pipe.query2 = judged.parsed_fields["text_search"]
+
+
+def _stage2_rewrite(pipe: _Pipeline) -> dict[str, str]:
+    if pipe.s1_route == "image":
+        anchor = pipe.stage2_items[0].title if pipe.stage2_items else pipe.s1_entity
+        return {
+            "caption": f"The image shows {anchor}.",
+            "think": "The retrieved article identifies the entity but does not state the asked fact, "
+            "so a focused text query is needed.",
+            "text_search": f"{anchor} {pipe.sample.question}".strip(),
+        }
+    return {
+        "think": "The evidence does not contain the asked fact; the query needs to target it more directly.",
+        "text_search": f"{pipe.query1} additional details",
+    }
 
 
 # --- stage 3 -------------------------------------------------------------
@@ -674,62 +516,31 @@ def _stage2_judge_model(pipe: _Pipeline, backend, cfg: FactoryConfig, evidence: 
 def run_stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) -> bool:
     """Final pass on the refined query; returns the judge verdict."""
     sample = pipe.sample
-    rc = cfg.rollout_config
-    image_branch = pipe.s1_route == "image"
-    pipe.stage3_items = tools.text_retriever.search(pipe.query2, rc.k_text)
-    new_evidence = render_evidence(pipe.stage3_items, 2).rendered
-    template = "stage3_image_answer" if image_branch else "stage3_text_answer"
-    history = [
+    branch = "image" if pipe.s1_route == "image" else "text"
+    pipe.stage3_items = tools.text_retriever.search(pipe.query2, cfg.rollout_config.k_text)
+    lines = [
         f"[question] {sample.question}",
         f"[stage1_output] {_stage1_output_repr(pipe)}",
         f"[stage2_evidence] {render_evidence(pipe.stage2_items, 1).rendered}",
         f"[stage2_answer] {pipe.s2_answer}",
+        *([f"[stage2_caption] {pipe.caption}"] if branch == "image" else []),
+        f"[stage2_think] {pipe.rewrite_think}",
+        f"[stage3_query] {pipe.query2}",
+        f"[stage3_new_evidence] {render_evidence(pipe.stage3_items, 2).rendered}",
     ]
-    if image_branch:
-        history.append(f"[stage2_caption] {pipe.caption}")
-    history.extend(
-        [
-            f"[stage2_think] {pipe.rewrite_think}",
-            f"[stage3_query] {pipe.query2}",
-            f"[stage3_new_evidence] {new_evidence}",
-        ]
-    )
-    messages = [
-        ChatMessage(role="system", content=load_prompt(template)),
-        ChatMessage(role="user", content="\n".join(history)),
-    ]
-
-    def extract(output: str) -> dict[str, str]:
-        return {
-            "think": _extract_tag(output, "think") or "",
-            "answer": _extract_tag(output, "answer") or "",
-        }
-
-    output, fields = _complete_with_retry(backend, messages, extract, cfg, template)
+    fields = _ask(pipe, backend, f"stage3_{branch}_answer", lines, _tags("think", "answer")).parsed_fields
     pipe.s3_think, pipe.s3_answer = fields["think"], fields["answer"]
-    pipe.stages.append(
-        StageRecord(
-            stage=template,
-            prompt_id=prompt_id(template),
-            model_output=output,
-            parsed_fields=fields,
-        )
-    )
 
-    correct = _verdict_for(pipe, pipe.s3_answer, backend, cfg)
-    pipe.stages.append(
-        StageRecord(
-            stage="stage3_judge",
-            prompt_id=(
-                prompt_id("stage3_judge")
-                if cfg.judge_mode == "model_judge"
-                else "judge-normalized-exact-v1"
-            ),
-            model_output="",
-            parsed_fields={},
-            verdict="correct" if correct else "wrong",
+    # The stage-3 judge only grades: one call, recorded without its output.
+    if cfg.judge_mode == "normalized_exact":
+        correct, judge_id = judge_answer(pipe.s3_answer, sample.answers), _EXACT_JUDGE
+    else:
+        judge = _judge_backend(backend, cfg)
+        correct = judge_answer(
+            pipe.s3_answer, sample.answers, mode="model_judge", backend=judge, question=sample.question
         )
-    )
+        judge_id = prompt_id("stage3_judge")
+    pipe.stages.append(StageRecord("stage3_judge", judge_id, "", {}, "correct" if correct else "wrong"))
     return correct
 
 
@@ -1024,18 +835,5 @@ def write_outcome_file(outcomes: Iterable[BranchOutcome], path: str | Path) -> N
 
 
 def read_outcome_file(path: str | Path) -> list[BranchOutcome]:
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-            try:
-                out.append(outcome_from_dict(obj))
-            except (DatasetError, KeyError, ValueError) as exc:
-                raise DatasetError(f"{path}: line {line_no}: {exc}") from exc
-    return out
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return parse_jsonl(fh, path, lambda obj, _: outcome_from_dict(obj), DatasetError)

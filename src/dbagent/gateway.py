@@ -16,19 +16,14 @@ factory, and CI can run without a model server.
 
 from __future__ import annotations
 
-import json
-import logging
 import re
-import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import requests
-
 from .errors import BackendError, DataError
 from .protocol import CLOSING_ACTION_TAGS
+from .wire import parse_jsonl, post_json
 
 __all__ = [
     "ChatMessage",
@@ -42,9 +37,6 @@ __all__ = [
     "load_script",
     "truncate_at_stop",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class ChatBackendError(BackendError):
     """The chat backend failed or returned an unusable response."""
@@ -138,44 +130,32 @@ class ScriptedBackend:
 
 def load_script(path: str | Path) -> ScriptedBackend:
     """Load JSONL rules: {"match": {"turn_index": N} | {"pattern": S}, "output": S}."""
-    path = Path(path)
-    rules: list[ScriptedRule] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+
+    def parse(obj: object, line_no: int) -> ScriptedRule:
+        if not isinstance(obj, dict) or not isinstance(obj.get("match"), dict):
+            raise ScriptError("rule needs a 'match' object")
+        if not isinstance(obj.get("output"), str) or not obj["output"]:
+            raise ScriptError("rule needs a non-empty 'output' string")
+        match = obj["match"]
+        if ("turn_index" in match) == ("pattern" in match):
+            raise ScriptError("match needs exactly one of 'turn_index'/'pattern'")
+        if "turn_index" in match and not isinstance(match["turn_index"], int):
+            raise ScriptError("'turn_index' must be an integer")
+        if "pattern" in match:
+            if not isinstance(match["pattern"], str):
+                raise ScriptError("'pattern' must be a string")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScriptError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("match"), dict):
-                raise ScriptError(f"{path}: line {line_no}: rule needs a 'match' object")
-            if not isinstance(obj.get("output"), str) or not obj["output"]:
-                raise ScriptError(f"{path}: line {line_no}: rule needs a non-empty 'output' string")
-            match = obj["match"]
-            has_turn = "turn_index" in match
-            has_pattern = "pattern" in match
-            if has_turn == has_pattern:
-                raise ScriptError(
-                    f"{path}: line {line_no}: match needs exactly one of 'turn_index'/'pattern'"
-                )
-            if has_turn and not isinstance(match["turn_index"], int):
-                raise ScriptError(f"{path}: line {line_no}: 'turn_index' must be an integer")
-            if has_pattern:
-                if not isinstance(match["pattern"], str):
-                    raise ScriptError(f"{path}: line {line_no}: 'pattern' must be a string")
-                try:
-                    re.compile(match["pattern"])
-                except re.error as exc:
-                    raise ScriptError(f"{path}: line {line_no}: bad pattern: {exc}") from exc
-            rules.append(
-                ScriptedRule(
-                    output=obj["output"],
-                    turn_index=match.get("turn_index"),
-                    pattern=match.get("pattern"),
-                )
-            )
-    return ScriptedBackend(rules)
+                re.compile(match["pattern"])
+            except re.error as exc:
+                raise ScriptError(f"bad pattern: {exc}") from exc
+        return ScriptedRule(
+            output=obj["output"],
+            turn_index=match.get("turn_index"),
+            pattern=match.get("pattern"),
+        )
+
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return ScriptedBackend(parse_jsonl(fh, path, parse, ScriptError))
 
 
 @dataclass
@@ -211,35 +191,10 @@ class HttpChatBackend:
             "max_tokens": params.max_new_tokens,
             "stop": list(params.stop_sequences),
         }
-        request_id = str(uuid.uuid4())
-        headers = {"X-Request-Id": request_id}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        logger.debug("chat request %s: %d message(s)", request_id, len(messages))
-
-        last_error: Exception | None = None
-        attempts = 0
-        for attempt in range(self.retries + 1):
-            attempts = attempt + 1
-            try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                time.sleep(min(0.2 * (attempt + 1), 1.0))
-                continue
-            if resp.status_code >= 500:
-                last_error = ChatBackendError(f"server error {resp.status_code}: {resp.text[:200]}")
-                time.sleep(min(0.2 * (attempt + 1), 1.0))
-                continue
-            if resp.status_code != 200:
-                raise ChatBackendError(f"chat endpoint returned {resp.status_code}: {resp.text[:200]}")
-            try:
-                text = resp.json()["text"]
-            except (ValueError, KeyError) as exc:
-                raise ChatBackendError(f"malformed chat response: {exc}") from exc
-            if not isinstance(text, str) or not text.strip():
-                raise EmptyGenerationError("chat endpoint returned empty text")
-            return truncate_at_stop(text, params.stop_sequences)
-        raise ChatBackendError(
-            f"chat endpoint unreachable after {attempts} attempt(s): {last_error}"
+        text, _ = post_json(
+            self.url, payload, api_key=self.api_key, timeout=self.timeout, retries=self.retries,
+            name="chat", key="text", error=ChatBackendError,
         )
+        if not isinstance(text, str) or not text.strip():
+            raise EmptyGenerationError("chat endpoint returned empty text")
+        return truncate_at_stop(text, params.stop_sequences)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
+from .wire import parse_jsonl
 
 __all__ = [
     "CorpusError",
@@ -87,50 +87,50 @@ class Corpus:
             raise KeyError(f"article {article_id!r} not in corpus") from None
 
 
-def _require(obj: dict, key: str, kind: type, line: int, where: str) -> object:
+def _require(obj: dict, key: str, kind: type, where: str) -> object:
     value = obj.get(key)
     if not isinstance(value, kind) or (kind is str and not value.strip()):
-        raise CorpusError(f"line {line}: {where} field {key!r} must be a non-empty {kind.__name__}")
+        raise CorpusError(f"{where} field {key!r} must be a non-empty {kind.__name__}")
     return value
 
 
-def _parse_article(obj: object, line: int) -> KbArticle:
+def _parse_article(obj: object) -> KbArticle:
     if not isinstance(obj, dict):
-        raise CorpusError(f"line {line}: article record must be a JSON object")
-    article_id = _require(obj, "article_id", str, line, "article")
-    title = _require(obj, "title", str, line, "article")
+        raise CorpusError("article record must be a JSON object")
+    article_id = _require(obj, "article_id", str, "article")
+    title = _require(obj, "title", str, "article")
     url = obj.get("url")
     if url is not None and not isinstance(url, str):
-        raise CorpusError(f"line {line}: article field 'url' must be a string")
+        raise CorpusError("article field 'url' must be a string")
 
     raw_sections = obj.get("sections")
     if not isinstance(raw_sections, list) or not raw_sections:
-        raise CorpusError(f"line {line}: article {article_id!r} needs a non-empty 'sections' list")
+        raise CorpusError(f"article {article_id!r} needs a non-empty 'sections' list")
     sections: list[SectionChunk] = []
     seen_sections: set[str] = set()
     for sec in raw_sections:
         if not isinstance(sec, dict):
-            raise CorpusError(f"line {line}: section entries must be JSON objects")
-        section_id = _require(sec, "section_id", str, line, "section")
-        heading = _require(sec, "heading", str, line, "section")
-        text = _require(sec, "text", str, line, "section")
+            raise CorpusError("section entries must be JSON objects")
+        section_id = _require(sec, "section_id", str, "section")
+        heading = _require(sec, "heading", str, "section")
+        text = _require(sec, "text", str, "section")
         if section_id in seen_sections:
-            raise CorpusError(f"line {line}: duplicate section_id {section_id!r} in article {article_id!r}")
+            raise CorpusError(f"duplicate section_id {section_id!r} in article {article_id!r}")
         seen_sections.add(section_id)
         sections.append(SectionChunk(section_id=section_id, heading=heading, text=text))
 
     raw_images = obj.get("images", [])
     if not isinstance(raw_images, list):
-        raise CorpusError(f"line {line}: article field 'images' must be a list")
+        raise CorpusError("article field 'images' must be a list")
     images: list[ImageAttachment] = []
     for img in raw_images:
         if not isinstance(img, dict):
-            raise CorpusError(f"line {line}: image entries must be JSON objects")
-        image_id = _require(img, "image_id", str, line, "image")
-        uri = _require(img, "uri", str, line, "image")
+            raise CorpusError("image entries must be JSON objects")
+        image_id = _require(img, "image_id", str, "image")
+        uri = _require(img, "uri", str, "image")
         caption = img.get("caption")
         if caption is not None and not isinstance(caption, str):
-            raise CorpusError(f"line {line}: image field 'caption' must be a string")
+            raise CorpusError("image field 'caption' must be a string")
         images.append(ImageAttachment(image_id=image_id, uri=uri, caption=caption))
 
     return KbArticle(
@@ -148,42 +148,24 @@ def parse_corpus_lines(lines: Iterable[str], source: str = "<corpus>") -> Corpus
     article_lines: dict[str, int] = {}
     image_lines: dict[str, int] = {}
     image_to_article: dict[str, str] = {}
-    errors: list[str] = []
 
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
-            continue
-        try:
-            article = _parse_article(obj, line_no)
-        except CorpusError as exc:
-            errors.append(str(exc))
-            continue
+    def parse(obj: object, line_no: int) -> None:
+        article = _parse_article(obj)
         if article.article_id in articles:
-            errors.append(
-                f"line {line_no}: duplicate article_id {article.article_id!r} "
+            raise CorpusError(
+                f"duplicate article_id {article.article_id!r} "
                 f"(first seen on line {article_lines[article.article_id]})"
             )
-            continue
         dup_image = next((img.image_id for img in article.images if img.image_id in image_to_article), None)
         if dup_image is not None:
-            errors.append(
-                f"line {line_no}: duplicate image_id {dup_image!r} "
-                f"(first seen on line {image_lines[dup_image]})"
-            )
-            continue
+            raise CorpusError(f"duplicate image_id {dup_image!r} (first seen on line {image_lines[dup_image]})")
         articles[article.article_id] = article
         article_lines[article.article_id] = line_no
         for img in article.images:
             image_to_article[img.image_id] = article.article_id
             image_lines[img.image_id] = line_no
 
-    if errors:
-        raise CorpusError(f"{source}: {len(errors)} error(s)\n" + "\n".join(errors))
+    parse_jsonl(lines, source, parse, CorpusError)
     return Corpus(articles=articles, image_to_article=image_to_article)
 
 

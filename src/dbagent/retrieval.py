@@ -37,18 +37,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import logging
-import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import BackendError
 from .kb import Corpus
+from .wire import post_json
 
 __all__ = [
     "EmbeddingError",
@@ -66,8 +63,6 @@ __all__ = [
     "load_index",
 ]
 
-logger = logging.getLogger(__name__)
-
 INDEX_FORMAT_VERSION = 2
 _NORM_TOLERANCE = 1e-6
 # Trigram memo entries a DeterministicEmbedder keeps before it starts over;
@@ -76,11 +71,7 @@ _MEMO_CAP = 1 << 16
 
 
 class EmbeddingError(BackendError):
-    """Embedding provider failed; ``attempts`` counts tries when remote."""
-
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
+    """Embedding provider failed."""
 
 
 @dataclass
@@ -167,46 +158,18 @@ class RemoteEmbedder:
 
     def embed(self, inputs: Sequence[str]) -> np.ndarray:
         payload = {"modality": self.modality, "inputs": list(inputs)}
-        headers = {"X-Request-Id": str(uuid.uuid4())}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        logger.debug("embed request %s: %d input(s)", headers["X-Request-Id"], len(inputs))
-        last_error: Exception | None = None
-        attempts = 0
-        for attempt in range(self.retries + 1):
-            attempts = attempt + 1
-            try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                time.sleep(min(0.2 * (attempt + 1), 1.0))
-                continue
-            if resp.status_code >= 500:
-                last_error = EmbeddingError(f"server error {resp.status_code}: {resp.text[:200]}")
-                time.sleep(min(0.2 * (attempt + 1), 1.0))
-                continue
-            if resp.status_code != 200:
-                raise EmbeddingError(
-                    f"embed endpoint returned {resp.status_code}: {resp.text[:200]}", attempts
-                )
-            try:
-                vectors = resp.json()["vectors"]
-            except (ValueError, KeyError) as exc:
-                raise EmbeddingError(f"malformed embed response: {exc}", attempts) from exc
-            if len(vectors) != len(inputs):
-                raise EmbeddingError(
-                    f"embed endpoint returned {len(vectors)} vectors for {len(inputs)} inputs",
-                    attempts,
-                )
-            matrix = np.asarray(vectors, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[1] != self.dimension:
-                raise EmbeddingError(
-                    f"expected dimension {self.dimension}, got shape {matrix.shape}", attempts
-                )
-            return matrix
-        raise EmbeddingError(
-            f"embed endpoint unreachable after {attempts} attempt(s): {last_error}", attempts
+        vectors, attempts = post_json(
+            self.url, payload, api_key=self.api_key, timeout=self.timeout, retries=self.retries,
+            name="embed", key="vectors", error=EmbeddingError,
         )
+        if len(vectors) != len(inputs):
+            raise EmbeddingError(
+                f"embed endpoint returned {len(vectors)} vectors for {len(inputs)} inputs", attempts
+            )
+        matrix = np.asarray(vectors, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != self.dimension:
+            raise EmbeddingError(f"expected dimension {self.dimension}, got shape {matrix.shape}", attempts)
+        return matrix
 
 
 def embed_batch(provider, inputs: Sequence[str]) -> np.ndarray:

@@ -47,6 +47,7 @@ from .protocol import (
     validate_in_context,
 )
 from .retrieval import image_search, text_search
+from .wire import parse_jsonl
 
 __all__ = [
     "RolloutConfig",
@@ -534,18 +535,5 @@ def write_trajectory_file(trajectories: Iterable[Trajectory], path: str | Path) 
 
 
 def read_trajectory_file(path: str | Path) -> list[Trajectory]:
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TrajectoryError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-            try:
-                out.append(trajectory_from_dict(obj))
-            except (TrajectoryError, KeyError, ValueError) as exc:
-                raise TrajectoryError(f"{path}: line {line_no}: {exc}") from exc
-    return out
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return parse_jsonl(fh, path, lambda obj, _: trajectory_from_dict(obj), TrajectoryError)

@@ -40,6 +40,7 @@ from .factory import (
 )
 from .protocol import ActionKind, serialize_turn, validate_in_context
 from .runtime import Trajectory
+from .wire import parse_jsonl
 
 __all__ = [
     "SftError",
@@ -258,27 +259,20 @@ def emit_dataset(
 
 
 def read_sft_file(path: str | Path) -> list[LinearizedSample]:
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SftError(f"{path}: line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "meta" not in obj or "segments" not in obj:
-                raise SftError(f"{path}: line {line_no}: sample needs 'meta' and 'segments'")
-            try:
-                segments = [
-                    Segment(role=s["role"], text=s["text"], supervise=bool(s["supervise"]))
-                    for s in obj["segments"]
-                ]
-            except (KeyError, TypeError) as exc:
-                raise SftError(f"{path}: line {line_no}: bad segment: {exc}") from exc
-            out.append(LinearizedSample(meta=obj["meta"], segments=segments))
-    return out
+    def parse(obj: object, line_no: int) -> LinearizedSample:
+        if not isinstance(obj, dict) or "meta" not in obj or "segments" not in obj:
+            raise SftError("sample needs 'meta' and 'segments'")
+        try:
+            segments = [
+                Segment(role=s["role"], text=s["text"], supervise=bool(s["supervise"]))
+                for s in obj["segments"]
+            ]
+        except (KeyError, TypeError) as exc:
+            raise SftError(f"bad segment: {exc}") from exc
+        return LinearizedSample(meta=obj["meta"], segments=segments)
+
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return parse_jsonl(fh, path, parse, SftError)
 
 
 def scan_sft_file(path: str | Path) -> dict:

@@ -209,6 +209,18 @@ def test_validate_names_version_1_index(tmp_path, capsys):
     assert "unsupported index format_version 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["auto", "corpus"])
+def test_validate_names_a_file_that_is_not_utf8(tmp_path, capsys, kind):
+    out_dir = tmp_path / "idx"
+    assert main(["index", "build", "--corpus", write_corpus(tmp_path, 2), "--out-dir", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    matrix = out_dir / "text_index.npy"
+    assert main(["validate", str(matrix), "--kind", kind]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{matrix}: not UTF-8 text" in err
+    assert (f"validate its header {out_dir / 'text_index.json'}" in err) == (kind == "auto")
+
+
 def agent_run_argv(corpus, script, *extra):
     return [
         "agent", "run", "--question", question(0), "--image", "img-000", "--corpus", corpus,

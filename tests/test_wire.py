@@ -1,0 +1,66 @@
+from __future__ import annotations
+
+import json
+import socket
+
+import pytest
+
+from dbagent.errors import DataError
+from dbagent.evaluation import records_from_jsonl, records_to_jsonl
+from dbagent.factory import TYPE_DISCARDED, BranchOutcome, load_qa_dataset, outcome_to_dict, read_outcome_file
+from dbagent.gateway import ChatBackendError, load_script
+from dbagent.kb import load_corpus, parse_corpus_lines
+from dbagent.runtime import read_trajectory_file, trajectory_to_dict
+from dbagent.sft import read_sft_file
+from dbagent.wire import post_json
+from helpers import article_obj, make_canonical_trajectory, qa_obj, type_table_records, write_jsonl
+
+# One valid record per reader; each reader gets it between two bad lines.
+READERS = {
+    "corpus": (lambda path: parse_corpus_lines(path.read_text(encoding="utf-8").splitlines()), article_obj(0)),
+    "dataset": (load_qa_dataset, qa_obj(0)),
+    "outcomes": (
+        read_outcome_file,
+        outcome_to_dict(BranchOutcome(sample_id="s", trajectory_type=TYPE_DISCARDED, stages=[])),
+    ),
+    "script": (load_script, {"match": {"turn_index": 0}, "output": "x"}),
+    "trajectories": (read_trajectory_file, trajectory_to_dict(make_canonical_trajectory("t", "T-A"))),
+    "sft": (read_sft_file, {"meta": {}, "segments": []}),
+    "records": (
+        lambda path: records_from_jsonl(path.read_text(encoding="utf-8")),
+        json.loads(records_to_jsonl(type_table_records()[:1])),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_reader_names_every_bad_line(tmp_path, kind):
+    read, good = READERS[kind]
+    path = write_jsonl(tmp_path / f"{kind}.jsonl", ["not json", json.dumps(good), "{}", ""])
+    with pytest.raises(DataError) as err:
+        read(path)
+    message = str(err.value)
+    assert "2 error(s)\nline 1: invalid JSON" in message
+    assert "\nline 3: " in message
+
+
+@pytest.mark.parametrize(
+    "read", [load_corpus, load_qa_dataset, read_outcome_file, load_script, read_trajectory_file, read_sft_file]
+)
+def test_reader_names_a_file_that_is_not_utf8(tmp_path, read):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b'{"a": 1}\n\x93NUMPY\n')
+    with pytest.raises(DataError, match=r"binary\.jsonl: not UTF-8 text \(invalid start byte at byte 9\)"):
+        read(path)
+
+
+def test_post_json_to_a_closed_port_counts_attempts():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(ChatBackendError, match=r"chat endpoint unreachable after 2 attempt\(s\)") as err:
+        post_json(
+            f"http://127.0.0.1:{port}/chat", {}, api_key=None, timeout=5.0, retries=1,
+            name="chat", key="text", error=ChatBackendError,
+        )
+    assert err.value.attempts == 2
