@@ -424,18 +424,29 @@ def cmd_eval_kb_scale(args, parser: _Parser) -> int:
 # --- validate ------------------------------------------------------------
 
 
+def _json_line(line: str):
+    """The JSON value on one line, or None when the line does not parse."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        return None
+
+
 def _detect_kind(path: Path) -> str:
+    """Sniff a file's kind from its first line that holds a JSON object.
+
+    Bad lines before it are left to the kind's reader, which lists them all.
+    """
     try:
         with path.open("r", encoding="utf-8") as fh:
-            head = next((line for line in fh if line.strip()), "")
-        if not head:
-            raise DataError(f"{path}: empty file")
-        try:
-            obj = json.loads(head)
-        except json.JSONDecodeError:
+            obj = next((o for o in map(_json_line, fh) if isinstance(o, dict)), None)
+        if obj is None:
             # maybe a single pretty-printed JSON document (index/manifest)
+            text = path.read_text(encoding="utf-8")
+            if not text.strip():
+                raise DataError(f"{path}: empty file")
             try:
-                obj = json.loads(path.read_text(encoding="utf-8"))
+                obj = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: not JSON or JSONL ({exc.msg})") from exc
     except UnicodeDecodeError as exc:

@@ -536,9 +536,13 @@ def run_stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig)
         correct, judge_id = judge_answer(pipe.s3_answer, sample.answers), _EXACT_JUDGE
     else:
         judge = _judge_backend(backend, cfg)
-        correct = judge_answer(
-            pipe.s3_answer, sample.answers, mode="model_judge", backend=judge, question=sample.question
-        )
+        try:
+            correct = judge_answer(
+                pipe.s3_answer, sample.answers, mode="model_judge", backend=judge, question=sample.question
+            )
+        except JudgeParseFailure as exc:
+            # Not FAILED: the answer was never graded.
+            raise _Discard(f"stage3_judge: {exc}") from exc
         judge_id = prompt_id("stage3_judge")
     pipe.stages.append(StageRecord("stage3_judge", judge_id, "", {}, "correct" if correct else "wrong"))
     return correct

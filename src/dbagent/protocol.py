@@ -20,7 +20,10 @@ preserved. ``<image_search>`` payloads must be the literal placeholder
 Parsing is total. Any string yields a (possibly absent) record plus the full
 list of violations found, never an exception. Surrounding whitespace around
 the whole turn is tolerated by the parser; the canonical serialization emits
-none.
+none. Whitespace is Unicode whitespace (``str.isspace``) throughout.
+
+A parse is one regex pass over the turn plus Python work per tag span; no
+step loops over the turn's characters in Python.
 
 Evidence is environment-emitted, never model-emitted, and renders as::
 
@@ -342,26 +345,24 @@ def _unaccounted_runs(
 
     Text after the final action tag is excluded here; it gets its own,
     more specific TrailingText violation.
+
+    The accounted spans (non-empty, possibly overlapping) are walked in
+    order; each gap between them up to ``limit`` holds at most one run,
+    from its first non-whitespace character to its last.
     """
     actions = [b for b in blocks if b.name in ACTION_TAG_NAMES]
     limit = actions[-1].end if actions else len(raw)
-    covered = bytearray(len(raw))
-    for start, end in accounted:
-        for i in range(start, min(end, len(raw))):
-            covered[i] = 1
     runs: list[tuple[int, int]] = []
-    i = 0
-    while i < limit:
-        if covered[i] or raw[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < limit and not covered[j]:
-            j += 1
-        chunk = raw[i:j].rstrip()
-        if chunk:
-            runs.append((i, i + len(chunk)))
-        i = j
+    pos = 0
+    for start, end in sorted(accounted) + [(limit, limit)]:
+        stop = min(start, limit)
+        rest = raw[pos:stop].lstrip()
+        if rest:
+            first = stop - len(rest)
+            runs.append((first, first + len(rest.rstrip())))
+        pos = max(pos, end)
+        if pos >= limit:
+            break
     return runs
 
 

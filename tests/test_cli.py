@@ -516,6 +516,26 @@ def test_validate_script_and_dataset_kinds(tmp_path, capsys):
     assert "OK (dataset): 2 samples" in capsys.readouterr().out
 
 
+def test_validate_auto_kind_lists_every_bad_line(tmp_path, capsys):
+    path = tmp_path / "qa.jsonl"
+    lines = ["not json", json.dumps(qa_obj(0)), json.dumps(qa_obj(1, question=""))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outputs = []
+    for kind in ("auto", "dataset"):
+        assert main(["validate", str(path), "--kind", kind]) == EXIT_DATA
+        outputs.append(capsys.readouterr().err)
+    assert outputs[0] == outputs[1]
+    assert "2 error(s)\nline 1: invalid JSON" in outputs[0]
+    assert "\nline 3: " in outputs[0]
+
+
+def test_validate_auto_kind_without_a_json_line_keeps_its_error(tmp_path, capsys):
+    path = tmp_path / "notes.jsonl"
+    path.write_text("not json\n\nstill not\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_DATA
+    assert f"{path}: not JSON or JSONL (Expecting value)" in capsys.readouterr().err
+
+
 def test_eval_topk_grid_cli(tmp_path, capsys):
     corpus = write_corpus(tmp_path, 4)
     dataset = write_dataset(tmp_path, 2)

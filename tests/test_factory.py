@@ -682,3 +682,18 @@ def test_outcome_bytes_are_pinned_in_both_judge_modes(tools, tmp_path):
         "700871eedc418750ec0d758d12c47509b691829d5694e6b1a251e8c7219e419b",
         "748cc1bcb00b06fbd443735b768821aa1d1370db33c4860c888715e68a743341",
     ]
+
+
+def test_stage3_judge_without_verdict_discards_only_that_sample(tools):
+    text1 = "[wrong]\n<choose>Look the fact up.</choose>\n<text_search>{q}</text_search>"
+    rewrite = "[wrong]\n<think>Target the fact.</think>\n<text_search>{q} special fact</text_search>"
+    rules = []
+    for i, stage3 in ((4, "[correct]"), (5, "no marker")):
+        rules += _judge_rules(i, text1.format(q=marker(i)), rewrite.format(q=marker(i)), stage3)
+    # keep_failed: an ungraded answer is still DISCARDED, never FAILED.
+    cfg = FactoryConfig(judge_mode="model_judge", judge_backend=ScriptedBackend(rules), keep_failed=True)
+    backend = factory_backend([(4, "T-T-A"), (5, "T-T-A")])
+    outcomes = run_factory([qa_sample(4), qa_sample(5)], backend, tools, cfg)
+    assert [o.trajectory_type for o in outcomes] == [TYPE_TEXT_TEXT, TYPE_DISCARDED]
+    assert outcomes[1].discard_reason.startswith("stage3_judge: judge output has no verdict marker")
+    assert outcomes[1].assembled is None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from dbagent import protocol
 from dbagent.protocol import (
+    ACTION_TAG_NAMES,
+    AGENT_TAGS,
     MAX_TURN_CHARS,
     ActionKind,
     EvidenceItem,
@@ -91,6 +94,14 @@ def test_input_length_cap_is_exact():
     record, violations = parse_turn(at_cap + "y")
     assert record is None
     assert [v.code for v in violations] == [ViolationCode.INPUT_TOO_LONG]
+
+
+def test_unicode_whitespace_between_tags_is_ws():
+    # `ws` in docs/tag-grammar.md is any character for which str.isspace() holds.
+    raw = "\u2003\x0c<think>t</think>\x0c\u3000<caption>c</caption>\xa0\x1c<text_search>q</text_search>\x0c\u2003"
+    record, violations = parse_turn(raw)
+    assert violations == []
+    assert (record.think, record.caption, record.action_payload) == ("t", "c", "q")
 
 
 def test_serialize_canonical_order():
@@ -258,3 +269,82 @@ def test_render_evidence_matches_pattern(specs):
     ]
     block = render_evidence(items, 1)
     assert _EVIDENCE_LINE.match(block.rendered), block.rendered
+
+
+# --- the gap scan against the per-character scan it replaced ----------------
+
+
+def _reference_unaccounted_runs(raw, accounted, blocks):
+    """The per-character scan ``protocol._unaccounted_runs`` used before the gap walk, verbatim."""
+    actions = [b for b in blocks if b.name in ACTION_TAG_NAMES]
+    limit = actions[-1].end if actions else len(raw)
+    covered = bytearray(len(raw))
+    for start, end in accounted:
+        for i in range(start, min(end, len(raw))):
+            covered[i] = 1
+    runs: list[tuple[int, int]] = []
+    i = 0
+    while i < limit:
+        if covered[i] or raw[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < limit and not covered[j]:
+            j += 1
+        chunk = raw[i:j].rstrip()
+        if chunk:
+            runs.append((i, i + len(chunk)))
+        i = j
+    return runs
+
+
+def _reference_parse(raw):
+    with mock.patch.object(protocol, "_unaccounted_runs", _reference_unaccounted_runs):
+        return parse_turn(raw)
+
+
+_SOUP_TOKENS = (
+    *(f"<{name}>" for name in AGENT_TAGS),
+    *(f"</{name}>" for name in AGENT_TAGS),
+    "<b>", "</tool>", "<x_1>", "<", "/", ">", "a", "Zq", "image_path",
+    " ", "\t", "\n", "\r", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000",
+)
+_tag_soup = st.lists(st.sampled_from(_SOUP_TOKENS), max_size=40).map("".join)
+
+
+@given(_tag_soup)
+@settings(max_examples=500, deadline=None)
+def test_gap_scan_matches_reference_on_tag_soup(raw):
+    assert parse_turn(raw) == _reference_parse(raw)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_gap_scan_matches_reference_on_cases(case):
+    assert parse_turn(case.raw) == _reference_parse(case.raw)
+
+
+def test_gap_scan_matches_reference_at_max_turn_chars():
+    unit = "<think>t</think> stray\x0c<b>\u3000</caption> x\n"
+    tail = " <answer>a</answer>after"
+    raw = unit * ((MAX_TURN_CHARS - len(tail)) // len(unit))
+    raw += "y" * (MAX_TURN_CHARS - len(raw) - len(tail)) + tail
+    assert len(raw) == MAX_TURN_CHARS
+    record, violations = parse_turn(raw)
+    assert (record, violations) == _reference_parse(raw)
+    assert sum(v.message == "unexpected text between tags" for v in violations) > 1000
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "<answer><think>a <b> c</think> stray <text_search>q</text_search>",
+        "<think>a <tool> b </x_1> c</think> d <caption> e </tool></caption><answer>f</answer>",
+        "<caption> <think>t</think> q<think> r </think>s<answer> </b> </answer>u v",
+    ],
+)
+def test_gap_scan_matches_reference_on_overlapping_spans(raw):
+    blocks, _, accounted = protocol._scan_blocks(raw)
+    ordered = sorted(accounted)
+    assert any(a_end > b_start for (_, a_end), (b_start, _) in zip(ordered, ordered[1:]))
+    assert protocol._unaccounted_runs(raw, accounted, blocks) == _reference_unaccounted_runs(raw, accounted, blocks)
+    assert parse_turn(raw) == _reference_parse(raw)
