@@ -14,7 +14,11 @@ Two embedding providers share one duck-typed interface
 
 * ``DeterministicEmbedder`` hashes character trigrams into ``dimension``
   signed buckets (seeded, collision-style feature hashing) and normalizes.
-  Same (seed, dimension, text) gives the same vector on any platform.
+  Same (seed, dimension, text) gives the same vector on any platform. A
+  batch is decoded to code points in one numpy array, and each trigram is
+  packed into one int64 key of three 21-bit code points; the distinct keys
+  of a batch are looked up in a per-instance memo keyed by that int, and
+  only a miss unpacks its key to the gram string and hashes it.
 * ``RemoteEmbedder`` POSTs ``{"modality", "inputs"}`` to an HTTP endpoint
   and expects ``{"vectors": [[float]]}`` back. Input strings are refs the
   server resolves (image ids/uris for the image modality).
@@ -39,7 +43,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,6 +72,9 @@ _NORM_TOLERANCE = 1e-6
 # Trigram memo entries a DeterministicEmbedder keeps before it starts over;
 # bounds its memory on an open-ended stream of texts.
 _MEMO_CAP = 1 << 16
+# Fills out a text shorter than a trigram; above every code point, so a
+# padded key never equals a real trigram's. Also the 21-bit unpack mask.
+_PAD = 0x1FFFFF
 
 
 class EmbeddingError(BackendError):
@@ -80,24 +87,28 @@ class DeterministicEmbedder:
 
     Shared substrings share trigrams, so near-identical strings land close
     in cosine; an identical string reproduces the stored vector exactly.
-    Strings shorter than the n-gram size hash as a single feature. A text
+    Strings shorter than three characters hash as a single feature. A text
     whose features cancel to zero maps to the first basis vector.
 
-    Each gram's signed bucket (``+(bucket + 1)`` or ``-(bucket + 1)``) comes
-    from a blake2b hash that is memoized per instance, so ``seed``,
-    ``dimension`` and ``ngram`` must not change after the first ``embed``.
-    The memo is shared safely across threads: a racing miss stores the same
-    value twice.
+    A batch is decoded to code points once, and each trigram is packed
+    into one int64 key, ``c0 << 42 | c1 << 21 | c2`` (a code point fits in
+    21 bits). A text shorter than three characters is one key filled out
+    with ``0x1FFFFF``, which is not a code point. Each gram's signed bucket
+    (``+(bucket + 1)`` or ``-(bucket + 1)``) comes from a blake2b hash of
+    ``f"{seed}:{gram}"`` and is memoized per instance under the packed key,
+    so ``seed`` and ``dimension`` must not change after the first
+    ``embed``. The memo is shared safely across threads: a racing miss
+    stores the same value twice.
     """
 
     dimension: int = 64
     seed: int = 0
     modality: str = "text"
-    ngram: int = 3
     kind: str = field(default="deterministic_test", init=False)
-    _memo: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _code(self, gram: str) -> int:
+    def _code(self, key: int) -> int:
+        gram = "".join(chr(c) for c in (key >> 42, key >> 21 & _PAD, key & _PAD) if c != _PAD)
         digest = hashlib.blake2b(f"{self.seed}:{gram}".encode("utf-8"), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
         code = value % self.dimension + 1
@@ -105,27 +116,29 @@ class DeterministicEmbedder:
             code = -code
         if len(self._memo) >= _MEMO_CAP:
             self._memo.clear()
-        self._memo[gram] = code
+        self._memo[key] = code
         return code
 
     def embed(self, inputs: Sequence[str]) -> np.ndarray:
-        n = self.ngram
-        grams: list[str] = []
-        counts: list[int] = []
-        for text in inputs:
-            text_grams = [text[i : i + n] for i in range(len(text) - n + 1)] or [text]
-            grams.extend(text_grams)
-            counts.append(len(text_grams))
-        codes = list(map(self._memo.get, grams))
+        keys, counts = _trigram_keys(inputs)
+        inverse = None
+        if len(counts) > 1:  # a batch repeats grams; hash each distinct one once
+            keys, inverse = np.unique(keys, return_inverse=True)
+        keys = keys.tolist()
+        codes = list(map(self._memo.get, keys))
         if None in codes:  # a code is never 0, so `or` picks out the misses
-            codes = [code or self._code(gram) for code, gram in zip(codes, grams)]
+            codes = [code or self._code(key) for code, key in zip(codes, keys)]
         signed = np.fromiter(codes, dtype=np.int64, count=len(codes))
-        rows = np.repeat(np.arange(len(counts)), counts)
+        # Column of each gram in the flattened (text, bucket) grid.
+        flat = np.abs(signed) - 1
+        if inverse is not None:
+            signed = signed[inverse]
+            flat = flat[inverse] + np.repeat(np.arange(len(counts)) * self.dimension, counts)
         # Every sum is a small integer, so neither the summation order nor
         # the norm formula can change a bit of the result: a batch embeds
         # each text exactly as embedding it alone does.
         sums = np.bincount(
-            rows * self.dimension + np.abs(signed) - 1,
+            flat,
             weights=np.sign(signed),
             minlength=len(counts) * self.dimension,
         ).reshape(len(counts), self.dimension)
@@ -134,6 +147,29 @@ class DeterministicEmbedder:
         sums[zero, 0] = 1.0
         norms[zero] = 1.0
         return sums / norms[:, None]
+
+
+def _trigram_keys(texts: Sequence[str]) -> tuple[np.ndarray, Sequence[int]]:
+    """Packed trigram keys of every text in order, and the count per text.
+
+    A text of n >= 3 characters has n - 2 keys, a shorter one the single
+    key its characters fill out with pads. Lone surrogates pass through as
+    code points, to fail when their gram is hashed.
+    """
+    points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    if len(texts) == 1 and len(points) >= 3:  # a query: no pads, no text boundaries
+        return points[:-2] << 42 | points[1:-1] << 21 | points[2:], [len(points) - 2]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    padded = np.insert(points, np.repeat(np.cumsum(lengths), 3), _PAD)
+    first, last = padded[:-2], padded[2:]
+    keys = first << 42 | padded[1:-1] << 21 | last
+    # Three pads follow every text, so a key whose first and last code
+    # points are real lies inside one text. A short text keeps instead the
+    # padded key at its start.
+    keep = (first != _PAD) & (last != _PAD)
+    starts = np.cumsum(lengths + 3) - (lengths + 3)
+    keep[starts[lengths < 3]] = True
+    return keys[keep], np.maximum(lengths - 2, 1)
 
 
 @dataclass
@@ -228,8 +264,9 @@ class ImageIndex:
         return len(self.keys)
 
 
-def _embed_entries(provider, texts: list[str], labels: list[str], chunk: int = 128) -> np.ndarray:
-    """Chunked embedding; on a failing chunk, retry singly to name the entry."""
+def _embed_entries(provider, texts: list[str], label: Callable[[int], str], chunk: int = 128) -> np.ndarray:
+    """Chunked embedding; on a failing chunk, retry singly to name the entry
+    (``label(i)`` describes ``texts[i]``)."""
     rows: list[np.ndarray] = []
     for start in range(0, len(texts), chunk):
         batch = texts[start : start + chunk]
@@ -240,9 +277,7 @@ def _embed_entries(provider, texts: list[str], labels: list[str], chunk: int = 1
                 try:
                     rows.append(embed_batch(provider, [text]))
                 except (EmbeddingError, ValueError) as exc:
-                    raise EmbeddingError(
-                        f"embedding failed for {labels[start + offset]}: {exc}"
-                    ) from exc
+                    raise EmbeddingError(f"embedding failed for {label(start + offset)}: {exc}") from exc
     return np.vstack(rows)
 
 
@@ -253,8 +288,11 @@ def build_text_index(corpus: Corpus, provider) -> TextIndex:
     )
     if not entries:
         return TextIndex(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension)
-    labels = [f"(article {aid!r}, section {sid!r})" for aid, sid, _ in entries]
-    matrix = _embed_entries(provider, [text for _, _, text in entries], labels)
+    matrix = _embed_entries(
+        provider,
+        [text for _, _, text in entries],
+        lambda i: f"(article {entries[i][0]!r}, section {entries[i][1]!r})",
+    )
     return TextIndex(
         keys=[(aid, sid) for aid, sid, _ in entries],
         matrix=matrix,
@@ -271,8 +309,11 @@ def build_image_index(corpus: Corpus, provider) -> ImageIndex:
     )
     if not entries:
         return ImageIndex(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension)
-    labels = [f"(image {iid!r}, article {aid!r})" for iid, aid in entries]
-    matrix = _embed_entries(provider, [iid for iid, _ in entries], labels)
+    matrix = _embed_entries(
+        provider,
+        [iid for iid, _ in entries],
+        lambda i: f"(image {entries[i][0]!r}, article {entries[i][1]!r})",
+    )
     return ImageIndex(keys=list(entries), matrix=matrix, dimension=matrix.shape[1])
 
 

@@ -96,7 +96,8 @@ def post_json(
             if resp.status_code < 500:
                 break
             last_error = error(f"server error {resp.status_code}: {resp.text[:200]}", attempt)
-        time.sleep(min(0.2 * attempt, 1.0))
+        if attempt <= retries:  # back off between attempts, not after the last
+            time.sleep(min(0.2 * attempt, 1.0))
     else:
         raise error(f"{name} endpoint unreachable after {attempt} attempt(s): {last_error}", attempt)
     if resp.status_code != 200:

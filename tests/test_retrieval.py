@@ -11,7 +11,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbagent import retrieval
@@ -30,7 +30,7 @@ from dbagent.retrieval import (
     save_index,
     text_search,
 )
-from helpers import HttpStub, make_corpus, marker, oracle_image_topk, oracle_text_topk
+from helpers import HttpStub, article_obj, make_corpus, marker, oracle_image_topk, oracle_text_topk
 
 
 # --- deterministic embedder ----------------------------------------------
@@ -162,6 +162,16 @@ EMBED_SEEDS = (0, 5)
         max_size=8,
     ),
 )
+# Edge cases of the packed trigram keys: the largest code point (one below
+# the pad value), NUL runs, astral characters, and texts too short for one
+# trigram between long ones.
+@example(dimension=64, seed=5, texts=["\U0010ffff" * 5, "\U0010ffff", "a\U0010ffff", "\U0010ffff\U0010ffff"])
+@example(dimension=8, seed=0, texts=["\x00" * 6, "\x00", "\x00\x00", "a\x00\x00\x00b", "\x00\x00\x00"])
+@example(dimension=8, seed=5, texts=["\U0001f600 \U0001d518\U0001d52b\U0001f600", "\U0001d518", "\U0001f600\U0001f600"])
+@example(dimension=64, seed=0, texts=["a long text before", "", "x", "yz", "a long text after"])
+@example(dimension=64, seed=5, texts=["", "yz", "x", ""])
+@example(dimension=8, seed=0, texts=["x"])
+@example(dimension=8, seed=0, texts=["xyz"])
 def test_embed_matches_per_trigram_reference(dimension, seed, texts):
     texts = [_cancelling_text(dimension, seed) if t == "cancel" else t for t in texts]
     got = DeterministicEmbedder(dimension=dimension, seed=seed).embed(texts)
@@ -853,3 +863,14 @@ def test_build_index_names_failing_entry():
     corpus = make_corpus(5, n_sections=1)
     with pytest.raises(EmbeddingError, match=r"a003"):
         build_text_index(corpus, Flaky())
+
+
+def test_build_index_names_an_entry_whose_text_is_a_lone_surrogate():
+    articles = [article_obj(i, n_sections=1) for i in range(3)]
+    articles[1]["sections"][0]["text"] = "\ud800"
+    corpus = parse_corpus_lines([json.dumps(a) for a in articles])  # the text is the JSON escape "\ud800"
+    assert corpus.articles["a001"].sections[0].text == "\ud800"
+    with pytest.raises(
+        EmbeddingError, match=r"^embedding failed for \(article 'a001', section 'a001-s0'\): .*surrogates not allowed"
+    ):
+        build_text_index(corpus, DeterministicEmbedder(dimension=8))

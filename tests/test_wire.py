@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from dbagent.kb import load_corpus, parse_corpus_lines
 from dbagent.runtime import read_trajectory_file, trajectory_to_dict
 from dbagent.sft import read_sft_file
 from dbagent.wire import post_json
-from helpers import article_obj, make_canonical_trajectory, qa_obj, type_table_records, write_jsonl
+from helpers import HttpStub, article_obj, make_canonical_trajectory, qa_obj, type_table_records, write_jsonl
 
 # One valid record per reader; each reader gets it between two bad lines.
 READERS = {
@@ -64,3 +65,27 @@ def test_post_json_to_a_closed_port_counts_attempts():
             name="chat", key="text", error=ChatBackendError,
         )
     assert err.value.attempts == 2
+
+
+def _post_chat(url):
+    return post_json(url, {}, api_key=None, timeout=5.0, retries=2, name="chat", key="text", error=ChatBackendError)
+
+
+@pytest.mark.parametrize("failures, sleeps", [(0, []), (1, [0.2]), (2, [0.2, 0.4])])
+def test_post_json_backs_off_between_attempts(monkeypatch, failures, sleeps):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    answers = iter([(503, {"error": "busy"})] * failures + [(200, {"text": "ok"})])
+    with HttpStub(lambda record: next(answers)) as stub:
+        assert _post_chat(stub.url) == ("ok", failures + 1)
+    assert slept == sleeps
+
+
+def test_post_json_does_not_sleep_after_its_last_attempt(monkeypatch):
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    with HttpStub(lambda record: (503, {"error": "busy"})) as stub:
+        with pytest.raises(ChatBackendError, match=r"unreachable after 3 attempt\(s\)"):
+            _post_chat(stub.url)
+        assert len(stub.requests) == 3
+    assert slept == [0.2, 0.4]
