@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from types import SimpleNamespace
 
 import pytest
 
 from dbagent import protocol, runtime
-from dbagent.gateway import EmptyGenerationError, ScriptedBackend, ScriptedRule
+from dbagent.gateway import EmptyGenerationError, ScriptedBackend, ScriptedRule, truncate_at_stop
 from dbagent.protocol import ActionKind, EvidenceItem, render_evidence, serialize_turn
 from dbagent.runtime import (
     RolloutConfig,
@@ -574,3 +575,86 @@ def test_serialized_turn_round_trips_through_file(tmp_path):
     (loaded,) = read_trajectory_file(path)
     assert loaded.turns[0].raw == serialize_turn(turn)
     assert loaded.turns[0].raw == turn.raw
+
+
+# --- golden trajectory bytes -----------------------------------------------
+
+
+class _ReplayByQuestion:
+    """Each task's own generations, picked by its question and indexed by
+    generation; ``None`` is an empty generation."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+
+    def complete(self, messages, params, turn_index=0):
+        outputs = self.scripts[messages[1].content]
+        raw = outputs[min(turn_index, len(outputs) - 1)]
+        if raw is None:
+            raise EmptyGenerationError("nothing")
+        return truncate_at_stop(raw, params.stop_sequences)
+
+
+class _OfflineFor:
+    """A retriever that fails on every query containing ``needle``."""
+
+    def __init__(self, inner, needle):
+        self.inner, self.needle = inner, needle
+
+    def search(self, query, k):
+        if self.needle in query:
+            raise RuntimeError("index offline")
+        return self.inner.search(query, k)
+
+
+def _golden_scripts():
+    fact = lambda i: turn_raw("Look the fact up.", "text_search", f"special fact of {marker(i)}")  # noqa: E731
+    image = turn_raw("Identify the image first.", "image_search", "image_path")
+    done = lambda i: turn_raw("The evidence settles it.", "answer", value(i))  # noqa: E731
+    caption = turn_raw(
+        "The article names the entity; now find the fact.",
+        "text_search",
+        f"{marker(3)} special fact",
+        caption=f"The image shows Topic 3 {marker(3)}.",
+    )
+    unknown_tag = f"<think>ok</think><note></note><answer>{value(9)}</answer>"
+    return {
+        question(0): [done(0)],
+        question(1): [fact(1), done(1)],
+        question(2): [image, done(2)],
+        question(3): [image, caption, done(3)],
+        question(4): [turn_raw("Try a broad query.", "text_search", f"{marker(4)} notes"), fact(4), done(4)],
+        question(5): [f"<answer>{value(5)}</answer>", done(5)],
+        question(6): ["<answer>no think, ever</answer>"],
+        question(7): [None],
+        question(8): [turn_raw("Keep looking.", "text_search", f"{marker(8)} more details")],
+        question(9): [unknown_tag],
+        question(10): [turn_raw("Search.", "text_search", f"offline {marker(10)}"), done(10)],
+    }
+
+
+def test_trajectory_bytes_are_pinned(tools12, tmp_path):
+    tools = ToolBinding(
+        text_retriever=_OfflineFor(tools12.text_retriever, "offline"),
+        image_retriever=tools12.image_retriever,
+    )
+    backend = _ReplayByQuestion(_golden_scripts())
+    samples = _samples(11)
+    digests = []
+    for workers in (1, 4):
+        out = [
+            traj
+            for strict in (True, False)
+            for traj in batch_rollout(
+                samples, backend, tools, RolloutConfig(strict_protocol=strict), workers=workers
+            )
+        ]
+        path = tmp_path / f"workers-{workers}.jsonl"
+        write_trajectory_file(out, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert [t.terminated_by for t in out[:11]] == [TERMINATED_ANSWER] * 6 + [TERMINATED_PROTOCOL] * 2 + [
+        TERMINATED_BUDGET, TERMINATED_PROTOCOL, TERMINATED_ANSWER
+    ]
+    assert out[11 + 9].terminated_by == TERMINATED_ANSWER  # lenient: the unknown tag is ignored
+    assert "[tool error] index offline" in out[10].observations[0].rendered
+    assert digests == ["a542dc7fb605799c7211523517f7dda78ca7f7f40934c58401e9b2e1e414f730"] * 2
