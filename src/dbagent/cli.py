@@ -456,24 +456,9 @@ def _detect_kind(path: Path) -> str:
         ) from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: records must be JSON objects")
-    # An index header lists its row keys; "entries" marks a version 1 file,
-    # which load_index rejects by its format_version.
-    if "format_version" in obj and ("keys" in obj or "entries" in obj):
-        return "index"
-    if "emitter_version" in obj and "dataset_sha256" in obj:
-        return "manifest"
-    if "article_id" in obj and "sections" in obj:
-        return "corpus"
-    if "segments" in obj and "meta" in obj:
-        return "sft"
-    if "match" in obj and "output" in obj:
-        return "script"
-    if "stages" in obj and "trajectory_type" in obj:
-        return "outcomes"
-    if "turns" in obj and "terminated_by" in obj:
-        return "trajectories"
-    if "sample_id" in obj and "question" in obj:
-        return "dataset"
+    for kind, (keys, _) in _KINDS.items():
+        if all(key in obj for key in keys):
+            return kind
     raise DataError(f"{path}: unrecognized record shape")
 
 
@@ -503,46 +488,55 @@ def _validate_trajectories(path: Path) -> str:
     return f"{len(trajectories)} trajectories"
 
 
+def _validate_corpus(path: Path) -> str:
+    corpus = load_corpus(path)
+    return f"{corpus.n_articles} articles, {corpus.n_sections} sections, {corpus.n_images} images"
+
+
+def _validate_sft(path: Path) -> str:
+    read_sft_file(path)
+    report = scan_sft_file(path)
+    bad = report["supervised_evidence_chars"] + report["unsupervised_decision_tags"] + report["structure_errors"]
+    if bad:
+        raise DataError(f"{path}: mask soundness violated: {report}")
+    return f"{report['samples']} samples, masks sound"
+
+
+def _validate_index(path: Path) -> str:
+    index = load_index(path)
+    return f"{len(index)} {index.modality} vectors, dimension {index.dimension}"
+
+
+def _validate_manifest(path: Path) -> str:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("emitter_version", "total", "dataset_sha256"):
+        if key not in doc:
+            raise DataError(f"{path}: manifest missing {key!r}")
+    return f"manifest for {doc['total']} samples"
+
+
+# Each kind ``validate`` knows: the keys that identify its first record, and
+# the check that reads the file and returns the detail it prints. Detection
+# tries the kinds in this order. Every index header has a format_version,
+# and a version 1 header is then rejected by load_index.
+_KINDS = {
+    "index": (("format_version",), _validate_index),
+    "manifest": (("emitter_version", "dataset_sha256"), _validate_manifest),
+    "corpus": (("article_id", "sections"), _validate_corpus),
+    "sft": (("segments", "meta"), _validate_sft),
+    "script": (("match", "output"), lambda path: f"{len(load_script(path).rules)} rules"),
+    "outcomes": (("stages", "trajectory_type"), lambda path: f"{len(read_outcome_file(path))} outcomes"),
+    "trajectories": (("turns", "terminated_by"), _validate_trajectories),
+    "dataset": (("sample_id", "question"), lambda path: f"{len(load_qa_dataset(path))} samples"),
+}
+
+
 def cmd_validate(args, parser: _Parser) -> int:
     path = Path(args.path)
     if not path.exists():
         raise DataError(f"{path}: no such file")
     kind = args.kind if args.kind != "auto" else _detect_kind(path)
-    if kind == "corpus":
-        corpus = load_corpus(path)
-        detail = f"{corpus.n_articles} articles, {corpus.n_sections} sections, {corpus.n_images} images"
-    elif kind == "dataset":
-        detail = f"{len(load_qa_dataset(path))} samples"
-    elif kind == "trajectories":
-        detail = _validate_trajectories(path)
-    elif kind == "outcomes":
-        detail = f"{len(read_outcome_file(path))} outcomes"
-    elif kind == "sft":
-        read_sft_file(path)
-        report = scan_sft_file(path)
-        bad = (
-            report["supervised_evidence_chars"]
-            + report["unsupervised_decision_tags"]
-            + report["structure_errors"]
-        )
-        if bad:
-            raise DataError(f"{path}: mask soundness violated: {report}")
-        detail = f"{report['samples']} samples, masks sound"
-    elif kind == "script":
-        detail = f"{len(load_script(path).rules)} rules"
-    elif kind == "index":
-        index = load_index(path)
-        detail = f"{len(index)} {index.modality} vectors, dimension {index.dimension}"
-    elif kind == "manifest":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        for key in ("emitter_version", "total", "dataset_sha256"):
-            if key not in doc:
-                raise DataError(f"{path}: manifest missing {key!r}")
-        detail = f"manifest for {doc['total']} samples"
-    else:
-        parser.error(f"unknown kind {kind!r}")
-        return EXIT_USAGE
-    print(f"OK ({kind}): {detail}")
+    print(f"OK ({kind}): {_KINDS[kind][1](path)}")
     return EXIT_OK
 
 
@@ -648,13 +642,7 @@ def build_parser() -> _Parser:
 
     p_validate = sub.add_parser("validate", help="lint any file the suite emits")
     p_validate.add_argument("path")
-    p_validate.add_argument(
-        "--kind",
-        default="auto",
-        choices=(
-            "auto", "corpus", "dataset", "trajectories", "outcomes", "sft", "script", "index", "manifest",
-        ),
-    )
+    p_validate.add_argument("--kind", default="auto", choices=("auto", *_KINDS))
     _add_common(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 

@@ -26,7 +26,6 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import DataError
 from .factory import SFT_TYPES, JudgeParseFailure, QaSample, judge_answer, trajectory_type_of
 from .kb import Corpus, subsample_corpus
 from .retrieval import build_image_index, build_text_index
@@ -38,7 +37,6 @@ from .runtime import (
     batch_rollout,
     RolloutConfig,
 )
-from .wire import parse_jsonl
 
 __all__ = [
     "EvalRecord",
@@ -47,8 +45,6 @@ __all__ = [
     "hit_at_any_turn",
     "build_eval_records",
     "aggregate",
-    "records_to_jsonl",
-    "records_from_jsonl",
     "render_report_text",
     "render_report_csv",
     "report_to_json",
@@ -224,43 +220,6 @@ def aggregate(
         empty_predictions=stats.get("empty_predictions", 0),
         config=config or {},
     )
-
-
-# --- record persistence --------------------------------------------------
-
-
-def records_to_jsonl(records: Sequence[EvalRecord]) -> str:
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "sample_id": r.sample_id,
-                    "trajectory_type": r.trajectory_type,
-                    "answer_correct": r.answer_correct,
-                    "retrieval_hit": r.retrieval_hit,
-                    "n_tool_calls": r.n_tool_calls,
-                    "split_tags": list(r.split_tags),
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def records_from_jsonl(text: str) -> list[EvalRecord]:
-    def parse(obj: dict, line_no: int) -> EvalRecord:
-        return EvalRecord(
-            sample_id=obj["sample_id"],
-            trajectory_type=obj["trajectory_type"],
-            answer_correct=obj["answer_correct"],
-            retrieval_hit=obj["retrieval_hit"],
-            n_tool_calls=obj["n_tool_calls"],
-            split_tags=tuple(obj.get("split_tags", ())),
-        )
-
-    return parse_jsonl(text.splitlines(), "<records>", parse, DataError)
 
 
 # --- rendering -----------------------------------------------------------

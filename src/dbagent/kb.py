@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -62,7 +62,6 @@ class Corpus:
     """
 
     articles: dict[str, KbArticle]
-    image_to_article: dict[str, str] = field(default_factory=dict)
 
     @property
     def n_articles(self) -> int:
@@ -75,10 +74,6 @@ class Corpus:
     @property
     def n_images(self) -> int:
         return sum(len(a.images) for a in self.articles.values())
-
-    @property
-    def stats(self) -> tuple[int, int, int]:
-        return (self.n_articles, self.n_sections, self.n_images)
 
     def article(self, article_id: str) -> KbArticle:
         try:
@@ -147,7 +142,6 @@ def parse_corpus_lines(lines: Iterable[str], source: str = "<corpus>") -> Corpus
     articles: dict[str, KbArticle] = {}
     article_lines: dict[str, int] = {}
     image_lines: dict[str, int] = {}
-    image_to_article: dict[str, str] = {}
 
     def parse(obj: object, line_no: int) -> None:
         article = _parse_article(obj)
@@ -156,17 +150,16 @@ def parse_corpus_lines(lines: Iterable[str], source: str = "<corpus>") -> Corpus
                 f"duplicate article_id {article.article_id!r} "
                 f"(first seen on line {article_lines[article.article_id]})"
             )
-        dup_image = next((img.image_id for img in article.images if img.image_id in image_to_article), None)
+        dup_image = next((img.image_id for img in article.images if img.image_id in image_lines), None)
         if dup_image is not None:
             raise CorpusError(f"duplicate image_id {dup_image!r} (first seen on line {image_lines[dup_image]})")
         articles[article.article_id] = article
         article_lines[article.article_id] = line_no
         for img in article.images:
-            image_to_article[img.image_id] = article.article_id
             image_lines[img.image_id] = line_no
 
     parse_jsonl(lines, source, parse, CorpusError)
-    return Corpus(articles=articles, image_to_article=image_to_article)
+    return Corpus(articles=articles)
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -202,8 +195,4 @@ def subsample_corpus(
     pool = sorted(corpus.articles.keys() - pinned)
     rng = random.Random(seed)
     chosen = pinned | set(rng.sample(pool, n - len(pinned)))
-    articles = {aid: corpus.articles[aid] for aid in sorted(chosen)}
-    image_to_article = {
-        image_id: aid for image_id, aid in corpus.image_to_article.items() if aid in chosen
-    }
-    return Corpus(articles=articles, image_to_article=image_to_article)
+    return Corpus(articles={aid: corpus.articles[aid] for aid in sorted(chosen)})

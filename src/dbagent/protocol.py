@@ -32,7 +32,7 @@ Evidence is environment-emitted, never model-emitted, and renders as::
     </evidence>
 
 with one line per item, ``[no results]`` when retrieval returned nothing,
-and ``[tool error] {message}`` when the tool failed after a retry.
+and ``[tool error] {message}`` when the tool failed.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class ActionKind(Enum):
     ANSWER = "answer"
     TEXT_SEARCH = "text_search"
     IMAGE_SEARCH = "image_search"
-
-    @property
-    def tag(self) -> str:
-        return self.value
 
 
 class ViolationCode(Enum):
@@ -429,7 +425,7 @@ def serialize_turn(turn: TurnRecord) -> str:
     parts = [f"<think>{turn.think}</think>"]
     if turn.caption is not None:
         parts.append(f"<caption>{turn.caption}</caption>")
-    tag = turn.action.tag
+    tag = turn.action.value
     parts.append(f"<{tag}>{turn.action_payload}</{tag}>")
     return "".join(parts)
 
@@ -481,7 +477,7 @@ def render_evidence(items: Sequence[EvidenceItem], turn_index: int) -> EvidenceB
 
 
 def render_tool_error(message: str, turn_index: int) -> EvidenceBlock:
-    """Sentinel evidence for a tool that failed after its one retry."""
+    """Sentinel evidence for a tool that failed."""
     rendered = f"<evidence>\n[tool error] {_flatten(message)}\n</evidence>"
     return EvidenceBlock(items=(), turn_index=turn_index, rendered=rendered)
 

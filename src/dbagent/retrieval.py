@@ -56,8 +56,7 @@ __all__ = [
     "DeterministicEmbedder",
     "RemoteEmbedder",
     "RetrievalHit",
-    "TextIndex",
-    "ImageIndex",
+    "Index",
     "embed_batch",
     "build_text_index",
     "build_image_index",
@@ -104,7 +103,6 @@ class DeterministicEmbedder:
     dimension: int = 64
     seed: int = 0
     modality: str = "text"
-    kind: str = field(default="deterministic_test", init=False)
     _memo: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _code(self, key: int) -> int:
@@ -190,7 +188,6 @@ class RemoteEmbedder:
     api_key: str | None = None
     timeout: float = 30.0
     retries: int = 2
-    kind: str = field(default="remote_http", init=False)
 
     def embed(self, inputs: Sequence[str]) -> np.ndarray:
         payload = {"modality": self.modality, "inputs": list(inputs)}
@@ -237,36 +234,30 @@ class RetrievalHit:
 
 
 @dataclass
-class TextIndex:
-    """Section-level index. ``keys[i]`` owns ``matrix[i]``; rows are sorted
-    by (article_id, section_id)."""
+class Index:
+    """Exact-search index of one modality; ``keys[i]`` owns ``matrix[i]``.
+
+    Text rows are (article_id, section_id), sorted by both; image rows are
+    (image_id, article_id), sorted by image_id.
+    """
 
     keys: list[tuple[str, str]]
     matrix: np.ndarray
     dimension: int
-    modality: str = "text"
+    modality: str
 
     def __len__(self) -> int:
         return len(self.keys)
 
 
-@dataclass
-class ImageIndex:
-    """Image-level index. ``keys[i]`` is (image_id, article_id), sorted by
-    image_id."""
-
-    keys: list[tuple[str, str]]
-    matrix: np.ndarray
-    dimension: int
-    modality: str = "image"
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
-def _embed_entries(provider, texts: list[str], label: Callable[[int], str], chunk: int = 128) -> np.ndarray:
-    """Chunked embedding; on a failing chunk, retry singly to name the entry
-    (``label(i)`` describes ``texts[i]``)."""
+def _build_index(
+    provider, modality: str, keys: list[tuple[str, str]], texts: list[str], label: Callable[[int], str]
+) -> Index:
+    """Embed ``texts`` in chunks, one row per key; on a failing chunk, retry
+    singly to name the entry (``label(i)`` describes ``texts[i]``)."""
+    if not keys:
+        return Index(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension, modality=modality)
+    chunk = 128
     rows: list[np.ndarray] = []
     for start in range(0, len(texts), chunk):
         batch = texts[start : start + chunk]
@@ -278,43 +269,38 @@ def _embed_entries(provider, texts: list[str], label: Callable[[int], str], chun
                     rows.append(embed_batch(provider, [text]))
                 except (EmbeddingError, ValueError) as exc:
                     raise EmbeddingError(f"embedding failed for {label(start + offset)}: {exc}") from exc
-    return np.vstack(rows)
+    matrix = np.vstack(rows)
+    return Index(keys=keys, matrix=matrix, dimension=matrix.shape[1], modality=modality)
 
 
-def build_text_index(corpus: Corpus, provider) -> TextIndex:
+def build_text_index(corpus: Corpus, provider) -> Index:
     entries = sorted(
         ((a.article_id, s.section_id, s.text) for a in corpus.articles.values() for s in a.sections),
         key=lambda e: (e[0], e[1]),
     )
-    if not entries:
-        return TextIndex(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension)
-    matrix = _embed_entries(
+    return _build_index(
         provider,
+        "text",
+        [(aid, sid) for aid, sid, _ in entries],
         [text for _, _, text in entries],
         lambda i: f"(article {entries[i][0]!r}, section {entries[i][1]!r})",
     )
-    return TextIndex(
-        keys=[(aid, sid) for aid, sid, _ in entries],
-        matrix=matrix,
-        dimension=matrix.shape[1],
-    )
 
 
-def build_image_index(corpus: Corpus, provider) -> ImageIndex:
+def build_image_index(corpus: Corpus, provider) -> Index:
     """Index KB images by embedding their id strings (the provider resolves
     refs; the test embedder hashes the string itself)."""
     entries = sorted(
         ((img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images),
         key=lambda e: e[0],
     )
-    if not entries:
-        return ImageIndex(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension)
-    matrix = _embed_entries(
+    return _build_index(
         provider,
+        "image",
+        entries,
         [iid for iid, _ in entries],
         lambda i: f"(image {entries[i][0]!r}, article {entries[i][1]!r})",
     )
-    return ImageIndex(keys=list(entries), matrix=matrix, dimension=matrix.shape[1])
 
 
 def _ranked_order(scores: np.ndarray, m: int) -> np.ndarray:
@@ -336,7 +322,7 @@ def _ranked_order(scores: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(neg, kind="stable")
 
 
-def text_search(index: TextIndex, provider, query: str, k: int = 3) -> list[RetrievalHit]:
+def text_search(index: Index, provider, query: str, k: int = 3) -> list[RetrievalHit]:
     """Top-k sections by cosine; ties break by ascending (article_id, section_id)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -353,7 +339,7 @@ def text_search(index: TextIndex, provider, query: str, k: int = 3) -> list[Retr
     return hits
 
 
-def image_search(index: ImageIndex, provider, image_ref: str, k: int = 1) -> list[RetrievalHit]:
+def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[RetrievalHit]:
     """Top-k *articles* by best-scoring attached image.
 
     Articles are deduplicated: each keeps its best image (stable order means
@@ -400,7 +386,7 @@ def image_search(index: ImageIndex, provider, image_ref: str, k: int = 1) -> lis
         m *= 2
 
 
-def save_index(index: TextIndex | ImageIndex, path: str | Path) -> None:
+def save_index(index: Index, path: str | Path) -> None:
     """Persist as a JSON header at ``path`` and the vectors as ``.npy``
     beside it (see the module docstring). Rebuilding the same corpus with
     the same provider writes byte-identical files."""
@@ -428,7 +414,7 @@ def load_index(
     path: str | Path,
     expect_dimension: int | None = None,
     expect_modality: str | None = None,
-) -> TextIndex | ImageIndex:
+) -> Index:
     """Read an index written by ``save_index``, checking the header against
     the sidecar and every row for a finite unit norm."""
     path = Path(path)
@@ -477,5 +463,4 @@ def load_index(
     # Written so that a NaN norm fails too: NaN compares false.
     if not (np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= _NORM_TOLERANCE).all():
         raise ValueError(f"{path}: stored vectors are not unit-normalized")
-    cls = ImageIndex if doc["modality"] == "image" else TextIndex
-    return cls(keys=[tuple(key) for key in keys], matrix=matrix, dimension=dimension, modality=doc["modality"])
+    return Index(keys=[tuple(key) for key in keys], matrix=matrix, dimension=dimension, modality=doc["modality"])

@@ -12,7 +12,8 @@ Tool output is injected back as a user-role message containing exactly the
 rendered evidence block. A turn that violates the protocol is answered with
 one corrective reprompt; a second consecutive violation terminates the
 rollout as a protocol failure. Violating generations are never stored as
-turns; they live in ``Trajectory.protocol_events``.
+turns; they live in ``Trajectory.protocol_events``. A tool runs once per
+search; if it fails, its error comes back as ``[tool error]`` evidence.
 
 Rollouts are deterministic: same config, backend, and tools give
 byte-identical serialized trajectories, independent of worker count.
@@ -24,8 +25,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,9 +51,6 @@ from .wire import parse_jsonl
 
 __all__ = [
     "RolloutConfig",
-    "AgentState",
-    "StepKind",
-    "StepOutcome",
     "ToolBinding",
     "TextRetriever",
     "ImageRetriever",
@@ -62,8 +59,6 @@ __all__ = [
     "TERMINATED_ANSWER",
     "TERMINATED_BUDGET",
     "TERMINATED_PROTOCOL",
-    "init_state",
-    "step",
     "rollout",
     "batch_rollout",
     "write_trajectory_file",
@@ -130,30 +125,6 @@ class RolloutConfig:
             "image_evidence_full_article": self.image_evidence_full_article,
             "system_prompt_sha256": hashlib.sha256(self.system_prompt.encode("utf-8")).hexdigest(),
         }
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Rollout state: the input pair plus everything observed so far."""
-
-    image_ref: str
-    question: str
-    evidence: tuple[EvidenceBlock, ...] = ()
-    transcript: tuple[TurnRecord, ...] = ()
-
-
-class StepKind(Enum):
-    ANSWERED = "answered"
-    EVIDENCE_ADDED = "evidence_added"
-    PROTOCOL_ERROR = "protocol_error"
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    kind: StepKind
-    answer: str | None = None
-    evidence: EvidenceBlock | None = None
-    violations: tuple[ProtocolViolation, ...] = ()
 
 
 class TextRetriever:
@@ -224,49 +195,15 @@ class ToolBinding:
     image_retriever: ImageRetriever
 
 
-def init_state(image_ref: str, question: str, config: RolloutConfig) -> AgentState:
-    if not question or not question.strip():
-        raise ValueError("question must be non-empty")
-    return AgentState(image_ref=image_ref, question=question)
-
-
 def _searched(retriever, query: str, k: int, turn_index: int) -> EvidenceBlock:
-    """Run a tool with one retry; failures surface as sentinel evidence so
-    the model can react instead of the rollout dying."""
-    last_error: Exception | None = None
-    for _ in range(2):
-        try:
-            return render_evidence(retriever.search(query, k), turn_index)
-        except Exception as exc:  # tool errors must not kill the rollout
-            last_error = exc
-    logger.warning("tool failed twice at turn %d: %s", turn_index, last_error)
-    return render_tool_error(str(last_error), turn_index)
-
-
-def step(
-    state: AgentState,
-    turn: TurnRecord,
-    tools: ToolBinding,
-    config: RolloutConfig,
-) -> tuple[AgentState, StepOutcome]:
-    """Apply one parsed, validated turn to the state.
-
-    The transcript always gains the turn (captions ride along with it);
-    search actions also append an evidence block. Answer terminates without
-    touching anything else.
-    """
-    next_state = replace(state, transcript=state.transcript + (turn,))
-    if turn.action is ActionKind.ANSWER:
-        return next_state, StepOutcome(kind=StepKind.ANSWERED, answer=turn.action_payload)
-
-    turn_index = len(state.evidence) + 1
-    if turn.action is ActionKind.TEXT_SEARCH:
-        block = _searched(tools.text_retriever, turn.action_payload, config.k_text, turn_index)
-    else:
-        # Always the original input image; the payload is just a placeholder.
-        block = _searched(tools.image_retriever, state.image_ref, config.k_image, turn_index)
-    next_state = replace(next_state, evidence=next_state.evidence + (block,))
-    return next_state, StepOutcome(kind=StepKind.EVIDENCE_ADDED, evidence=block)
+    """Run a tool once; a failure surfaces as sentinel evidence so the model
+    can react instead of the rollout dying. Transport retries belong to the
+    provider's HTTP client."""
+    try:
+        return render_evidence(retriever.search(query, k), turn_index)
+    except Exception as exc:  # tool errors must not kill the rollout
+        logger.warning("tool failed at turn %d: %s", turn_index, exc)
+        return render_tool_error(str(exc), turn_index)
 
 
 @dataclass
@@ -332,20 +269,21 @@ def rollout(
     task_id: str = "task",
 ) -> Trajectory:
     """Run the full agent loop for one (image, question) pair."""
-    state = init_state(image_ref, question, config)
+    if not question or not question.strip():
+        raise ValueError("question must be non-empty")
     params = config.generation_params()
     messages: list[ChatMessage] = [
         ChatMessage(role="system", content=config.system_prompt),
         ChatMessage(role="user", content=question, images=(image_ref,) if image_ref else ()),
     ]
+    turns: list[TurnRecord] = []
+    observations: list[EvidenceBlock] = []
     protocol_events: list[dict] = []
-    actions_taken = 0
     generation_index = 0
     violation_streak = 0
-    final_answer: str | None = None
-    terminated_by: str | None = None
+    terminated_by = TERMINATED_BUDGET
 
-    while actions_taken < config.budget:
+    while len(turns) < config.budget:
         raw: str | None = None
         for _ in range(2):  # one retry on an empty generation
             try:
@@ -359,7 +297,7 @@ def rollout(
             break
 
         record, parse_violations = parse_turn(raw)
-        violations = _effective_violations(record, parse_violations, state.transcript, config)
+        violations = _effective_violations(record, parse_violations, turns, config)
         if record is None or violations:
             protocol_events.append(
                 {
@@ -380,29 +318,27 @@ def rollout(
             continue
 
         violation_streak = 0
-        state, outcome = step(state, record, tools, config)
+        turns.append(record)
         messages.append(ChatMessage(role="assistant", content=raw))
-        actions_taken += 1
-        if outcome.kind is StepKind.ANSWERED:
-            final_answer = outcome.answer
+        if record.action is ActionKind.ANSWER:
             terminated_by = TERMINATED_ANSWER
             break
-        if outcome.kind is StepKind.EVIDENCE_ADDED:
-            assert outcome.evidence is not None
-            messages.append(ChatMessage(role="user", content=outcome.evidence.rendered))
-
-    if terminated_by is None:
-        terminated_by = TERMINATED_BUDGET
-    if terminated_by != TERMINATED_ANSWER:
-        final_answer = extract_final_answer(state.transcript)
+        turn_index = len(observations) + 1
+        if record.action is ActionKind.TEXT_SEARCH:
+            block = _searched(tools.text_retriever, record.action_payload, config.k_text, turn_index)
+        else:
+            # Always the original input image; the payload is just a placeholder.
+            block = _searched(tools.image_retriever, image_ref, config.k_image, turn_index)
+        observations.append(block)
+        messages.append(ChatMessage(role="user", content=block.rendered))
 
     return Trajectory(
         task_id=task_id,
         image_ref=image_ref,
         question=question,
-        turns=list(state.transcript),
-        observations=list(state.evidence),
-        final_answer=final_answer,
+        turns=turns,
+        observations=observations,
+        final_answer=extract_final_answer(turns),
         terminated_by=terminated_by,
         config=config.snapshot(),
         protocol_events=protocol_events,

@@ -32,12 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError
-from .factory import (
-    BranchOutcome,
-    SFT_TYPES,
-    assign_difficulty,
-    trajectory_type_of,
-)
+from .factory import assign_difficulty, trajectory_type_of
 from .protocol import ActionKind, serialize_turn, validate_in_context
 from .runtime import Trajectory
 from .wire import parse_jsonl
@@ -50,7 +45,6 @@ __all__ = [
     "EMITTER_VERSION",
     "MAX_SAMPLE_CHARS",
     "linearize",
-    "linearize_outcomes",
     "emit_dataset",
     "read_sft_file",
     "scan_sft_file",
@@ -157,22 +151,6 @@ def linearize(traj: Trajectory, system_prompt: str) -> LinearizedSample:
         "n_turns": len(traj.turns),
     }
     return LinearizedSample(meta=meta, segments=segments)
-
-
-def linearize_outcomes(
-    outcomes: Sequence[BranchOutcome],
-    system_prompt: str,
-) -> list[LinearizedSample]:
-    """Linearize assembled outcomes; DISCARDED/FAILED are rejected inputs."""
-    samples = []
-    for outcome in outcomes:
-        if outcome.trajectory_type not in SFT_TYPES:
-            raise SftError(
-                f"{outcome.sample_id}: label {outcome.trajectory_type} is not emittable"
-            )
-        assert outcome.assembled is not None
-        samples.append(linearize(outcome.assembled, system_prompt))
-    return samples
 
 
 def _histogram(lengths: Sequence[int]) -> dict[str, int]:
@@ -311,8 +289,7 @@ def scan_sft_file(path: str | Path) -> dict:
         pos = 0
         for seg in sample.segments:
             if seg.supervise:
-                for i in range(pos, pos + len(seg.text)):
-                    supervised[i] = 1
+                supervised[pos : pos + len(seg.text)] = b"\x01" * len(seg.text)
             pos += len(seg.text)
         # The instruction quotes the tags when telling the model the output
         # format; only text after it belongs to the trajectory proper.

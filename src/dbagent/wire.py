@@ -7,7 +7,8 @@ them all as ``<source>: N error(s)`` followed by one ``line L: ...`` each.
 ``post_json`` is the request policy of both HTTP clients: one
 ``X-Request-Id`` for every attempt of a call (so a server can drop
 duplicates), transport errors and 5xx retried after a short backoff, any
-other non-200 status fatal.
+other non-200 status fatal, and a 200 body that is not a JSON object holding
+the expected key a malformed response.
 """
 
 from __future__ import annotations
@@ -104,5 +105,5 @@ def post_json(
         raise error(f"{name} endpoint returned {resp.status_code}: {resp.text[:200]}", attempt)
     try:
         return resp.json()[key], attempt
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: the body is not an object
         raise error(f"malformed {name} response: {exc}", attempt) from exc

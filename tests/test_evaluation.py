@@ -10,8 +10,6 @@ from dbagent.evaluation import (
     aggregate,
     build_eval_records,
     hit_at_any_turn,
-    records_from_jsonl,
-    records_to_jsonl,
     render_grid_text,
     render_report_csv,
     render_report_text,
@@ -183,13 +181,6 @@ def test_aggregate_is_order_independent():
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate([])
-
-
-def test_records_jsonl_round_trip():
-    text = records_to_jsonl(HAND_RECORDS)
-    assert records_from_jsonl(text) == HAND_RECORDS
-    # None retrieval hits survive the trip as JSON nulls.
-    assert '"retrieval_hit": null' in text.splitlines()[0]
 
 
 # --- rendering --------------------------------------------------------------

@@ -18,20 +18,9 @@ def test_load_round_trip(tmp_path):
     assert corpus.n_articles == 4
     assert corpus.n_sections == 8
     assert corpus.n_images == 4
-    assert corpus.stats == (4, 8, 4)
     article = corpus.article("a002")
     assert article.title.endswith("topic002qq")
     assert article.lead_section.heading == "Lead"
-
-
-def test_image_map_matches_attachments():
-    corpus = make_corpus(6)
-    flattened = {
-        img.image_id: art.article_id
-        for art in corpus.articles.values()
-        for img in art.images
-    }
-    assert corpus.image_to_article == flattened
 
 
 def test_order_insensitive():
@@ -123,17 +112,6 @@ def test_subsample_errors():
         subsample_corpus(corpus, 5, seed=0)
     with pytest.raises(ValueError, match="smaller than"):
         subsample_corpus(corpus, 1, seed=0, must_include=["a000", "a001"])
-
-
-def test_subsample_keeps_image_map_consistent():
-    corpus = make_corpus(10)
-    sub = subsample_corpus(corpus, 4, seed=1)
-    for image_id, article_id in sub.image_to_article.items():
-        assert article_id in sub.articles
-        assert any(img.image_id == image_id for img in sub.articles[article_id].images)
-    # no image of a dropped article survives
-    kept_images = {img.image_id for a in sub.articles.values() for img in a.images}
-    assert set(sub.image_to_article) == kept_images
 
 
 @given(

@@ -19,9 +19,8 @@ from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import (
     DeterministicEmbedder,
     EmbeddingError,
-    ImageIndex,
+    Index,
     RemoteEmbedder,
-    TextIndex,
     build_image_index,
     build_text_index,
     embed_batch,
@@ -525,7 +524,7 @@ def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
     # Any matrix, scores compared only against the same numpy scores.
     matrix = np.asarray(rows, dtype=np.float64)
     keys = [(f"a{i // 3:02d}", f"s{i % 3}") for i in range(len(rows))]
-    index = TextIndex(keys=keys, matrix=matrix, dimension=3)
+    index = Index(keys=keys, matrix=matrix, dimension=3, modality="text")
     provider = _Palette({"query": [float(x) for x in query]}, 3)
     reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
     for k in _ks(len(rows)):
@@ -535,8 +534,8 @@ def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
 
 def test_single_row_indexes():
     provider = _Palette({"only": [0.0, 1.0], "query": [1.0, 0.0]}, 2)
-    text = TextIndex(keys=[("a", "s")], matrix=np.array([[0.0, 1.0]]), dimension=2)
-    image = ImageIndex(keys=[("only", "a")], matrix=np.array([[0.0, 1.0]]), dimension=2)
+    text = Index(keys=[("a", "s")], matrix=np.array([[0.0, 1.0]]), dimension=2, modality="text")
+    image = Index(keys=[("only", "a")], matrix=np.array([[0.0, 1.0]]), dimension=2, modality="image")
     for k in (1, 3):
         text_hits = text_search(text, provider, "query", k=k)
         assert [(h.article_id, h.section_id, h.score) for h in text_hits] == [("a", "s", 0.0)]
@@ -554,8 +553,8 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
             keys.append((f"{aid}-img{j}", aid))
             rows.append([score, 1.0])
     order = sorted(range(len(keys)), key=lambda i: keys[i])
-    index = ImageIndex(
-        keys=[keys[i] for i in order], matrix=np.array([rows[i] for i in order]), dimension=2
+    index = Index(
+        keys=[keys[i] for i in order], matrix=np.array([rows[i] for i in order]), dimension=2, modality="image"
     )
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     windows = []
@@ -578,7 +577,7 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
 def test_nan_scores_rank_last_as_in_a_full_sort():
     matrix = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0], [np.nan, 1.0], [1.0, 0.0]])
     keys = [("a", f"s{i}") for i in range(len(matrix))]
-    index = TextIndex(keys=keys, matrix=matrix, dimension=2)
+    index = Index(keys=keys, matrix=matrix, dimension=2, modality="text")
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
     assert reference[:3] == [("a", "s0"), ("a", "s4"), ("a", "s2")]
@@ -633,7 +632,7 @@ def test_load_rejects_bad_files(tmp_path, embedder):
 
     bad_matrix = index.matrix.copy()
     bad_matrix[0] = 2.0
-    save_index(TextIndex(keys=index.keys, matrix=bad_matrix, dimension=64), path)
+    save_index(Index(keys=index.keys, matrix=bad_matrix, dimension=64, modality="text"), path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
 
@@ -661,7 +660,7 @@ def test_save_writes_header_and_npy_sidecar(tmp_path, embedder):
     assert np.load(sidecar, allow_pickle=False).tobytes() == index.matrix.tobytes()
 
     loaded = load_index(path, expect_dimension=64, expect_modality="text")
-    assert isinstance(loaded, TextIndex)
+    assert loaded.modality == "text"
     assert loaded.keys == index.keys
     assert loaded.matrix.dtype == np.float64
     assert loaded.matrix.tobytes() == index.matrix.tobytes()
@@ -672,7 +671,7 @@ def test_image_and_empty_indexes_round_trip(tmp_path):
     image_index = build_image_index(make_corpus(3), embedder)
     save_index(image_index, tmp_path / "image_index.json")
     loaded = load_index(tmp_path / "image_index.json", expect_modality="image")
-    assert isinstance(loaded, ImageIndex)
+    assert loaded.modality == "image"
     assert loaded.keys == image_index.keys
     assert loaded.matrix.tobytes() == image_index.matrix.tobytes()
 
@@ -747,7 +746,9 @@ def test_load_checks_the_sidecar(tmp_path, embedder):
 @pytest.mark.parametrize("bad_row", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]])
 def test_load_rejects_nan_inf_and_zero_rows(tmp_path, bad_row):
     path = tmp_path / "idx.json"
-    index = TextIndex(keys=[("a", "s0"), ("a", "s1")], matrix=np.array([[1.0, 0.0], bad_row]), dimension=2)
+    index = Index(
+        keys=[("a", "s0"), ("a", "s1")], matrix=np.array([[1.0, 0.0], bad_row]), dimension=2, modality="text"
+    )
     save_index(index, path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)

@@ -18,7 +18,6 @@ from dbagent.runtime import (
     Trajectory,
     TrajectoryError,
     batch_rollout,
-    init_state,
     read_trajectory_file,
     rollout,
     trajectory_to_dict,
@@ -352,9 +351,9 @@ def test_caption_without_prior_image_search_is_strict_failure(tools12):
     assert "CaptionWithoutPriorImageSearch" in codes
 
 
-def test_init_state_rejects_blank_question():
-    with pytest.raises(ValueError):
-        init_state("img-001", "   ", RolloutConfig())
+def test_rollout_rejects_blank_question():
+    with pytest.raises(ValueError, match="question must be non-empty"):
+        rollout("img-001", "   ", ScriptedBackend([]), fake_tools(), RolloutConfig())
 
 
 # --- tool binding behavior -------------------------------------------------
@@ -430,7 +429,7 @@ def test_evidence_message_is_exact_rendering():
     assert backend.calls[1][-1] == ("user", expected)
 
 
-def test_tool_error_retries_once_then_succeeds():
+def test_failed_tool_runs_once_and_becomes_error_evidence():
     tools = fake_tools(text_items=[ITEM], text_fail=1)
     backend = ScriptedBackend(
         [
@@ -439,8 +438,8 @@ def test_tool_error_retries_once_then_succeeds():
         ]
     )
     traj = rollout("img-x", "q?", backend, tools, RolloutConfig())
-    assert len(tools.text_retriever.calls) == 2
-    assert "[tool error]" not in traj.observations[0].rendered
+    assert tools.text_retriever.calls == [("q", 3)]
+    assert traj.observations[0].rendered == "<evidence>\n[tool error] index offline\n</evidence>"
 
 
 def test_tool_error_twice_becomes_error_evidence():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from dbagent.factory import BranchOutcome, TYPE_DISCARDED, assign_difficulty, trajectory_type_of
+from dbagent.factory import trajectory_type_of
 from dbagent.protocol import ActionKind, make_turn, serialize_turn
 from dbagent.sft import (
     EMITTER_VERSION,
@@ -15,7 +15,6 @@ from dbagent.sft import (
     SftError,
     emit_dataset,
     linearize,
-    linearize_outcomes,
     read_sft_file,
     scan_sft_file,
 )
@@ -117,23 +116,6 @@ def test_linearize_rejects_missing_observation():
     traj = replace(canonical("T-A"), observations=[])
     with pytest.raises(SftError, match="without a matching observation"):
         linearize(traj, SYSTEM)
-
-
-def _outcome(shape, idx):
-    traj = canonical(shape, idx, task_id=f"s{idx:03d}")
-    return BranchOutcome(
-        sample_id=f"s{idx:03d}",
-        trajectory_type=trajectory_type_of(traj),
-        stages=[],
-        assembled=traj,
-        difficulty=assign_difficulty(traj),
-    )
-
-
-def test_linearize_outcomes_rejects_non_emittable_labels():
-    outcomes = [_outcome("A", 0), BranchOutcome(sample_id="bad", trajectory_type=TYPE_DISCARDED, stages=[])]
-    with pytest.raises(SftError, match="bad: label DISCARDED is not emittable"):
-        linearize_outcomes(outcomes, SYSTEM)
 
 
 # --- emission ---------------------------------------------------------------

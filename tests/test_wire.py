@@ -7,14 +7,14 @@ import time
 import pytest
 
 from dbagent.errors import DataError
-from dbagent.evaluation import records_from_jsonl, records_to_jsonl
 from dbagent.factory import TYPE_DISCARDED, BranchOutcome, load_qa_dataset, outcome_to_dict, read_outcome_file
-from dbagent.gateway import ChatBackendError, load_script
+from dbagent.gateway import ChatBackendError, ChatMessage, GenerationParams, HttpChatBackend, load_script
 from dbagent.kb import load_corpus, parse_corpus_lines
+from dbagent.retrieval import EmbeddingError, RemoteEmbedder
 from dbagent.runtime import read_trajectory_file, trajectory_to_dict
 from dbagent.sft import read_sft_file
 from dbagent.wire import post_json
-from helpers import HttpStub, article_obj, make_canonical_trajectory, qa_obj, type_table_records, write_jsonl
+from helpers import HttpStub, article_obj, make_canonical_trajectory, qa_obj, write_jsonl
 
 # One valid record per reader; each reader gets it between two bad lines.
 READERS = {
@@ -27,10 +27,6 @@ READERS = {
     "script": (load_script, {"match": {"turn_index": 0}, "output": "x"}),
     "trajectories": (read_trajectory_file, trajectory_to_dict(make_canonical_trajectory("t", "T-A"))),
     "sft": (read_sft_file, {"meta": {}, "segments": []}),
-    "records": (
-        lambda path: records_from_jsonl(path.read_text(encoding="utf-8")),
-        json.loads(records_to_jsonl(type_table_records()[:1])),
-    ),
 }
 
 
@@ -89,3 +85,24 @@ def test_post_json_does_not_sleep_after_its_last_attempt(monkeypatch):
             _post_chat(stub.url)
         assert len(stub.requests) == 3
     assert slept == [0.2, 0.4]
+
+
+# Each HTTP client: the error it raises, and one call of it against a URL.
+CLIENTS = {
+    "chat": (
+        ChatBackendError,
+        lambda url: HttpChatBackend(url).complete([ChatMessage(role="user", content="q")], GenerationParams()),
+    ),
+    "embed": (EmbeddingError, lambda url: RemoteEmbedder(url, "text", 2).embed(["q"])),
+}
+
+
+@pytest.mark.parametrize("body", ["[]", '"x"', "null"])
+@pytest.mark.parametrize("client", CLIENTS)
+def test_a_json_body_that_is_not_an_object_is_malformed(client, body):
+    error, call = CLIENTS[client]
+    with HttpStub(lambda record: (200, body)) as stub:
+        with pytest.raises(error, match=f"malformed {client} response") as err:
+            call(stub.url)
+        assert len(stub.requests) == 1
+    assert err.value.attempts == 1
