@@ -11,7 +11,9 @@ generation ends exactly at its action tag.
 
 The scripted backend replays a JSONL rule file and is a pure function of
 (rules, messages, turn_index); it exists so rollouts, the trajectory
-factory, and CI can run without a model server.
+factory, and CI can run without a model server. Each rule's pattern is
+compiled once, with DOTALL, when the rule is built, so a call compiles
+nothing however many rules the script holds.
 """
 
 from __future__ import annotations
@@ -92,21 +94,30 @@ def truncate_at_stop(text: str, stop_sequences: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class ScriptedRule:
-    """Either ``turn_index`` or ``pattern`` is set, never both.
+    """Exactly one of ``turn_index`` and ``pattern`` is set; both or neither
+    raises ``ValueError``.
 
-    ``pattern`` is a regex searched (DOTALL) against the most recent
-    user-role message content.
+    ``pattern`` is a regex searched against the most recent user-role message
+    content. It is compiled once, with DOTALL, when the rule is built (a bad
+    pattern raises ``re.error`` then), and the compiled object is left out of
+    eq, repr and hash.
     """
 
     output: str
     turn_index: int | None = None
     pattern: str | None = None
+    _regex: re.Pattern[str] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.turn_index is None) == (self.pattern is None):
+            raise ValueError("scripted rule needs exactly one of turn_index/pattern")
+        if self.pattern is not None:
+            object.__setattr__(self, "_regex", re.compile(self.pattern, re.DOTALL))
 
     def matches(self, last_user_content: str, turn_index: int) -> bool:
-        if self.turn_index is not None:
+        if self._regex is None:
             return self.turn_index == turn_index
-        assert self.pattern is not None
-        return re.search(self.pattern, last_user_content, re.DOTALL) is not None
+        return self._regex.search(last_user_content) is not None
 
 
 class ScriptedBackend:
@@ -141,18 +152,16 @@ def load_script(path: str | Path) -> ScriptedBackend:
             raise ScriptError("match needs exactly one of 'turn_index'/'pattern'")
         if "turn_index" in match and not isinstance(match["turn_index"], int):
             raise ScriptError("'turn_index' must be an integer")
-        if "pattern" in match:
-            if not isinstance(match["pattern"], str):
-                raise ScriptError("'pattern' must be a string")
-            try:
-                re.compile(match["pattern"])
-            except re.error as exc:
-                raise ScriptError(f"bad pattern: {exc}") from exc
-        return ScriptedRule(
-            output=obj["output"],
-            turn_index=match.get("turn_index"),
-            pattern=match.get("pattern"),
-        )
+        if "pattern" in match and not isinstance(match["pattern"], str):
+            raise ScriptError("'pattern' must be a string")
+        try:
+            return ScriptedRule(
+                output=obj["output"],
+                turn_index=match.get("turn_index"),
+                pattern=match.get("pattern"),
+            )
+        except re.error as exc:
+            raise ScriptError(f"bad pattern: {exc}") from exc
 
     with Path(path).open("r", encoding="utf-8") as fh:
         return ScriptedBackend(parse_jsonl(fh, path, parse, ScriptError))

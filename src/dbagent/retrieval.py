@@ -20,8 +20,10 @@ Two embedding providers share one duck-typed interface
   of a batch are looked up in a per-instance memo keyed by that int, and
   only a miss unpacks its key to the gram string and hashes it.
 * ``RemoteEmbedder`` POSTs ``{"modality", "inputs"}`` to an HTTP endpoint
-  and expects ``{"vectors": [[float]]}`` back. Input strings are refs the
-  server resolves (image ids/uris for the image modality).
+  and expects ``{"vectors": [[float]]}`` back: one row of ``dimension``
+  finite numbers per input, or the call raises ``EmbeddingError``. Input
+  strings are refs the server resolves (image ids/uris for the image
+  modality).
 
 On disk an index is two files side by side (format version 2):
 
@@ -195,14 +197,23 @@ class RemoteEmbedder:
             self.url, payload, api_key=self.api_key, timeout=self.timeout, retries=self.retries,
             name="embed", key="vectors", error=EmbeddingError,
         )
+        if not isinstance(vectors, list):
+            raise EmbeddingError(f"embed endpoint returned {type(vectors).__name__} vectors, not a list", attempts)
         if len(vectors) != len(inputs):
             raise EmbeddingError(
                 f"embed endpoint returned {len(vectors)} vectors for {len(inputs)} inputs", attempts
             )
-        matrix = np.asarray(vectors, dtype=np.float64)
+        try:
+            matrix = np.asarray(vectors)
+        except ValueError as exc:  # rows of different lengths
+            raise EmbeddingError(f"embed endpoint returned ragged vectors: {exc}", attempts) from exc
+        if matrix.dtype.kind not in "iuf":
+            raise EmbeddingError(f"embed endpoint returned non-numeric vectors ({matrix.dtype})", attempts)
         if matrix.ndim != 2 or matrix.shape[1] != self.dimension:
             raise EmbeddingError(f"expected dimension {self.dimension}, got shape {matrix.shape}", attempts)
-        return matrix
+        if not np.isfinite(matrix).all():
+            raise EmbeddingError("embed endpoint returned a non-finite vector value", attempts)
+        return np.asarray(matrix, dtype=np.float64)
 
 
 def embed_batch(provider, inputs: Sequence[str]) -> np.ndarray:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbagent.gateway import (
     ChatBackendError,
@@ -121,6 +124,92 @@ def test_no_match_raises_empty_generation():
     backend = ScriptedBackend([ScriptedRule(output="x", turn_index=5)])
     with pytest.raises(EmptyGenerationError, match="turn 3"):
         backend.complete([ChatMessage(role="user", content="q")], GenerationParams(), turn_index=3)
+
+
+def test_rule_needs_exactly_one_matcher():
+    with pytest.raises(ValueError, match="exactly one"):
+        ScriptedRule(output="x", turn_index=0, pattern="p")
+    with pytest.raises(ValueError, match="exactly one"):
+        ScriptedRule(output="x")
+
+
+def test_rule_compiles_its_pattern_when_built():
+    with pytest.raises(re.error):
+        ScriptedRule(output="x", pattern="(unclosed")
+
+
+def test_rules_differing_only_in_compiled_pattern_are_equal():
+    a = ScriptedRule(output="o", pattern="p")
+    b = ScriptedRule(output="o", pattern="p")
+    object.__setattr__(b, "_regex", re.compile("something else"))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b) == "ScriptedRule(output='o', turn_index=None, pattern='p')"
+
+
+def test_complete_compiles_nothing_past_cache_size(tmp_path, monkeypatch):
+    lines = [json.dumps({"match": {"pattern": rf"\bkey{i:03d}\b"}, "output": f"out {i}"}) for i in range(600)]
+    backend = load_script(_write_script(tmp_path, lines))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complete compiled a pattern")
+
+    def ask(text):
+        try:
+            return backend.complete([ChatMessage(role="user", content=text)], GenerationParams())
+        except EmptyGenerationError as exc:
+            return exc
+
+    monkeypatch.setattr(re, "compile", refuse)
+    monkeypatch.setattr(re, "search", refuse)
+    answers = [ask(f"the key{i:03d} here") for i in (0, 300, 599)] + [ask("no key at all")]
+    monkeypatch.undo()
+    assert answers[:3] == ["out 0", "out 300", "out 599"]
+    assert isinstance(answers[3], EmptyGenerationError)
+
+
+_ATOMS = ["a", "b", "x", ".", ".*", r"\n", "[ab]", "b?"]
+
+
+@st.composite
+def _reference_rules(draw):
+    """Rules as (output, turn_index, pattern) triples, patterns from anchors,
+    inline ``(?i)`` and atoms that include ``.`` across newlines."""
+    rules = []
+    for i in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            rules.append((f"out {i}", draw(st.integers(0, 3)), None))
+            continue
+        body = "".join(draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3)))
+        prefix = draw(st.sampled_from(["", "(?i)", r"\A", r"(?i)\A"]))
+        suffix = draw(st.sampled_from(["", r"\Z"]))
+        rules.append((f"out {i}", None, prefix + body + suffix))
+    return rules
+
+
+def _reference_complete(rules, text, turn_index):
+    """The per-call scan that compiled-once rules must agree with."""
+    for output, rule_turn, pattern in rules:
+        if rule_turn is not None:
+            if rule_turn == turn_index:
+                return output
+        elif re.search(pattern, text, re.DOTALL) is not None:
+            return output
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reference_rules(), st.text(alphabet="abAB\nxy", max_size=8), st.integers(0, 3))
+def test_scripted_backend_matches_per_call_search(rules, text, turn_index):
+    backend = ScriptedBackend([ScriptedRule(output=o, turn_index=t, pattern=p) for o, t, p in rules])
+    expected = _reference_complete(rules, text, turn_index)
+    # An empty text is searched as the missing user message's "".
+    messages = [ChatMessage(role="user", content=text)] if text else [ChatMessage(role="system", content="s")]
+    if expected is None:
+        with pytest.raises(EmptyGenerationError):
+            backend.complete(messages, GenerationParams(), turn_index=turn_index)
+    else:
+        assert backend.complete(messages, GenerationParams(), turn_index=turn_index) == expected
 
 
 def test_scripted_output_is_stop_truncated():

@@ -836,6 +836,30 @@ def test_remote_embedder_count_mismatch():
             provider.embed(["x"])
 
 
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ({"vectors": None}, "NoneType vectors, not a list"),
+        ({"vectors": 5}, "int vectors, not a list"),
+        ({"vectors": [["a", 1.0]]}, "non-numeric"),
+        ({"vectors": [[None, 1.0]]}, "non-numeric"),
+        ({"vectors": [[1.0, 0.0], [1.0]]}, "ragged"),
+        ('{"vectors": [[NaN, 1.0]]}', "non-finite"),
+        ('{"vectors": [[1e400, 0.0]]}', "non-finite"),
+    ],
+    ids=["null", "int", "string", "none", "ragged", "nan", "overflow"],
+)
+def test_remote_embedder_rejects_unusable_vectors(body, fragment):
+    # Each body is a backend fault (exit 3), never a TypeError traceback, a
+    # data error (exit 2) or a NaN row in an index.
+    n_inputs = len(body["vectors"]) if isinstance(body, dict) and isinstance(body["vectors"], list) else 1
+    with HttpStub(lambda record: (200, body)) as stub:
+        provider = RemoteEmbedder(stub.url, "text", 2, retries=0)
+        with pytest.raises(EmbeddingError, match=fragment) as err:
+            embed_batch(provider, ["x"] * n_inputs)
+    assert err.value.attempts == 1
+
+
 def test_build_index_chunks_large_corpora():
     calls = []
 
