@@ -150,7 +150,10 @@ def load_script(path: str | Path) -> ScriptedBackend:
         match = obj["match"]
         if ("turn_index" in match) == ("pattern" in match):
             raise ScriptError("match needs exactly one of 'turn_index'/'pattern'")
-        if "turn_index" in match and not isinstance(match["turn_index"], int):
+        # bool is an int subclass, but JSON true is not a turn number.
+        if "turn_index" in match and (
+            not isinstance(match["turn_index"], int) or isinstance(match["turn_index"], bool)
+        ):
             raise ScriptError("'turn_index' must be an integer")
         if "pattern" in match and not isinstance(match["pattern"], str):
             raise ScriptError("'pattern' must be a string")

@@ -1,20 +1,25 @@
 """Dense retrieval over section chunks and article images.
 
 Similarity is cosine over unit-normalized vectors, computed as a dot
-product. Search is exact, as in FAISS ``IndexFlatIP``: one matrix-vector
-product scores every row, then a partition finds the m-th best score and
-only the rows at or above it are sorted. Every row tied with that boundary
-is kept, so the sorted set is always an exact prefix of the full ranking.
-Rows are stored sorted by (article_id, section_id) (or image_id for
-images), so a stable sort on descending score breaks ties by ascending id
-without a second key.
+product. Search is exact, as in FAISS ``IndexFlatIP``, and runs in two
+passes, as its ``IndexRefineFlat`` does: a float32 copy of the matrix
+screens every row with one matrix-vector product, and only the few rows
+that a proven bound on the screen's error cannot rule out are re-scored in
+float64 and sorted (``_screen``, ``_ranked_order``). A reported score is
+the float64 dot product of its row and the query alone, whatever other rows
+were re-scored with it, so neither the BLAS build nor its thread count can
+change a result. Every row tied with the m-th best score is kept, so the
+sorted set is always an exact prefix of the full ranking. Rows are stored
+sorted by (article_id, section_id) (or image_id for images), so a stable
+sort on descending score breaks ties by ascending id without a second key.
 
 Two embedding providers share one duck-typed interface
 (``embed(list[str]) -> ndarray``):
 
 * ``DeterministicEmbedder`` hashes character trigrams into ``dimension``
-  signed buckets (seeded, collision-style feature hashing) and normalizes.
-  Same (seed, dimension, text) gives the same vector on any platform. A
+  signed buckets (seeded, collision-style feature hashing) and returns the
+  counts; ``embed_batch``, the one place rows are normalized, makes them
+  unit. Same (seed, dimension, text) gives the same vector on any platform. A
   batch is decoded to code points in one numpy array, and each trigram is
   packed into one int64 key of three 21-bit code points; the distinct keys
   of a batch are looked up in a per-instance memo keyed by that int, and
@@ -70,6 +75,12 @@ __all__ = [
 
 INDEX_FORMAT_VERSION = 2
 _NORM_TOLERANCE = 1e-6
+# Unit roundoff of float32 and of float64 (round to nearest).
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+# The screen is trusted only while row and query norms stay below this: its
+# products and partial sums then stay far from float32's overflow at 2**128.
+_SCREEN_LIMIT = 2.0**60
 # Trigram memo entries a DeterministicEmbedder keeps before it starts over;
 # bounds its memory on an open-ended stream of texts.
 _MEMO_CAP = 1 << 16
@@ -84,12 +95,14 @@ class EmbeddingError(BackendError):
 
 @dataclass
 class DeterministicEmbedder:
-    """Seeded character-trigram feature hashing, L2-normalized.
+    """Seeded character-trigram feature hashing.
 
-    Shared substrings share trigrams, so near-identical strings land close
-    in cosine; an identical string reproduces the stored vector exactly.
-    Strings shorter than three characters hash as a single feature. A text
-    whose features cancel to zero maps to the first basis vector.
+    ``embed`` returns each text's signed bucket counts, not normalized:
+    ``embed_batch`` normalizes them (a text whose features cancel to zero
+    becomes the first basis vector there). Shared substrings share
+    trigrams, so near-identical strings land close in cosine; an identical
+    string reproduces the stored vector exactly. Strings shorter than three
+    characters hash as a single feature.
 
     A batch is decoded to code points once, and each trigram is packed
     into one int64 key, ``c0 << 42 | c1 << 21 | c2`` (a code point fits in
@@ -134,19 +147,15 @@ class DeterministicEmbedder:
         if inverse is not None:
             signed = signed[inverse]
             flat = flat[inverse] + np.repeat(np.arange(len(counts)) * self.dimension, counts)
-        # Every sum is a small integer, so neither the summation order nor
-        # the norm formula can change a bit of the result: a batch embeds
-        # each text exactly as embedding it alone does.
+        # Every sum is a small integer, so the summation order cannot change
+        # a bit of the result: a batch embeds each text exactly as embedding
+        # it alone does, and so does the norm ``embed_batch`` divides by.
         sums = np.bincount(
             flat,
             weights=np.sign(signed),
             minlength=len(counts) * self.dimension,
         ).reshape(len(counts), self.dimension)
-        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))
-        zero = norms == 0.0
-        sums[zero, 0] = 1.0
-        norms[zero] = 1.0
-        return sums / norms[:, None]
+        return sums
 
 
 def _trigram_keys(texts: Sequence[str]) -> tuple[np.ndarray, Sequence[int]]:
@@ -256,6 +265,10 @@ class Index:
     matrix: np.ndarray
     dimension: int
     modality: str
+    # The float32 screen of ``matrix`` (None when no error bound can hold)
+    # and its largest row norm, built by the first search and never saved;
+    # ``matrix`` must not change after.
+    _screened: tuple[np.ndarray | None, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -314,23 +327,89 @@ def build_image_index(corpus: Corpus, provider) -> Index:
     )
 
 
-def _ranked_order(scores: np.ndarray, m: int) -> np.ndarray:
-    """Rows of the first ``m`` places in descending score order, extended to
-    every row that ties the m-th score; all rows when ``m >= len(scores)``.
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u): a dot product of n terms, summed
+    in any order with unit roundoff u, is off by at most gamma_n * sum|x*y|."""
+    return n * u / (1.0 - n * u)
 
-    The result is an exact prefix of ``np.argsort(-scores, kind="stable")``.
-    The candidates come out of ``flatnonzero`` in ascending row order, so a
-    stable sort of that small set breaks ties by ascending id, as the full
-    sort does. A NaN boundary (fewer than m comparable scores) falls back to
-    the full sort, which orders NaN last.
+
+def _screen(index: Index, vec: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Float32 scores of every row, and a bound ``delta`` on how far each
+    lies from the score ``_ranked_order`` reports for it; None when no
+    finite bound holds (a NaN or huge row, a huge query, or d + 1 >= 2**23).
+
+    Take row a (float64), query q, exact dot s = a.q, and the reported
+    score s' = fl64(a.q). Rounding a and q to float32 changes each product
+    a_j q_j by at most (2u + u^2)|a_j q_j|, with u = 2**-24. The float32
+    dot product of the rounded vectors, summed in any order (BLAS may
+    block, thread or fuse it), is off by at most
+    gamma_d (1 + u)^2 sum_j |a_j q_j| more (``_gamma``); the float64 dot
+    product s' is off from s by at most gamma_d(2**-53) sum_j |a_j q_j|.
+    By Cauchy-Schwarz sum_j |a_j q_j| <= |a| |q| <= M |q|, with M the
+    largest row norm, so every row's screen score t satisfies
+
+        |t - s'| <= delta = ((2u + u^2) + gamma_d(u) (1 + u)^2
+                             + gamma_d(2**-53)) M |q| + tiny,
+
+    where tiny = d * 2**-147 * (1 + M + |q|) covers the absolute error
+    when a value or product underflows to a subnormal. Float32 overflow
+    cannot occur while M and |q| stay below ``_SCREEN_LIMIT``. The float32
+    term is evaluated with gamma_{d+1}: the extra u M |q| exceeds the few
+    float64 roundings made in computing M, |q|, delta and the threshold
+    ``_ranked_order`` draws with it.
     """
-    neg = -scores
-    if m < len(neg):
-        boundary = np.partition(neg, m - 1)[m - 1]
-        if not np.isnan(boundary):
-            rows = np.flatnonzero(neg <= boundary)
-            return rows[np.argsort(neg[rows], kind="stable")]
-    return np.argsort(neg, kind="stable")
+    if index._screened is None:
+        # Racing threads build the same pair; either assignment is fine.
+        # No screen is kept when no bound can hold (NaN compares false).
+        row_norm = float(np.linalg.norm(index.matrix, axis=1).max())
+        index._screened = (index.matrix.astype(np.float32) if row_norm < _SCREEN_LIMIT else None, row_norm)
+    screen, row_norm = index._screened
+    d = index.matrix.shape[1]
+    query_norm = float(np.linalg.norm(vec))
+    if screen is None or not (query_norm < _SCREEN_LIMIT and (d + 1) * _U32 < 0.5):
+        return None
+    rate = 2 * _U32 + _U32**2 + _gamma(d + 1, _U32) * (1 + _U32) ** 2 + _gamma(d, _U64)
+    delta = rate * row_norm * query_norm + d * 2.0**-147 * (1.0 + row_norm + query_norm)
+    return screen @ vec.astype(np.float32), delta
+
+
+def _ranked_order(
+    index: Index, vec: np.ndarray, screened: tuple[np.ndarray, float] | None, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the first ``m`` places in descending order of their exact
+    score ``(matrix[row] * vec).sum()``, extended to every row that ties
+    the m-th score (all rows when ``m >= len(index)``), and those scores.
+
+    The result is an exact prefix of a full stable argsort of the exact
+    scores. With T the m-th best screen score and ``delta`` the bound from
+    ``_screen``, the m rows screened at T or above re-score at least
+    T - delta, and a row screened below T - 2 delta re-scores below
+    T - delta: so it is beaten by m rows and is neither in the first m
+    places nor tied with the m-th. Only the rows screened at T - 2 delta
+    or above are re-scored. Each is re-scored as numpy's pairwise sum
+    along its own contiguous row, so its score depends only on that row
+    and ``vec``. The candidates come out of ``flatnonzero`` in ascending
+    row order, so a stable sort breaks ties by ascending id, as the full
+    sort does. Without a screen (``screened`` is None) every row is
+    re-scored, and a NaN score sorts last, as in the full sort.
+    """
+    if screened is not None and m < len(index):
+        scores, delta = screened
+        boundary = float(np.partition(scores, len(scores) - m)[len(scores) - m])
+        threshold = boundary - 2.0 * delta
+        # Compared in float32, rounded down so no row at the threshold is lost.
+        limit = np.float32(threshold)
+        if float(limit) > threshold:
+            limit = np.nextafter(limit, np.float32(-np.inf))
+        rows = np.flatnonzero(scores >= limit)
+    else:
+        rows = np.arange(len(index))
+    neg = -(index.matrix[rows] * vec).sum(axis=1)
+    order = np.argsort(neg, kind="stable")
+    neg = neg[order]
+    if m < len(order):
+        order = order[: np.searchsorted(neg, neg[m - 1], side="right")]
+    return rows[order], -neg[: len(order)]
 
 
 def text_search(index: Index, provider, query: str, k: int = 3) -> list[RetrievalHit]:
@@ -342,11 +421,11 @@ def text_search(index: Index, provider, query: str, k: int = 3) -> list[Retrieva
     if len(index) == 0:
         return []
     vec = embed_batch(provider, [query])[0]
-    scores = index.matrix @ vec
+    rows, scores = _ranked_order(index, vec, _screen(index, vec), k)
     hits = []
-    for rank, row in enumerate(_ranked_order(scores, k)[:k], start=1):
+    for rank, (row, score) in enumerate(zip(rows[:k].tolist(), scores[:k].tolist()), start=1):
         aid, sid = index.keys[row]
-        hits.append(RetrievalHit(article_id=aid, section_id=sid, score=float(scores[row]), rank=rank))
+        hits.append(RetrievalHit(article_id=aid, section_id=sid, score=score, rank=rank))
     return hits
 
 
@@ -358,7 +437,8 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
     ties). Returns fewer than k hits when fewer distinct articles exist.
     The ranked window starts at k images and doubles until it holds k
     distinct articles or covers the whole index; each window is a prefix of
-    the full ranking, so the hits are those of a full sort.
+    the full ranking, so the hits are those of a full sort. The screen is
+    computed once for all windows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -370,13 +450,13 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
         vec = embed_batch(provider, [image_ref])[0]
     except EmbeddingError as exc:
         raise EmbeddingError(f"could not resolve image ref {image_ref!r}: {exc}") from exc
-    scores = index.matrix @ vec
+    screened = _screen(index, vec)
     m = k
     while True:
-        order = _ranked_order(scores, m)
+        rows, scores = _ranked_order(index, vec, screened, m)
         hits: list[RetrievalHit] = []
         seen: set[str] = set()
-        for row in order:
+        for row, score in zip(rows.tolist(), scores.tolist()):
             iid, aid = index.keys[row]
             if aid in seen:
                 continue
@@ -386,13 +466,13 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
                     article_id=aid,
                     section_id=None,
                     image_id=iid,
-                    score=float(scores[row]),
+                    score=score,
                     rank=len(hits) + 1,
                 )
             )
             if len(hits) == k:
                 return hits
-        if len(order) == len(scores):
+        if len(rows) == len(index):
             return hits
         m *= 2
 

@@ -679,8 +679,8 @@ def test_outcome_bytes_are_pinned_in_both_judge_modes(tools, tmp_path):
         write_outcome_file(outcomes, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests == [
-        "700871eedc418750ec0d758d12c47509b691829d5694e6b1a251e8c7219e419b",
-        "748cc1bcb00b06fbd443735b768821aa1d1370db33c4860c888715e68a743341",
+        "483a2fb286979929bb3b11dbd34ef60f9f571fa55510e996c3dfb793b8492a82",
+        "abb9a343f728b41d0b113c05c654b6341f35a53001c8548c160ea45473ec0cb6",
     ]
 
 

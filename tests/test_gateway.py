@@ -279,6 +279,18 @@ def test_load_script_reports_correct_line_number(tmp_path):
         load_script(path)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_load_script_rejects_boolean_turn_index(tmp_path, flag):
+    # JSON true/false load as bool, which is an int subclass: true would
+    # otherwise become a rule for turn 1.
+    lines = [
+        json.dumps({"match": {"turn_index": 0}, "output": "fine"}),
+        json.dumps({"match": {"turn_index": flag}, "output": "x"}),
+    ]
+    with pytest.raises(ScriptError, match="line 2: 'turn_index' must be an integer"):
+        load_script(_write_script(tmp_path, lines))
+
+
 def test_load_script_names_line_of_bad_pattern_past_cache_size(tmp_path):
     lines = [json.dumps({"match": {"pattern": f"ok {i}"}, "output": "fine"}) for i in range(599)]
     lines.append(json.dumps({"match": {"pattern": "(unclosed"}, "output": "x"}))

@@ -50,14 +50,14 @@ def test_embedder_seed_and_text_sensitivity():
 
 
 def test_embedder_outputs_unit_vectors():
-    matrix = DeterministicEmbedder(dimension=32, seed=5).embed(["a", "bb", "ccc", "x" * 100])
+    matrix = embed_batch(DeterministicEmbedder(dimension=32, seed=5), ["a", "bb", "ccc", "x" * 100])
     assert matrix.shape == (4, 32)
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0)
 
 
 def test_short_string_hashes_whole():
     embedder = DeterministicEmbedder(dimension=16, seed=0)
-    short = embedder.embed(["ab"])[0]
+    short = embed_batch(embedder, ["ab"])[0]
     assert np.linalg.norm(short) == pytest.approx(1.0)
 
 
@@ -172,18 +172,26 @@ EMBED_SEEDS = (0, 5)
 @example(dimension=8, seed=0, texts=["x"])
 @example(dimension=8, seed=0, texts=["xyz"])
 def test_embed_matches_per_trigram_reference(dimension, seed, texts):
+    # ``embed`` gives the raw signed counts; ``embed_batch`` (non-empty texts
+    # only) the reference's single normalization, bit for bit.
     texts = [_cancelling_text(dimension, seed) if t == "cancel" else t for t in texts]
-    got = DeterministicEmbedder(dimension=dimension, seed=seed).embed(texts)
-    want = _reference_embed(texts, dimension, seed)
+    embedder = DeterministicEmbedder(dimension=dimension, seed=seed)
+    got = embedder.embed(texts)
+    want = np.stack([_reference_sums(text, dimension, seed) for text in texts])
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    nonempty = [text for text in texts if text]
+    if nonempty:
+        assert embed_batch(embedder, nonempty).tobytes() == _reference_embed(nonempty, dimension, seed).tobytes()
 
 
 @pytest.mark.parametrize("dimension", EMBED_DIMENSIONS)
 @pytest.mark.parametrize("seed", EMBED_SEEDS)
 def test_cancelling_grams_give_first_basis_vector(dimension, seed):
     text = _cancelling_text(dimension, seed)
-    row = DeterministicEmbedder(dimension=dimension, seed=seed).embed(["some text", text, "x"])[1]
+    embedder = DeterministicEmbedder(dimension=dimension, seed=seed)
+    assert not embedder.embed([text]).any()
+    row = embed_batch(embedder, ["some text", text, "x"])[1]
     assert np.array_equal(row, np.eye(dimension)[0])
 
 
@@ -214,7 +222,7 @@ def test_shared_embedder_under_threads_matches_reference(monkeypatch):
     # the memo under each other while they read and fill it.
     monkeypatch.setattr(retrieval, "_MEMO_CAP", 8)
     batches = [[f"worker {w} text {i} on the eiffel tower" for i in range(12)] for w in range(8)]
-    want = [_reference_embed(batch, 32, 5) for batch in batches]
+    want = [np.stack([_reference_sums(text, 32, 5) for text in batch]) for batch in batches]
     embedder = DeterministicEmbedder(dimension=32, seed=5)
     mismatches = []
 
@@ -560,9 +568,9 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
     windows = []
     real = retrieval._ranked_order
 
-    def spy(scores, m):
+    def spy(index, vec, screened, m):
         windows.append(m)
-        return real(scores, m)
+        return real(index, vec, screened, m)
 
     monkeypatch.setattr(retrieval, "_ranked_order", spy)
     hits = image_search(index, provider, "query", k=3)
@@ -584,6 +592,106 @@ def test_nan_scores_rank_last_as_in_a_full_sort():
     for k in range(1, 7):
         got = [(h.article_id, h.section_id) for h in text_search(index, provider, "query", k=k)]
         assert got == reference[:k], k
+
+
+# --- the float32 screen against a full sort of the exact scores --------------
+#
+# Rows are small integer rows moved along directions the query cannot see
+# (new float32 roundings, the same score) and then along the query by a few
+# 1e-9: scores that differ far below float32 resolution, which the screen
+# orders at random, plus exact duplicates. The reference is a full stable
+# argsort of the float64 score search reports.
+
+
+@st.composite
+def _near_tie_rows(draw):
+    dimension = draw(st.integers(2, 6))
+    ints = st.lists(st.integers(-3, 3), min_size=dimension, max_size=dimension)
+    query = draw(ints.filter(any))
+    unit = embed_batch(_Palette({"query": query}, dimension), ["query"])[0]
+    bases = [np.array(base, dtype=np.float64) for base in draw(st.lists(ints, min_size=1, max_size=4))]
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        base = draw(st.sampled_from(bases))
+        tilt = np.array(draw(ints), dtype=np.float64)
+        tilt -= (tilt @ unit) * unit
+        rows.append(base + tilt + draw(st.integers(-2, 2)) * 1e-9 * unit)
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), rows[i].copy())
+    return np.array(rows), query
+
+
+@given(data=_near_tie_rows())
+@settings(max_examples=300, deadline=None)
+def test_screened_search_equals_full_sort_of_exact_scores(data):
+    matrix, query = data
+    n, dimension = matrix.shape
+    keys = [(f"a{i:03d}", "s") for i in range(n)]
+    index = Index(keys=keys, matrix=matrix, dimension=dimension, modality="text")
+    provider = _Palette({"query": [float(x) for x in query]}, dimension)
+    vec = embed_batch(provider, ["query"])[0]
+    assert retrieval._screen(index, vec) is not None  # the two-pass path, not the fallback
+    exact = (matrix * vec).sum(axis=1)
+    reference = np.argsort(-exact, kind="stable")
+    for k in _ks(n):
+        hits = text_search(index, provider, "query", k=k)
+        assert [h.article_id for h in hits] == [keys[row][0] for row in reference[:k]], k
+        assert [h.score for h in hits] == exact[reference[:k]].tolist(), k
+
+
+def test_rows_beyond_float32_range_rank_as_a_full_sort():
+    # 1e39 overflows float32, so no screen bound holds: every row is ranked exactly.
+    matrix = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [2.0, 5.0]]) * 1e39
+    keys = [("a", f"s{i}") for i in range(len(matrix))]
+    index = Index(keys=keys, matrix=matrix, dimension=2, modality="text")
+    provider = _Palette({"query": [1.0, 0.0]}, 2)
+    assert retrieval._screen(index, embed_batch(provider, ["query"])[0]) is None
+    for k in range(1, 6):
+        hits = text_search(index, provider, "query", k=k)
+        assert [h.section_id for h in hits] == ["s2", "s1", "s3", "s0"][:k], k
+        assert [h.score for h in hits] == matrix[[2, 1, 3, 0], 0].tolist()[:k], k
+
+
+def test_threads_sharing_a_fresh_index_agree_with_one_thread():
+    # Factory workers share one index; the first searches race to build its
+    # screen while others already read it.
+    corpus = make_corpus(40, n_sections=3)
+    embedder = DeterministicEmbedder(dimension=64, seed=0)
+    queries = [f"special fact of {marker(i)}" for i in range(40)]
+    reference = build_text_index(corpus, embedder)
+    want = [text_search(reference, embedder, q, k=3) for q in queries]
+    shared = build_text_index(corpus, embedder)
+    mismatches = []
+
+    def work(offset):
+        for i in range(len(queries)):
+            j = (i + offset) % len(queries)
+            if text_search(shared, embedder, queries[j], k=3) != want[j]:
+                mismatches.append(j)
+
+    threads = [threading.Thread(target=work, args=(w * 5,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("dimension", [3, 64, 300])
+def test_exact_score_of_a_row_ignores_the_other_rows(dimension):
+    # A row is re-scored by the same pairwise sum whatever set it is in.
+    rng = np.random.default_rng(7)
+    matrix = rng.standard_normal((300, dimension))
+    vec = rng.standard_normal(dimension)
+    whole = (matrix * vec).sum(axis=1)
+    for rows in (np.arange(1), np.array([5, 17, 299]), np.arange(0, 300, 7)):
+        assert (matrix[rows] * vec).sum(axis=1).tobytes() == whole[rows].tobytes()
 
 
 # --- persistence ----------------------------------------------------------

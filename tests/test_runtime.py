@@ -656,4 +656,4 @@ def test_trajectory_bytes_are_pinned(tools12, tmp_path):
     ]
     assert out[11 + 9].terminated_by == TERMINATED_ANSWER  # lenient: the unknown tag is ignored
     assert "[tool error] index offline" in out[10].observations[0].rendered
-    assert digests == ["a542dc7fb605799c7211523517f7dda78ca7f7f40934c58401e9b2e1e414f730"] * 2
+    assert digests == ["097c6ba3ff983c9a30965f04c3013429f01b20f58c2de977bbef17076b26fa2c"] * 2
