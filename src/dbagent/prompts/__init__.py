@@ -6,6 +6,7 @@ manifests; bump the suffix when editing a template file.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 __all__ = ["load_prompt", "PROMPT_IDS", "AGENT_SYSTEM"]
@@ -31,9 +32,14 @@ def load_prompt(name: str) -> str:
     """Read a template by name (without the .txt suffix)."""
     if name not in PROMPT_IDS:
         raise KeyError(f"unknown prompt template: {name!r}")
-    return (
-        resources.files("dbagent").joinpath("prompts", f"{name}.txt").read_text(encoding="utf-8")
-    )
+    return _read_prompt(name)
+
+
+@functools.cache
+def _read_prompt(name: str) -> str:
+    """The packaged file, read once per process: templates do not change
+    while the package is loaded."""
+    return resources.files("dbagent").joinpath("prompts", f"{name}.txt").read_text(encoding="utf-8")
 
 
 def prompt_id(name: str) -> str:

@@ -12,6 +12,9 @@ change a result. Every row tied with the m-th best score is kept, so the
 sorted set is always an exact prefix of the full ranking. Rows are stored
 sorted by (article_id, section_id) (or image_id for images), so a stable
 sort on descending score breaks ties by ascending id without a second key.
+A tie is an equal float64 score: two cosines that are exactly equal as real
+numbers can still round to scores one ulp apart, and those two rows then
+come in the order of their rounded scores, whichever their ids.
 
 Two embedding providers share one duck-typed interface
 (``embed(list[str]) -> ndarray``):
@@ -38,6 +41,14 @@ On disk an index is two files side by side (format version 2):
 * ``<name>.npy``: the ``(count, dimension)`` float64 matrix of unit rows,
   as written by ``np.save`` without pickling.
 
+``save_index`` writes the matrix straight into the sidecar and then hashes
+the file in blocks, so it holds no second copy of the matrix.
+``load_index`` reads the sidecar once into one buffer the size of the file,
+hashes that buffer, parses the ``.npy`` header in it and makes the matrix a
+writable float64 view of the bytes after the header: the bytes the checksum
+covers are the bytes searched, and the index is held in one copy. Row norms
+are checked with ``einsum``, which makes no matrix-sized temporary.
+
 The header does not name its sidecar, so saving one index under two names
 writes byte-identical headers. Version 1 files (vectors inline as JSON
 text) are rejected on load; rebuild them with ``dbagent index build``.
@@ -48,6 +59,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -75,6 +88,9 @@ __all__ = [
 
 INDEX_FORMAT_VERSION = 2
 _NORM_TOLERANCE = 1e-6
+# The part of a sidecar its .npy header is parsed from; numpy refuses a
+# header longer than 10,000 bytes, far inside it.
+_NPY_HEAD = 1 << 16
 # Unit roundoff of float32 and of float64 (round to nearest).
 _U32 = 2.0**-24
 _U64 = 2.0**-53
@@ -282,19 +298,18 @@ def _build_index(
     if not keys:
         return Index(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension, modality=modality)
     chunk = 128
-    rows: list[np.ndarray] = []
+    matrix = np.empty((len(texts), provider.dimension))
     for start in range(0, len(texts), chunk):
         batch = texts[start : start + chunk]
         try:
-            rows.append(embed_batch(provider, batch))
+            matrix[start : start + len(batch)] = embed_batch(provider, batch)
         except (EmbeddingError, ValueError):
             for offset, text in enumerate(batch):
                 try:
-                    rows.append(embed_batch(provider, [text]))
+                    matrix[start + offset] = embed_batch(provider, [text])[0]
                 except (EmbeddingError, ValueError) as exc:
                     raise EmbeddingError(f"embedding failed for {label(start + offset)}: {exc}") from exc
-    matrix = np.vstack(rows)
-    return Index(keys=keys, matrix=matrix, dimension=matrix.shape[1], modality=modality)
+    return Index(keys=keys, matrix=matrix, dimension=provider.dimension, modality=modality)
 
 
 def build_text_index(corpus: Corpus, provider) -> Index:
@@ -361,7 +376,7 @@ def _screen(index: Index, vec: np.ndarray) -> tuple[np.ndarray, float] | None:
     if index._screened is None:
         # Racing threads build the same pair; either assignment is fine.
         # No screen is kept when no bound can hold (NaN compares false).
-        row_norm = float(np.linalg.norm(index.matrix, axis=1).max())
+        row_norm = math.sqrt(np.einsum("ij,ij->i", index.matrix, index.matrix).max())
         index._screened = (index.matrix.astype(np.float32) if row_norm < _SCREEN_LIMIT else None, row_norm)
     screen, row_norm = index._screened
     d = index.matrix.shape[1]
@@ -413,7 +428,9 @@ def _ranked_order(
 
 
 def text_search(index: Index, provider, query: str, k: int = 3) -> list[RetrievalHit]:
-    """Top-k sections by cosine; ties break by ascending (article_id, section_id)."""
+    """Top-k sections by cosine; equal float64 scores break by ascending
+    (article_id, section_id). Cosines equal as real numbers may round one
+    ulp apart and then follow their rounded scores (see the module docstring)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not query or not query.strip():
@@ -434,11 +451,11 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
 
     Articles are deduplicated: each keeps its best image (stable order means
     the first occurrence in rank order is the best; image-id ascending on
-    ties). Returns fewer than k hits when fewer distinct articles exist.
-    The ranked window starts at k images and doubles until it holds k
-    distinct articles or covers the whole index; each window is a prefix of
-    the full ranking, so the hits are those of a full sort. The screen is
-    computed once for all windows.
+    equal float64 scores). Returns fewer than k hits when fewer distinct
+    articles exist. The ranked window starts at k images and doubles until
+    it holds k distinct articles or covers the whole index; each window is a
+    prefix of the full ranking, so the hits are those of a full sort. The
+    screen is computed once for all windows.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -484,19 +501,22 @@ def save_index(index: Index, path: str | Path) -> None:
     path = Path(path)
     if path.suffix == ".npy":
         raise ValueError(f"{path}: an index header may not end in .npy; that name is its sidecar")
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(index.matrix, dtype=np.float64), allow_pickle=False)
-    vectors = buffer.getvalue()
+    sidecar = path.with_suffix(".npy")
     # The sidecar goes first, so a header left from an earlier save fails
     # its checksum instead of describing vectors it never saw.
-    path.with_suffix(".npy").write_bytes(vectors)
+    with sidecar.open("wb") as fh:
+        np.save(fh, np.ascontiguousarray(index.matrix, dtype=np.float64), allow_pickle=False)
+    digest = hashlib.sha256()
+    with sidecar.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
     doc = {
         "format_version": INDEX_FORMAT_VERSION,
         "dimension": index.dimension,
         "count": len(index),
         "modality": index.modality,
         "keys": [list(key) for key in index.keys],
-        "vectors_sha256": hashlib.sha256(vectors).hexdigest(),
+        "vectors_sha256": digest.hexdigest(),
     }
     path.write_text(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
 
@@ -535,23 +555,41 @@ def load_index(
     if len(keys) != doc["count"]:
         raise ValueError(f"{path}: header count {doc['count']} != {len(keys)} entries")
     sidecar = path.with_suffix(".npy")
+    # One read into one buffer: it is hashed, and the matrix is a view of it.
     try:
-        vectors = sidecar.read_bytes()
+        with sidecar.open("rb") as fh:
+            data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+            data = data[: fh.readinto(data)]
     except OSError as exc:
         raise ValueError(f"{path}: unreadable index vectors: {exc}") from exc
-    if hashlib.sha256(vectors).hexdigest() != doc["vectors_sha256"]:
+    if hashlib.sha256(data).hexdigest() != doc["vectors_sha256"]:
         raise ValueError(f"{path}: {sidecar.name} does not match the header's vectors_sha256")
+    head = io.BytesIO(data[:_NPY_HEAD].tobytes())
     try:
-        matrix = np.load(io.BytesIO(vectors), allow_pickle=False)
+        version = np.lib.format.read_magic(head)
+        if version == (1, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
+        elif version == (2, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(head)
+        else:
+            raise ValueError(f".npy format version {version[0]}.{version[1]} is not supported")
+        body = data[head.tell() :]
+        size = math.prod(shape) * dtype.itemsize
+        if len(body) != size:
+            raise ValueError(f"{len(body)} bytes of data, expected {size}")
     except ValueError as exc:
         raise ValueError(f"{path}: unreadable index vectors: {exc}") from exc
-    if matrix.dtype != np.float64:
-        raise ValueError(f"{path}: index vectors are {matrix.dtype}, expected float64")
-    if matrix.ndim != 2 or matrix.shape[0] != len(keys):
-        raise ValueError(f"{path}: index vectors have shape {matrix.shape}, header count is {len(keys)}")
-    if matrix.shape[1] != dimension:
-        raise ValueError(f"{path}: vectors are {matrix.shape[1]}-dimensional, header says {dimension}")
+    if dtype != np.float64:
+        raise ValueError(f"{path}: index vectors are {dtype}, expected float64")
+    if len(shape) != 2 or shape[0] != len(keys):
+        raise ValueError(f"{path}: index vectors have shape {shape}, header count is {len(keys)}")
+    if shape[1] != dimension:
+        raise ValueError(f"{path}: vectors are {shape[1]}-dimensional, header says {dimension}")
+    if fortran_order:  # never written by save_index; copied to C order
+        matrix = np.ascontiguousarray(body.view(dtype).reshape(shape[::-1]).T)
+    else:
+        matrix = body.view(dtype).reshape(shape)
     # Written so that a NaN norm fails too: NaN compares false.
-    if not (np.abs(np.linalg.norm(matrix, axis=1) - 1.0) <= _NORM_TOLERANCE).all():
+    if not (np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) <= _NORM_TOLERANCE).all():
         raise ValueError(f"{path}: stored vectors are not unit-normalized")
     return Index(keys=[tuple(key) for key in keys], matrix=matrix, dimension=dimension, modality=doc["modality"])

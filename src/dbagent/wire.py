@@ -8,7 +8,8 @@ them all as ``<source>: N error(s)`` followed by one ``line L: ...`` each.
 ``X-Request-Id`` for every attempt of a call (so a server can drop
 duplicates), transport errors and 5xx retried after a short backoff, any
 other non-200 status fatal, and a 200 body that is not a JSON object holding
-the expected key a malformed response.
+the expected key a malformed response. It imports ``requests`` on its first
+call, so a run that makes no HTTP call never loads the HTTP stack.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import logging
 import time
 import uuid
 from typing import Callable, Iterable, TypeVar
-
-import requests
 
 from .errors import BackendError, DataError
 
@@ -81,6 +80,8 @@ def post_json(
     Makes up to ``retries + 1`` attempts. Every failure raises ``error``
     with the attempts made; ``name`` ("chat", "embed") labels its message.
     """
+    import requests
+
     request_id = str(uuid.uuid4())
     headers = {"X-Request-Id": request_id}
     if api_key:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
 import string
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -860,6 +862,100 @@ def test_load_rejects_nan_inf_and_zero_rows(tmp_path, bad_row):
     save_index(index, path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
+
+
+def _rewrite_sidecar_raw(path, data):
+    """Replace the sidecar with ``data`` and make the header's checksum agree."""
+    sidecar = path.with_suffix(".npy")
+    sidecar.write_bytes(data)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["vectors_sha256"] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _npy_bytes(matrix, version):
+    sidecar = io.BytesIO()
+    np.lib.format.write_array(sidecar, matrix, version=version, allow_pickle=False)
+    return sidecar.getvalue()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: data[:-8],  # the last half row is gone
+        lambda data: data[:20],  # cut inside the .npy header
+        lambda data: b"",
+        lambda data: data + b"\0" * 8,  # bytes after the matrix
+    ],
+    ids=["data-cut", "header-cut", "empty", "trailing-bytes"],
+)
+def test_load_refuses_a_malformed_sidecar_whose_checksum_matches(tmp_path, embedder, corrupt):
+    index = build_text_index(make_corpus(2), embedder)
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    _rewrite_sidecar_raw(path, corrupt(path.with_suffix(".npy").read_bytes()))
+    with pytest.raises(ValueError, match="unreadable index vectors"):
+        load_index(path)
+
+
+def test_load_refuses_an_npy_version_it_does_not_parse(tmp_path, embedder):
+    index = build_text_index(make_corpus(2), embedder)
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    _rewrite_sidecar_raw(path, _npy_bytes(index.matrix, (3, 0)))
+    with pytest.raises(ValueError, match=r"unreadable index vectors: .npy format version 3.0 is not supported"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "order, version", [("C", (2, 0)), ("F", (1, 0)), ("F", (2, 0))], ids=["C-v2.0", "F-v1.0", "F-v2.0"]
+)
+def test_load_reads_other_npy_layouts_to_the_same_rows(tmp_path, embedder, order, version):
+    index = build_text_index(make_corpus(2), embedder)
+    path = tmp_path / "idx.json"
+    save_index(index, path)
+    _rewrite_sidecar_raw(path, _npy_bytes(np.asarray(index.matrix, order=order), version))
+    assert np.load(path.with_suffix(".npy")).flags.f_contiguous == (order == "F")
+    loaded = load_index(path)
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+    assert loaded.matrix.flags.c_contiguous and loaded.matrix.flags.writeable
+
+
+def _traced_peak(fn):
+    """``fn()`` and the most memory it had allocated at once, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_save_load_and_first_search_hold_the_matrix_about_once(tmp_path, embedder):
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((20000, 64))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    index = Index(keys=[(f"a{i:05d}", "s0") for i in range(20000)], matrix=matrix, dimension=64, modality="text")
+    path = tmp_path / "idx.json"
+
+    # The sidecar is written from the matrix itself and hashed in blocks.
+    _, peak = _traced_peak(lambda: save_index(index, path))
+    assert peak < 1.0 * matrix.nbytes
+    # One buffer holds the file; the matrix is a view of it, and the norm
+    # check makes no matrix-sized temporary. The rest is the parsed keys.
+    loaded, peak = _traced_peak(lambda: load_index(path))
+    assert peak < 2.0 * matrix.nbytes
+    # The float32 screen is half the matrix; its row norms take no more.
+    hits, peak = _traced_peak(lambda: text_search(loaded, embedder, "a query", k=3))
+    assert peak < 0.75 * matrix.nbytes
+    assert len(hits) == 3
+    assert loaded.matrix.tobytes() == matrix.tobytes()
+    assert loaded.matrix.flags.c_contiguous and loaded.matrix.flags.writeable
 
 
 def test_save_refuses_a_header_named_like_its_sidecar(tmp_path, embedder):

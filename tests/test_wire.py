@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dbagent
 from dbagent.errors import DataError
 from dbagent.factory import TYPE_DISCARDED, BranchOutcome, load_qa_dataset, outcome_to_dict, read_outcome_file
 from dbagent.gateway import ChatBackendError, ChatMessage, GenerationParams, HttpChatBackend, load_script
 from dbagent.kb import load_corpus, parse_corpus_lines
-from dbagent.retrieval import EmbeddingError, RemoteEmbedder
+from dbagent.retrieval import DeterministicEmbedder, EmbeddingError, RemoteEmbedder, build_text_index, save_index
 from dbagent.runtime import read_trajectory_file, trajectory_to_dict
 from dbagent.sft import read_sft_file
 from dbagent.wire import post_json
-from helpers import HttpStub, article_obj, make_canonical_trajectory, qa_obj, write_jsonl
+from helpers import HttpStub, article_obj, make_canonical_trajectory, make_corpus, qa_obj, write_jsonl
 
 # One valid record per reader; each reader gets it between two bad lines.
 READERS = {
@@ -106,3 +111,26 @@ def test_a_json_body_that_is_not_an_object_is_malformed(client, body):
             call(stub.url)
         assert len(stub.requests) == 1
     assert err.value.attempts == 1
+
+
+def test_offline_imports_and_validate_load_no_http_client(tmp_path):
+    path = tmp_path / "text_index.json"
+    save_index(build_text_index(make_corpus(2), DeterministicEmbedder(dimension=8)), path)
+    script = (
+        "import sys\n"
+        "import dbagent\n"
+        "seen = ['requests' in sys.modules]\n"
+        "import dbagent.cli\n"
+        "seen.append('requests' in sys.modules)\n"
+        "code = dbagent.cli.main(['validate', sys.argv[1]])\n"
+        "seen.append('requests' in sys.modules)\n"
+        "print(code, *seen)\n"
+    )
+    src = str(Path(dbagent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    # The last line: validate's exit code, then whether requests was loaded
+    # after `import dbagent`, after `import dbagent.cli` and after validate.
+    assert run.stdout.splitlines()[-1] == "0 False False False"
