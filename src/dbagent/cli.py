@@ -66,6 +66,7 @@ from .runtime import (
     write_trajectory_file,
 )
 from .sft import emit_dataset, linearize, read_sft_file, scan_sft_file
+from .wire import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -322,6 +323,11 @@ def cmd_dataset_emit(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
+def _write_report(path: str, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def cmd_eval_report(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
     trajectories = read_trajectory_file(args.trajectories)
@@ -339,9 +345,9 @@ def cmd_eval_report(args, parser: _Parser) -> int:
     text = render_report_text(report)
     print(text, end="")
     if args.out_prefix:
-        Path(args.out_prefix + ".txt").write_text(text, encoding="utf-8")
-        Path(args.out_prefix + ".csv").write_text(render_report_csv(report), encoding="utf-8")
-        Path(args.out_prefix + ".json").write_text(report_to_json(report), encoding="utf-8")
+        _write_report(args.out_prefix + ".txt", text)
+        _write_report(args.out_prefix + ".csv", render_report_csv(report))
+        _write_report(args.out_prefix + ".json", report_to_json(report))
     return EXIT_OK
 
 
@@ -370,14 +376,12 @@ def cmd_eval_topk_grid(args, parser: _Parser) -> int:
     text = render_grid_text(grid)
     print(text, end="")
     if args.out_prefix:
-        Path(args.out_prefix + ".txt").write_text(text, encoding="utf-8")
+        _write_report(args.out_prefix + ".txt", text)
         doc = {}
         for (kt, ki), cell in grid.items():
             key = f"text{kt}_image{ki}"
             doc[key] = json.loads(report_to_json(cell)) if not isinstance(cell, dict) else cell
-        Path(args.out_prefix + ".json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_report(args.out_prefix + ".json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -414,10 +418,8 @@ def cmd_eval_kb_scale(args, parser: _Parser) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out_prefix:
-        Path(args.out_prefix + ".txt").write_text(text, encoding="utf-8")
-        Path(args.out_prefix + ".json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_report(args.out_prefix + ".txt", text)
+        _write_report(args.out_prefix + ".json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 

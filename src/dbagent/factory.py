@@ -49,7 +49,7 @@ from .protocol import (
     validate_in_context,
 )
 from .runtime import RolloutConfig, ToolBinding, Trajectory, trajectory_from_dict, trajectory_to_dict
-from .wire import parse_jsonl
+from .wire import atomic_write, parse_jsonl
 
 __all__ = [
     "DatasetError",
@@ -831,8 +831,7 @@ def outcome_from_dict(obj: dict) -> BranchOutcome:
 
 
 def write_outcome_file(outcomes: Iterable[BranchOutcome], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for outcome in outcomes:
             fh.write(json.dumps(outcome_to_dict(outcome), sort_keys=True, ensure_ascii=False))
             fh.write("\n")

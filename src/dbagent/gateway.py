@@ -14,12 +14,28 @@ The scripted backend replays a JSONL rule file and is a pure function of
 factory, and CI can run without a model server. Each rule's pattern is
 compiled once, with DOTALL, when the rule is built, so a call compiles
 nothing however many rules the script holds.
+
+A call costs what its message costs, not what the script costs. When the
+backend is built, a small scanner reads each pattern's source for the
+literal runs every match must contain: plain characters and escaped
+punctuation outside any class, ended by any escape letter (``\\A``,
+``\\n``, ``\\b``, ``\\d``...), class, anchor, ``.`` or quantifier; a
+quantifier also drops the character it repeats, and a pattern holding
+``(``, ``|`` or ``{`` has no runs. A pattern rule whose runs hold a gram of
+``_GRAM`` (8) characters is keyed on the rarest such gram, the one the
+fewest runs of the script hold (ties by the gram itself). ``complete``
+runs, in script order, only the rules whose key occurs in the last user
+message, the rules for its turn, and the unkeyed pattern rules, which are
+checked on every call. A rule whose key is absent cannot match, so the
+first match is the one a scan of every rule finds.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -75,6 +91,8 @@ class GenerationParams:
 
     def __post_init__(self) -> None:
         # The closing action tags are non-negotiable members of the stop set.
+        # The caller's list is copied, never extended.
+        self.stop_sequences = list(self.stop_sequences)
         for tag in CLOSING_ACTION_TAGS:
             if tag not in self.stop_sequences:
                 self.stop_sequences.append(tag)
@@ -120,11 +138,83 @@ class ScriptedRule:
         return self._regex.search(last_user_content) is not None
 
 
+# The length of the literal grams that key pattern rules. Eight keys each
+# rule of a recorded factory replay on its sample tag.
+_GRAM = 8
+
+# A scan of a compiled pattern's source, token by token. Group 1 is a run:
+# plain characters and escaped punctuation, less a last one that a
+# quantifier repeats. The other tokens end a run: any other escape (an
+# escape letter or digit with its argument, or escaped punctuation under a
+# quantifier), a class, and any one character (``.``, ``^``, ``$``, a
+# quantifier or the character it repeats). The pattern compiled, so each
+# escape's argument is well formed.
+_TOKENS = re.compile(
+    r"((?:[^\\\[.^$*+?]+|\\[^A-Za-z0-9])+)(?![*+?])"
+    r"|\\(?:x..|u.{4}|U.{8}|[0-9]+|.)"
+    r"|\[\^?\]?(?:\\.|[^\\\]])*\]"
+    r"|.",
+    re.DOTALL,
+)
+
+
+def _escaped_runs(pattern: str) -> list[str]:
+    """The literal runs that every match of ``pattern`` (compiled with
+    DOTALL) contains, as the pattern writes them: ``_unescape`` gives their
+    text. See the module docstring. Conservative: a pattern holding ``(``,
+    ``|`` or ``{`` has none."""
+    if "(" in pattern or "|" in pattern or "{" in pattern:
+        return []
+    return list(filter(None, _TOKENS.findall(pattern)))
+
+
+def _grams(text: str) -> set[str]:
+    """The distinct ``_GRAM``-character grams of ``text``."""
+    return {text[i : i + _GRAM] for i in range(len(text) - _GRAM + 1)}
+
+
+def _unescape(run: str) -> str:
+    """A run's text. Each backslash in a run escapes the character after
+    it, so pairs of backslashes, taken from the left, stand for one."""
+    return "\\".join([part.replace("\\", "") for part in run.split("\\\\")])
+
+
 class ScriptedBackend:
-    """Deterministic replay backend driven by first-match-wins rules."""
+    """Deterministic replay backend driven by first-match-wins rules.
+
+    ``rules`` is a tuple: the dispatch index built from it (module
+    docstring) cannot go stale.
+    """
 
     def __init__(self, rules: Sequence[ScriptedRule]):
-        self.rules = list(rules)
+        self.rules = tuple(rules)
+        runs_of = [_escaped_runs(rule.pattern) if rule.pattern is not None else [] for rule in self.rules]
+        # How rare a gram is: how many runs of the script hold it. A script
+        # repeats most of its runs, so each distinct run is unescaped, cut
+        # and ranked once.
+        run_counts = Counter(chain.from_iterable(runs_of))
+        grams_of_run = {run: _grams(_unescape(run)) for run in run_counts}
+        gram_counts: Counter[str] = Counter()
+        for run, grams in grams_of_run.items():
+            for gram in grams:
+                gram_counts[gram] += run_counts[run]
+        rarest_of_run = {
+            run: min(zip(map(gram_counts.__getitem__, grams), grams))
+            for run, grams in grams_of_run.items()
+            if grams
+        }
+        self._by_key: dict[str, list[int]] = {}
+        self._by_turn: dict[int, list[int]] = {}
+        self._unkeyed: list[int] = []
+        for i, (rule, runs) in enumerate(zip(self.rules, runs_of)):
+            ranked = [rarest_of_run[run] for run in runs if run in rarest_of_run]
+            if rule.pattern is None:
+                self._by_turn.setdefault(rule.turn_index, []).append(i)
+            elif ranked:
+                self._by_key.setdefault(min(ranked)[1], []).append(i)
+            else:
+                self._unkeyed.append(i)
+        self._keys = frozenset(self._by_key)
 
     def complete(
         self,
@@ -133,7 +223,12 @@ class ScriptedBackend:
         turn_index: int = 0,
     ) -> str:
         last_user = next((m.content for m in reversed(messages) if m.role == "user"), "")
-        for rule in self.rules:
+        candidates = self._unkeyed + self._by_turn.get(turn_index, [])
+        if self._keys:
+            for key in self._keys.intersection(_grams(last_user)):
+                candidates += self._by_key[key]
+        for i in sorted(candidates):
+            rule = self.rules[i]
             if rule.matches(last_user, turn_index):
                 return truncate_at_stop(rule.output, params.stop_sequences)
         raise EmptyGenerationError(f"no scripted rule matched turn {turn_index}")

@@ -42,7 +42,9 @@ On disk an index is two files side by side (format version 2):
   as written by ``np.save`` without pickling.
 
 ``save_index`` writes the matrix straight into the sidecar and then hashes
-the file in blocks, so it holds no second copy of the matrix.
+the file in blocks, so it holds no second copy of the matrix. Both files
+are written under temp names and replace the old pair only when both are
+complete, the header last (``wire.atomic_write``).
 ``load_index`` reads the sidecar once into one buffer the size of the file,
 hashes that buffer, parses the ``.npy`` header in it and makes the matrix a
 writable float64 view of the bytes after the header: the bytes the checksum
@@ -69,7 +71,7 @@ import numpy as np
 
 from .errors import BackendError
 from .kb import Corpus
-from .wire import post_json
+from .wire import atomic_write, post_json
 
 __all__ = [
     "EmbeddingError",
@@ -502,23 +504,26 @@ def save_index(index: Index, path: str | Path) -> None:
     if path.suffix == ".npy":
         raise ValueError(f"{path}: an index header may not end in .npy; that name is its sidecar")
     sidecar = path.with_suffix(".npy")
-    # The sidecar goes first, so a header left from an earlier save fails
-    # its checksum instead of describing vectors it never saw.
-    with sidecar.open("wb") as fh:
-        np.save(fh, np.ascontiguousarray(index.matrix, dtype=np.float64), allow_pickle=False)
-    digest = hashlib.sha256()
-    with sidecar.open("rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    doc = {
-        "format_version": INDEX_FORMAT_VERSION,
-        "dimension": index.dimension,
-        "count": len(index),
-        "modality": index.modality,
-        "keys": [list(key) for key in index.keys],
-        "vectors_sha256": digest.hexdigest(),
-    }
-    path.write_text(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    # Both files are written in full under temp names before either is
+    # replaced. The sidecar is replaced first, so a header left from an
+    # earlier save fails its checksum instead of describing vectors it
+    # never saw.
+    with atomic_write(path) as header, atomic_write(sidecar, binary=True) as vectors:
+        np.save(vectors, np.ascontiguousarray(index.matrix, dtype=np.float64), allow_pickle=False)
+        vectors.flush()
+        digest = hashlib.sha256()
+        with open(vectors.name, "rb") as fh:
+            while block := fh.read(1 << 20):
+                digest.update(block)
+        doc = {
+            "format_version": INDEX_FORMAT_VERSION,
+            "dimension": index.dimension,
+            "count": len(index),
+            "modality": index.modality,
+            "keys": [list(key) for key in index.keys],
+            "vectors_sha256": digest.hexdigest(),
+        }
+        header.write(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def load_index(

@@ -47,7 +47,7 @@ from .protocol import (
     validate_in_context,
 )
 from .retrieval import image_search, text_search
-from .wire import parse_jsonl
+from .wire import atomic_write, parse_jsonl
 
 __all__ = [
     "RolloutConfig",
@@ -463,8 +463,7 @@ def trajectory_from_dict(obj: dict) -> Trajectory:
 
 
 def write_trajectory_file(trajectories: Iterable[Trajectory], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for traj in trajectories:
             fh.write(json.dumps(trajectory_to_dict(traj), sort_keys=True, ensure_ascii=False))
             fh.write("\n")

@@ -35,7 +35,7 @@ from .errors import DataError
 from .factory import assign_difficulty, trajectory_type_of
 from .protocol import ActionKind, serialize_turn, validate_in_context
 from .runtime import Trajectory
-from .wire import parse_jsonl
+from .wire import atomic_write, parse_jsonl
 
 __all__ = [
     "SftError",
@@ -179,8 +179,8 @@ def emit_dataset(
 ) -> DatasetManifest:
     """Write the dataset and its manifest; returns the manifest.
 
-    Over-cap samples are dropped (never truncated) and counted. Writing is
-    atomic: a partial file never remains after an IO error.
+    Over-cap samples are dropped (never truncated) and counted. Each file
+    is written with ``wire.atomic_write``: a partial file never remains.
     """
     kept: list[LinearizedSample] = []
     dropped = 0
@@ -220,19 +220,10 @@ def emit_dataset(
         dataset_sha256=hashlib.sha256(payload).hexdigest(),
     )
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(payload)
-        tmp.replace(path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
-    manifest_path = Path(str(path) + ".manifest.json")
-    manifest_path.write_text(
-        json.dumps(manifest.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(path, binary=True) as fh:
+        fh.write(payload)
+    with atomic_write(str(path) + ".manifest.json") as fh:
+        fh.write(json.dumps(manifest.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n")
     return manifest
 
 

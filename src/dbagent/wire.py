@@ -1,8 +1,15 @@
-"""The one JSONL reader and the one HTTP POST every module shares.
+"""The one JSONL reader, the one atomic file write and the one HTTP POST
+every module shares.
 
 ``parse_jsonl`` reads every file format the package writes line by line:
 blank lines are skipped and every bad line is collected, so one error lists
 them all as ``<source>: N error(s)`` followed by one ``line L: ...`` each.
+
+``atomic_write`` is how every output file is written: into a temp file
+with a unique name beside the target, which replaces the target only once
+it is complete. An interrupted writer leaves the old file as it was and no
+temp file behind. There is no fsync: this guards against a process that
+stops, not against power loss.
 
 ``post_json`` is the request policy of both HTTP clients: one
 ``X-Request-Id`` for every attempt of a call (so a server can drop
@@ -16,13 +23,16 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 import uuid
-from typing import Callable, Iterable, TypeVar
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import BackendError, DataError
 
-__all__ = ["parse_jsonl", "post_json"]
+__all__ = ["atomic_write", "parse_jsonl", "post_json"]
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +72,22 @@ def parse_jsonl(
     if errors:
         raise error(f"{source}: {len(errors)} error(s)\n" + "\n".join(errors))
     return out
+
+
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a new temp file beside ``path`` for writing (UTF-8 text unless
+    ``binary``). When the block ends it replaces ``path``; when the block
+    raises, it is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def post_json(

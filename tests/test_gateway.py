@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dbagent import gateway
 from dbagent.gateway import (
     ChatBackendError,
     ChatMessage,
@@ -49,6 +52,14 @@ def test_generation_params_always_include_closing_action_tags():
 def test_generation_params_do_not_duplicate_tags():
     params = GenerationParams(stop_sequences=list(CLOSING_ACTION_TAGS))
     assert len(params.stop_sequences) == len(CLOSING_ACTION_TAGS)
+
+
+def test_generation_params_leave_the_callers_list_alone():
+    mine = ["\n\n"]
+    params = GenerationParams(stop_sequences=mine)
+    assert mine == ["\n\n"]
+    assert params.stop_sequences is not mine
+    assert params.stop_sequences == ["\n\n", *CLOSING_ACTION_TAGS]
 
 
 # --- stop truncation -------------------------------------------------------
@@ -168,23 +179,53 @@ def test_complete_compiles_nothing_past_cache_size(tmp_path, monkeypatch):
     assert isinstance(answers[3], EmptyGenerationError)
 
 
-_ATOMS = ["a", "b", "x", ".", ".*", r"\n", "[ab]", "b?"]
+# The atoms cover each token the dispatch scanner reads: escaped punctuation,
+# literals longer than the gram, quantified characters, classes, and the
+# constructs that leave a pattern without runs. The long literals come three
+# times over, so that many rules get a key.
+_LONG = ["abxyabxyab", r"\[ab\-xyab\]"]
+_ATOMS = [
+    "a", "b", "x", ".", ".*", r"\n", "[ab]", "b?",
+    r"\[", r"\-", "ab*", "ab+?", "[]a]", r"[^\n]", "(?:ab)?", "a|b", r"\b", "a{2}",
+] + _LONG * 3
+_PREFIXES = ["", "(?i)", r"\A", r"(?i)\A", r"\[\-", "[]a]", r"\b"]
+_TEXTS = st.lists(
+    st.sampled_from(["a", "b", "A", "B", "\n", "x", "y", "[", "-", "]", "abxyabxyab", "[ab-xyab]", "xyabxyab"]),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def _patterns(draw):
+    """Patterns from prefixes (anchors, inline ``(?i)``, literals), atoms
+    that include ``.`` across newlines, and an optional ``\\Z``."""
+    body = "".join(draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3)))
+    return draw(st.sampled_from(_PREFIXES)) + body + draw(st.sampled_from(["", r"\Z"]))
 
 
 @st.composite
 def _reference_rules(draw):
-    """Rules as (output, turn_index, pattern) triples, patterns from anchors,
-    inline ``(?i)`` and atoms that include ``.`` across newlines."""
+    """Rules as (output, turn_index, pattern) triples."""
     rules = []
     for i in range(draw(st.integers(1, 6))):
         if draw(st.booleans()):
             rules.append((f"out {i}", draw(st.integers(0, 3)), None))
-            continue
-        body = "".join(draw(st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=3)))
-        prefix = draw(st.sampled_from(["", "(?i)", r"\A", r"(?i)\A"]))
-        suffix = draw(st.sampled_from(["", r"\Z"]))
-        rules.append((f"out {i}", None, prefix + body + suffix))
+        else:
+            rules.append((f"out {i}", None, draw(_patterns())))
     return rules
+
+
+@st.composite
+def _rules_and_text(draw):
+    """Rules, and a text: short text over a small alphabet, text built from
+    pieces, or text generated to match one of the patterns, so that keyed
+    rules often match."""
+    rules = draw(_reference_rules())
+    patterns = [p for _, _, p in rules if p is not None]
+    texts = [st.text(alphabet="abAB\nxy", max_size=8), _TEXTS]
+    if patterns:
+        texts.append(st.sampled_from(patterns).flatmap(lambda p: st.from_regex(re.compile(p, re.DOTALL))))
+    return rules, draw(st.one_of(texts))
 
 
 def _reference_complete(rules, text, turn_index):
@@ -199,8 +240,9 @@ def _reference_complete(rules, text, turn_index):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_reference_rules(), st.text(alphabet="abAB\nxy", max_size=8), st.integers(0, 3))
-def test_scripted_backend_matches_per_call_search(rules, text, turn_index):
+@given(_rules_and_text(), st.integers(0, 3))
+def test_scripted_backend_matches_per_call_search(rules_and_text, turn_index):
+    rules, text = rules_and_text
     backend = ScriptedBackend([ScriptedRule(output=o, turn_index=t, pattern=p) for o, t, p in rules])
     expected = _reference_complete(rules, text, turn_index)
     # An empty text is searched as the missing user message's "".
@@ -210,6 +252,100 @@ def test_scripted_backend_matches_per_call_search(rules, text, turn_index):
             backend.complete(messages, GenerationParams(), turn_index=turn_index)
     else:
         assert backend.complete(messages, GenerationParams(), turn_index=turn_index) == expected
+
+
+def _required_runs(pattern):
+    return [gateway._unescape(run) for run in gateway._escaped_runs(pattern)]
+
+
+@pytest.mark.parametrize(
+    "pattern,runs",
+    [
+        (r"\A\[question\] [^\n]*\[f\-00012\]\n.*\n\[stage3_query\] ", ["[question] ", "[f-00012]", "[stage3_query] "]),
+        (r"ab*c", ["a", "c"]),
+        (r"ab+?", ["a"]),
+        (r"\[*x\]", ["x]"]),
+        (r"[]a]bc[^\n]d", ["bc", "d"]),
+        (r"\bkey001\b", ["key001"]),
+        (r"^x.y$", ["x", "y"]),
+        (r"\x41bc\0123d\tef", ["bc", "d", "ef"]),
+        (r"a\\\\b\\\-", ["a\\\\b\\-"]),
+        (r"(?:ab)?cd", []),
+        (r"ab|cd", []),
+        (r"a{2}bc", []),
+        (r"(?i)abc", []),
+    ],
+)
+def test_required_runs(pattern, runs):
+    assert _required_runs(pattern) == runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_required_runs_occur_in_every_match(data):
+    pattern = data.draw(_patterns())
+    compiled = re.compile(pattern, re.DOTALL)
+    match = compiled.search(data.draw(st.from_regex(compiled)))
+    assume(match is not None)
+    for run in _required_runs(pattern):
+        assert run in match.group()
+
+
+def test_dispatch_runs_a_handful_of_rules_in_a_large_script(monkeypatch):
+    # Recorded-replay rules for 10,000 samples: three per sample, told apart
+    # only by the sample tag.
+    rules = []
+    for i in range(10_000):
+        head = r"\A\[question\] [^\n]*" + re.escape(f"[s-{i:05d}]")
+        rules += [
+            ScriptedRule(output=f"stage3 {i}", pattern=head + r"\n.*\n\[stage3_query\] "),
+            ScriptedRule(output=f"stage2 {i}", pattern=head + r"\n\[stage1_output\] "),
+            ScriptedRule(output=f"stage1 {i}", pattern=head + r"\Z"),
+        ]
+    backend = ScriptedBackend(rules)
+    assert isinstance(backend.rules, tuple) and len(backend.rules) == 30_000
+    evaluated = []
+    matches = ScriptedRule.matches
+
+    def spy(rule, text, turn_index):
+        evaluated.append(rule)
+        return matches(rule, text, turn_index)
+
+    monkeypatch.setattr(ScriptedRule, "matches", spy)
+    for i in (0, 4_321, 9_999):
+        question = f"[question] Which year? [s-{i:05d}]"
+        asks = {
+            f"stage1 {i}": question,
+            f"stage2 {i}": question + "\n[stage1_output] 1990",
+            f"stage3 {i}": question + "\n[stage1_output] 1990\n[stage3_query] ",
+        }
+        for output, text in asks.items():
+            evaluated.clear()
+            assert backend.complete([ChatMessage(role="user", content=text)], GenerationParams()) == output
+            assert len(evaluated) <= 3
+    evaluated.clear()
+    with pytest.raises(EmptyGenerationError):
+        backend.complete([ChatMessage(role="user", content="[question] no tag [s-10000]")], GenerationParams())
+    assert evaluated == []
+
+
+def test_threads_sharing_a_backend_get_every_answer():
+    # A call changes no state of the backend, so worker threads may share
+    # one, as `factory build --workers N` does.
+    backend = ScriptedBackend([ScriptedRule(output=f"out {i}", pattern=rf"\[tag\-{i:04d}\]") for i in range(200)])
+    asks = [(f"out {i}", "x" * (i * 37 % 3000) + f"[tag-{i:04d}]") for i in range(200)] * 5
+
+    def ask(text):
+        return backend.complete([ChatMessage(role="user", content=text)], GenerationParams())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            answers = list(pool.map(ask, [text for _, text in asks], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [output for output, _ in asks]
 
 
 def test_scripted_output_is_stop_truncated():

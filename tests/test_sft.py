@@ -140,6 +140,16 @@ def test_emit_dataset_writes_file_and_manifest(tmp_path):
     assert sidecar == manifest.to_dict()
 
 
+def test_emitting_over_a_dataset_replaces_both_files_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "train.jsonl"
+    emit_dataset(_mixed_samples(), path)
+    manifest = emit_dataset(_mixed_samples()[:2], path)
+    assert manifest.total == 2
+    assert manifest.dataset_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert json.loads((tmp_path / "train.jsonl.manifest.json").read_text()) == manifest.to_dict()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl", "train.jsonl.manifest.json"]
+
+
 def test_emission_is_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     first = emit_dataset(_mixed_samples(), a)

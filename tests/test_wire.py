@@ -7,18 +7,27 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import dbagent
+from dbagent import retrieval
 from dbagent.errors import DataError
-from dbagent.factory import TYPE_DISCARDED, BranchOutcome, load_qa_dataset, outcome_to_dict, read_outcome_file
+from dbagent.factory import (
+    TYPE_DISCARDED,
+    BranchOutcome,
+    load_qa_dataset,
+    outcome_to_dict,
+    read_outcome_file,
+    write_outcome_file,
+)
 from dbagent.gateway import ChatBackendError, ChatMessage, GenerationParams, HttpChatBackend, load_script
 from dbagent.kb import load_corpus, parse_corpus_lines
 from dbagent.retrieval import DeterministicEmbedder, EmbeddingError, RemoteEmbedder, build_text_index, save_index
-from dbagent.runtime import read_trajectory_file, trajectory_to_dict
+from dbagent.runtime import read_trajectory_file, trajectory_to_dict, write_trajectory_file
 from dbagent.sft import read_sft_file
-from dbagent.wire import post_json
+from dbagent.wire import atomic_write, post_json
 from helpers import HttpStub, article_obj, make_canonical_trajectory, make_corpus, qa_obj, write_jsonl
 
 # One valid record per reader; each reader gets it between two bad lines.
@@ -134,3 +143,65 @@ def test_offline_imports_and_validate_load_no_http_client(tmp_path):
     # The last line: validate's exit code, then whether requests was loaded
     # after `import dbagent`, after `import dbagent.cli` and after validate.
     assert run.stdout.splitlines()[-1] == "0 False False False"
+
+
+# --- atomic writes ---------------------------------------------------------
+
+
+def test_atomic_write_replaces_the_file_only_when_complete(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("new ünïcode\n")
+        assert path.read_text(encoding="utf-8") == "old\n"
+    assert path.read_bytes() == "new ünïcode\n".encode("utf-8")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(b"\x00\x01")
+    assert path.read_bytes() == b"\x00\x01"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def _stop_after_first(records):
+    yield records[0]
+    raise RuntimeError("writer stopped")
+
+
+WRITERS = {
+    "trajectories": (
+        write_trajectory_file,
+        [make_canonical_trajectory("t0", "T-A"), make_canonical_trajectory("t1", "A")],
+    ),
+    "outcomes": (
+        write_outcome_file,
+        [BranchOutcome(sample_id=f"s{i}", trajectory_type=TYPE_DISCARDED, stages=[]) for i in range(2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_a_writer_stopped_midway_leaves_the_old_file(tmp_path, kind):
+    write, records = WRITERS[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    write(records, path)
+    old = path.read_bytes()
+    with pytest.raises(RuntimeError, match="writer stopped"):
+        write(_stop_after_first(records[::-1]), path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_save_index_failing_after_the_sidecar_leaves_the_old_files(tmp_path, monkeypatch):
+    path = tmp_path / "text_index.json"
+    save_index(build_text_index(make_corpus(2), DeterministicEmbedder(dimension=8)), path)
+    old = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert sorted(old) == ["text_index.json", "text_index.npy"]
+
+    def fail(*args, **kwargs):
+        # The new vectors are written in full by now, under a temp name.
+        assert [name for name in os.listdir(tmp_path) if name.startswith(".text_index.npy.")]
+        raise OSError("disk full")
+
+    monkeypatch.setattr(retrieval, "json", SimpleNamespace(dumps=fail))
+    with pytest.raises(OSError, match="disk full"):
+        save_index(build_text_index(make_corpus(3), DeterministicEmbedder(dimension=8)), path)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == old
