@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,7 +195,16 @@ def _parse_verdict(text: str) -> str:
 
 
 def _extract_tag(text: str, name: str, required: bool = True) -> str | None:
-    found = re.findall(rf"<{name}>(.*?)</{name}>", text, re.DOTALL)
+    """Reads the spans that ``re.findall(rf"<{name}>(.*?)</{name}>", text, re.DOTALL)`` returns."""
+    opening, closing = f"<{name}>", f"</{name}>"
+    found = []
+    pos = 0
+    while (start := text.find(opening, pos)) >= 0:
+        end = text.find(closing, start + len(opening))
+        if end < 0:
+            break
+        found.append(text[start + len(opening) : end])
+        pos = end + len(closing)
     if len(found) > 1:
         raise StageParseError(f"tag <{name}> appears {len(found)} times, expected once")
     if not found:

@@ -28,6 +28,13 @@ runs, in script order, only the rules whose key occurs in the last user
 message, the rules for its turn, and the unkeyed pattern rules, which are
 checked on every call. A rule whose key is absent cannot match, so the
 first match is the one a scan of every rule finds.
+
+To find the keys in a message, ``complete`` scans it once with one compiled
+probe, a lookahead that reads the ``_GRAM`` characters at each position
+holding some key's first character, and looks those grams up in the key
+set. Every gram that could be a key is read, so the answer is the one that
+cutting every gram of the message gives; a message costs least when few of
+its characters start a key, as with sample tags that all start with ``[``.
 """
 
 from __future__ import annotations
@@ -169,7 +176,8 @@ def _escaped_runs(pattern: str) -> list[str]:
 
 
 def _grams(text: str) -> set[str]:
-    """The distinct ``_GRAM``-character grams of ``text``."""
+    """The distinct ``_GRAM``-character grams of ``text``, ranked when the
+    backend is built; a call probes for keys instead."""
     return {text[i : i + _GRAM] for i in range(len(text) - _GRAM + 1)}
 
 
@@ -182,8 +190,8 @@ def _unescape(run: str) -> str:
 class ScriptedBackend:
     """Deterministic replay backend driven by first-match-wins rules.
 
-    ``rules`` is a tuple: the dispatch index built from it (module
-    docstring) cannot go stale.
+    ``rules`` is a tuple: the dispatch index built from it, and the probe
+    that finds its keys in a message (module docstring), cannot go stale.
     """
 
     def __init__(self, rules: Sequence[ScriptedRule]):
@@ -215,6 +223,11 @@ class ScriptedBackend:
             else:
                 self._unkeyed.append(i)
         self._keys = frozenset(self._by_key)
+        # ``findall`` gives the gram at each position of a message that holds
+        # a key's first character (module docstring); None when no rule is
+        # keyed.
+        firsts = "".join(sorted({re.escape(key[0]) for key in self._keys}))
+        self._probe = re.compile(rf"(?=([{firsts}].{{{_GRAM - 1}}}))", re.DOTALL) if firsts else None
 
     def complete(
         self,
@@ -224,8 +237,8 @@ class ScriptedBackend:
     ) -> str:
         last_user = next((m.content for m in reversed(messages) if m.role == "user"), "")
         candidates = self._unkeyed + self._by_turn.get(turn_index, [])
-        if self._keys:
-            for key in self._keys.intersection(_grams(last_user)):
+        if self._probe is not None:
+            for key in self._keys.intersection(self._probe.findall(last_user)):
                 candidates += self._by_key[key]
         for i in sorted(candidates):
             rule = self.rules[i]

@@ -6,12 +6,15 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbagent.factory import (
     BranchOutcome,
     DatasetError,
     FactoryConfig,
     JudgeParseFailure,
+    StageParseError,
     TYPE_DIRECT,
     TYPE_DISCARDED,
     TYPE_FAILED,
@@ -19,6 +22,7 @@ from dbagent.factory import (
     TYPE_IMAGE_TEXT,
     TYPE_TEXT,
     TYPE_TEXT_TEXT,
+    _extract_tag,
     assign_difficulty,
     build_outcome,
     entity_matches,
@@ -357,6 +361,50 @@ def test_stage_parse_retry_recovers(tools):
     out = build_outcome(qa_sample(2), backend, tools, FactoryConfig())
     assert out.trajectory_type == TYPE_DIRECT
     assert out.stages[0].model_output == good
+
+
+def _reference_extract_tag(text, name, required):
+    """The regex scan that ``_extract_tag``'s find loop replaces."""
+    found = re.findall(rf"<{name}>(.*?)</{name}>", text, re.DOTALL)
+    if len(found) > 1:
+        raise StageParseError(f"tag <{name}> appears {len(found)} times, expected once")
+    if not found:
+        if required:
+            raise StageParseError(f"tag <{name}> missing from stage output")
+        return None
+    return found[0].strip()
+
+
+def _value_or_error(extract, text, name, required):
+    try:
+        return extract(text, name, required)
+    except StageParseError as exc:
+        return ("error", str(exc))
+
+
+# Whole and partial tags of two names, and filler, so that nested,
+# repeated, unclosed, crossed and empty tags can all be drawn.
+_TAG_PIECES = ["<think>", "</think>", "<answer>", "</answer>", "<think", "</think", "think>", "a", "b", " ", "\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.sampled_from(_TAG_PIECES), max_size=12).map("".join),
+    st.sampled_from(["think", "answer"]),
+    st.booleans(),
+)
+@example("<think><think>a</think></think>", "think", True)
+@example("<think>a</think> <think>b</think>", "think", True)
+@example("<think>a\n<answer>b</think></answer>", "answer", True)
+@example("<think>a</think", "think", True)
+@example("<think>a</think", "think", False)
+@example("<think></think>", "think", True)
+@example("<think> \n </think>", "think", False)
+@example("<think</think>think><think>a</think>", "think", True)
+def test_extract_tag_matches_lazy_findall(text, name, required):
+    assert _value_or_error(_extract_tag, text, name, required) == _value_or_error(
+        _reference_extract_tag, text, name, required
+    )
 
 
 # --- gold-answer leakage ----------------------------------------------------

@@ -182,15 +182,21 @@ def test_complete_compiles_nothing_past_cache_size(tmp_path, monkeypatch):
 # The atoms cover each token the dispatch scanner reads: escaped punctuation,
 # literals longer than the gram, quantified characters, classes, and the
 # constructs that leave a pattern without runs. The long literals come three
-# times over, so that many rules get a key.
-_LONG = ["abxyabxyab", r"\[ab\-xyab\]"]
+# times over, so that many rules get a key. Each of ``_SPECIAL_KEYS`` is one
+# gram long, so it keys its rule on a first character that is special inside
+# the probe's character class.
+_SPECIAL_KEYS = ["]xyabxya", "^abxyabx", "-abxyabx", "\\abxyabx", "\nab\nxyab"]
+_LONG = ["abxyabxyab", r"\[ab\-xyab\]"] + [re.escape(key) for key in _SPECIAL_KEYS]
 _ATOMS = [
     "a", "b", "x", ".", ".*", r"\n", "[ab]", "b?",
     r"\[", r"\-", "ab*", "ab+?", "[]a]", r"[^\n]", "(?:ab)?", "a|b", r"\b", "a{2}",
 ] + _LONG * 3
 _PREFIXES = ["", "(?i)", r"\A", r"(?i)\A", r"\[\-", "[]a]", r"\b"]
 _TEXTS = st.lists(
-    st.sampled_from(["a", "b", "A", "B", "\n", "x", "y", "[", "-", "]", "abxyabxyab", "[ab-xyab]", "xyabxyab"]),
+    st.sampled_from(
+        ["a", "b", "A", "B", "\n", "x", "y", "[", "-", "]", "abxyabxyab", "[ab-xyab]", "xyabxyab", "^", "\\"]
+        + _SPECIAL_KEYS
+    ),
     max_size=6,
 ).map("".join)
 
@@ -252,6 +258,41 @@ def test_scripted_backend_matches_per_call_search(rules_and_text, turn_index):
             backend.complete(messages, GenerationParams(), turn_index=turn_index)
     else:
         assert backend.complete(messages, GenerationParams(), turn_index=turn_index) == expected
+
+
+@pytest.mark.parametrize("key", _SPECIAL_KEYS)
+def test_keys_starting_with_class_specials_are_probed(key):
+    backend = ScriptedBackend([ScriptedRule(output="hit", pattern=re.escape(key))])
+    assert backend._keys == {key}
+
+    def ask(text):
+        return backend.complete([ChatMessage(role="user", content=text)], GenerationParams())
+
+    assert ask(f"before {key} after") == "hit"
+    assert ask(key) == "hit"
+    for near_miss in (f"before {key[:-1]}_ after", f"before _{key[1:]} after", key[:-1]):
+        with pytest.raises(EmptyGenerationError):
+            ask(near_miss)
+
+
+def test_script_without_keys_builds_no_probe():
+    rules = [
+        ("out 0", 1, None),
+        ("out 1", None, "abxy"),
+        ("out 2", None, "(?:abxyabxy)"),
+        ("out 3", 0, None),
+    ]
+    backend = ScriptedBackend([ScriptedRule(output=o, turn_index=t, pattern=p) for o, t, p in rules])
+    assert backend._probe is None
+    for text in ("abxyabxy", "(?:abxyabxy)", "none"):
+        for turn_index in (0, 1, 2):
+            messages = [ChatMessage(role="user", content=text)]
+            expected = _reference_complete(rules, text, turn_index)
+            if expected is None:
+                with pytest.raises(EmptyGenerationError):
+                    backend.complete(messages, GenerationParams(), turn_index=turn_index)
+            else:
+                assert backend.complete(messages, GenerationParams(), turn_index=turn_index) == expected
 
 
 def _required_runs(pattern):
