@@ -65,8 +65,8 @@ from .runtime import (
     rollout,
     write_trajectory_file,
 )
-from .sft import emit_dataset, linearize, read_sft_file, scan_sft_file
-from .wire import atomic_write
+from .sft import DatasetManifest, emit_dataset, linearize, scan_sft_file
+from .wire import atomic_write, decode, encode
 
 logger = logging.getLogger(__name__)
 
@@ -380,7 +380,7 @@ def cmd_eval_topk_grid(args, parser: _Parser) -> int:
         doc = {}
         for (kt, ki), cell in grid.items():
             key = f"text{kt}_image{ki}"
-            doc[key] = json.loads(report_to_json(cell)) if not isinstance(cell, dict) else cell
+            doc[key] = encode(cell) if not isinstance(cell, dict) else cell
         _write_report(args.out_prefix + ".json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
@@ -414,7 +414,7 @@ def cmd_eval_kb_scale(args, parser: _Parser) -> int:
             f"{entry['size']:<9}{report.overall_accuracy:>8.1f}"
             + (f"{recall:>9.1f}" if recall is not None else "        -")
         )
-        doc.append({"size": entry["size"], "report": json.loads(report_to_json(report))})
+        doc.append({"size": entry["size"], "report": encode(report)})
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out_prefix:
@@ -496,7 +496,6 @@ def _validate_corpus(path: Path) -> str:
 
 
 def _validate_sft(path: Path) -> str:
-    read_sft_file(path)
     report = scan_sft_file(path)
     bad = report["supervised_evidence_chars"] + report["unsupervised_decision_tags"] + report["structure_errors"]
     if bad:
@@ -510,11 +509,11 @@ def _validate_index(path: Path) -> str:
 
 
 def _validate_manifest(path: Path) -> str:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("emitter_version", "total", "dataset_sha256"):
-        if key not in doc:
-            raise DataError(f"{path}: manifest missing {key!r}")
-    return f"manifest for {doc['total']} samples"
+    try:
+        manifest = decode(DatasetManifest, json.loads(path.read_text(encoding="utf-8")))
+    except (DataError, ValueError) as exc:  # ValueError: not JSON or not UTF-8
+        raise DataError(f"{path}: {exc}") from exc
+    return f"manifest for {manifest.total} samples"
 
 
 # Each kind ``validate`` knows: the keys that identify its first record, and

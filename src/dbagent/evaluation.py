@@ -37,6 +37,7 @@ from .runtime import (
     batch_rollout,
     RolloutConfig,
 )
+from .wire import encode
 
 __all__ = [
     "EvalRecord",
@@ -278,17 +279,7 @@ def render_report_csv(report: Report) -> str:
 
 
 def report_to_json(report: Report) -> str:
-    doc = {
-        "n_records": report.n_records,
-        "overall_accuracy": report.overall_accuracy,
-        "per_split": report.per_split,
-        "per_type": report.per_type,
-        "contingency": report.contingency,
-        "unscored": report.unscored,
-        "empty_predictions": report.empty_predictions,
-        "config": report.config,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(encode(report), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 # --- sweeps --------------------------------------------------------------

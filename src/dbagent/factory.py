@@ -47,8 +47,8 @@ from .protocol import (
     render_evidence,
     validate_in_context,
 )
-from .runtime import RolloutConfig, ToolBinding, Trajectory, trajectory_from_dict, trajectory_to_dict
-from .wire import atomic_write, parse_jsonl
+from .runtime import RolloutConfig, ToolBinding, Trajectory
+from .wire import atomic_write, decode, encode, parse_jsonl
 
 __all__ = [
     "DatasetError",
@@ -794,57 +794,13 @@ def sample_balanced(
 # --- wire format ---------------------------------------------------------
 
 
-def _stage_to_dict(record: StageRecord) -> dict:
-    return {
-        "stage": record.stage,
-        "prompt_id": record.prompt_id,
-        "model_output": record.model_output,
-        "parsed_fields": record.parsed_fields,
-        "verdict": record.verdict,
-    }
-
-
-def outcome_to_dict(outcome: BranchOutcome) -> dict:
-    return {
-        "sample_id": outcome.sample_id,
-        "trajectory_type": outcome.trajectory_type,
-        "difficulty": outcome.difficulty,
-        "discard_reason": outcome.discard_reason,
-        "stages": [_stage_to_dict(s) for s in outcome.stages],
-        "assembled": trajectory_to_dict(outcome.assembled) if outcome.assembled else None,
-    }
-
-
-def outcome_from_dict(obj: dict) -> BranchOutcome:
-    for key in ("sample_id", "trajectory_type", "stages"):
-        if key not in obj:
-            raise DatasetError(f"outcome record missing {key!r}")
-    return BranchOutcome(
-        sample_id=obj["sample_id"],
-        trajectory_type=obj["trajectory_type"],
-        stages=[
-            StageRecord(
-                stage=s["stage"],
-                prompt_id=s["prompt_id"],
-                model_output=s["model_output"],
-                parsed_fields=s["parsed_fields"],
-                verdict=s.get("verdict", "n/a"),
-            )
-            for s in obj["stages"]
-        ],
-        assembled=trajectory_from_dict(obj["assembled"]) if obj.get("assembled") else None,
-        difficulty=obj.get("difficulty"),
-        discard_reason=obj.get("discard_reason"),
-    )
-
-
 def write_outcome_file(outcomes: Iterable[BranchOutcome], path: str | Path) -> None:
     with atomic_write(path) as fh:
         for outcome in outcomes:
-            fh.write(json.dumps(outcome_to_dict(outcome), sort_keys=True, ensure_ascii=False))
+            fh.write(json.dumps(encode(outcome), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
 
 
 def read_outcome_file(path: str | Path) -> list[BranchOutcome]:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, lambda obj, _: outcome_from_dict(obj), DatasetError)
+        return parse_jsonl(fh, path, lambda obj, _: decode(BranchOutcome, obj), DatasetError)

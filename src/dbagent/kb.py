@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
-from .wire import parse_jsonl
+from .wire import decode, parse_jsonl
 
 __all__ = [
     "CorpusError",
@@ -82,59 +82,30 @@ class Corpus:
             raise KeyError(f"article {article_id!r} not in corpus") from None
 
 
-def _require(obj: dict, key: str, kind: type, where: str) -> object:
-    value = obj.get(key)
-    if not isinstance(value, kind) or (kind is str and not value.strip()):
-        raise CorpusError(f"{where} field {key!r} must be a non-empty {kind.__name__}")
-    return value
+# Each record's name in errors, and its string fields that may not be blank.
+_TEXT_FIELDS = {
+    KbArticle: ("article", ("article_id", "title")),
+    SectionChunk: ("section", ("section_id", "heading", "text")),
+    ImageAttachment: ("image", ("image_id", "uri")),
+}
 
 
 def _parse_article(obj: object) -> KbArticle:
-    if not isinstance(obj, dict):
-        raise CorpusError("article record must be a JSON object")
-    article_id = _require(obj, "article_id", str, "article")
-    title = _require(obj, "title", str, "article")
-    url = obj.get("url")
-    if url is not None and not isinstance(url, str):
-        raise CorpusError("article field 'url' must be a string")
-
-    raw_sections = obj.get("sections")
-    if not isinstance(raw_sections, list) or not raw_sections:
-        raise CorpusError(f"article {article_id!r} needs a non-empty 'sections' list")
-    sections: list[SectionChunk] = []
-    seen_sections: set[str] = set()
-    for sec in raw_sections:
-        if not isinstance(sec, dict):
-            raise CorpusError("section entries must be JSON objects")
-        section_id = _require(sec, "section_id", str, "section")
-        heading = _require(sec, "heading", str, "section")
-        text = _require(sec, "text", str, "section")
-        if section_id in seen_sections:
-            raise CorpusError(f"duplicate section_id {section_id!r} in article {article_id!r}")
-        seen_sections.add(section_id)
-        sections.append(SectionChunk(section_id=section_id, heading=heading, text=text))
-
-    raw_images = obj.get("images", [])
-    if not isinstance(raw_images, list):
-        raise CorpusError("article field 'images' must be a list")
-    images: list[ImageAttachment] = []
-    for img in raw_images:
-        if not isinstance(img, dict):
-            raise CorpusError("image entries must be JSON objects")
-        image_id = _require(img, "image_id", str, "image")
-        uri = _require(img, "uri", str, "image")
-        caption = img.get("caption")
-        if caption is not None and not isinstance(caption, str):
-            raise CorpusError("image field 'caption' must be a string")
-        images.append(ImageAttachment(image_id=image_id, uri=uri, caption=caption))
-
-    return KbArticle(
-        article_id=article_id,
-        title=title,
-        sections=tuple(sections),
-        images=tuple(images),
-        url=url,
-    )
+    """Decode one article, then check what its field types cannot say."""
+    article = decode(KbArticle, obj)
+    for record in (article, *article.sections, *article.images):
+        where, names = _TEXT_FIELDS[type(record)]
+        for name in names:
+            if not getattr(record, name).strip():
+                raise CorpusError(f"{where} field {name!r} must be a non-empty string")
+    if not article.sections:
+        raise CorpusError(f"article {article.article_id!r} needs a non-empty 'sections' list")
+    section_ids: set[str] = set()
+    for section in article.sections:
+        if section.section_id in section_ids:
+            raise CorpusError(f"duplicate section_id {section.section_id!r} in article {article.article_id!r}")
+        section_ids.add(section.section_id)
+    return article
 
 
 def parse_corpus_lines(lines: Iterable[str], source: str = "<corpus>") -> Corpus:

@@ -38,7 +38,7 @@ and ``[tool error] {message}`` when the tool failed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -107,7 +107,7 @@ class TurnRecord:
 
     think: str
     action: ActionKind
-    action_payload: str
+    action_payload: str = field(metadata={"json": "payload"})
     raw: str
     caption: str | None = None
 

@@ -47,7 +47,7 @@ from .protocol import (
     validate_in_context,
 )
 from .retrieval import image_search, text_search
-from .wire import atomic_write, parse_jsonl
+from .wire import atomic_write, decode, encode, parse_jsonl
 
 __all__ = [
     "RolloutConfig",
@@ -63,8 +63,6 @@ __all__ = [
     "batch_rollout",
     "write_trajectory_file",
     "read_trajectory_file",
-    "trajectory_to_dict",
-    "trajectory_from_dict",
 ]
 
 logger = logging.getLogger(__name__)
@@ -114,17 +112,9 @@ class RolloutConfig:
 
     def snapshot(self) -> dict:
         """Scalar config fields plus a digest of the system prompt."""
-        return {
-            "budget": self.budget,
-            "k_text": self.k_text,
-            "k_image": self.k_image,
-            "strict_protocol": self.strict_protocol,
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-            "allow_caption_before_answer": self.allow_caption_before_answer,
-            "image_evidence_full_article": self.image_evidence_full_article,
-            "system_prompt_sha256": hashlib.sha256(self.system_prompt.encode("utf-8")).hexdigest(),
-        }
+        snap = encode(self)
+        snap["system_prompt_sha256"] = hashlib.sha256(snap.pop("system_prompt").encode("utf-8")).hexdigest()
+        return snap
 
 
 class TextRetriever:
@@ -213,9 +203,9 @@ class Trajectory:
     question: str
     turns: list[TurnRecord]
     observations: list[EvidenceBlock]
-    final_answer: str | None
     terminated_by: str
-    config: dict
+    final_answer: str | None = None
+    config: dict = field(default_factory=dict)
     protocol_events: list[dict] = field(default_factory=list)
 
     @property
@@ -303,10 +293,7 @@ def rollout(
                 {
                     "generation_index": generation_index - 1,
                     "raw": raw,
-                    "violations": [
-                        {"code": v.code.value, "span": list(v.span), "message": v.message}
-                        for v in violations
-                    ],
+                    "violations": [encode(v) for v in violations],
                 }
             )
             if violation_streak >= 1:
@@ -374,101 +361,13 @@ def batch_rollout(
 # --- wire format ---------------------------------------------------------
 
 
-def _turn_to_dict(turn: TurnRecord) -> dict:
-    return {
-        "raw": turn.raw,
-        "think": turn.think,
-        "caption": turn.caption,
-        "action": turn.action.value,
-        "payload": turn.action_payload,
-    }
-
-
-def _turn_from_dict(obj: dict) -> TurnRecord:
-    return TurnRecord(
-        think=obj["think"],
-        action=ActionKind(obj["action"]),
-        action_payload=obj["payload"],
-        raw=obj["raw"],
-        caption=obj.get("caption"),
-    )
-
-
-def _block_to_dict(block: EvidenceBlock) -> dict:
-    return {
-        "turn_index": block.turn_index,
-        "rendered": block.rendered,
-        "items": [
-            {
-                "article_id": it.article_id,
-                "section_id": it.section_id,
-                "title": it.title,
-                "heading": it.heading,
-                "text": it.text,
-                "score": it.score,
-            }
-            for it in block.items
-        ],
-    }
-
-
-def _block_from_dict(obj: dict) -> EvidenceBlock:
-    return EvidenceBlock(
-        items=tuple(
-            EvidenceItem(
-                article_id=it["article_id"],
-                section_id=it.get("section_id"),
-                title=it["title"],
-                heading=it["heading"],
-                text=it["text"],
-                score=it["score"],
-            )
-            for it in obj["items"]
-        ),
-        turn_index=obj["turn_index"],
-        rendered=obj["rendered"],
-    )
-
-
-def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {
-        "task_id": traj.task_id,
-        "image_ref": traj.image_ref,
-        "question": traj.question,
-        "turns": [_turn_to_dict(t) for t in traj.turns],
-        "observations": [_block_to_dict(b) for b in traj.observations],
-        "final_answer": traj.final_answer,
-        "terminated_by": traj.terminated_by,
-        "config": traj.config,
-        "protocol_events": traj.protocol_events,
-    }
-
-
-def trajectory_from_dict(obj: dict) -> Trajectory:
-    required = ("task_id", "image_ref", "question", "turns", "observations", "terminated_by")
-    for key in required:
-        if key not in obj:
-            raise TrajectoryError(f"trajectory record missing {key!r}")
-    return Trajectory(
-        task_id=obj["task_id"],
-        image_ref=obj["image_ref"],
-        question=obj["question"],
-        turns=[_turn_from_dict(t) for t in obj["turns"]],
-        observations=[_block_from_dict(b) for b in obj["observations"]],
-        final_answer=obj.get("final_answer"),
-        terminated_by=obj["terminated_by"],
-        config=obj.get("config", {}),
-        protocol_events=obj.get("protocol_events", []),
-    )
-
-
 def write_trajectory_file(trajectories: Iterable[Trajectory], path: str | Path) -> None:
     with atomic_write(path) as fh:
         for traj in trajectories:
-            fh.write(json.dumps(trajectory_to_dict(traj), sort_keys=True, ensure_ascii=False))
+            fh.write(json.dumps(encode(traj), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
 
 
 def read_trajectory_file(path: str | Path) -> list[Trajectory]:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, lambda obj, _: trajectory_from_dict(obj), TrajectoryError)
+        return parse_jsonl(fh, path, lambda obj, _: decode(Trajectory, obj), TrajectoryError)

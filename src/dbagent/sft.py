@@ -35,7 +35,7 @@ from .errors import DataError
 from .factory import assign_difficulty, trajectory_type_of
 from .protocol import ActionKind, serialize_turn, validate_in_context
 from .runtime import Trajectory
-from .wire import atomic_write, parse_jsonl
+from .wire import atomic_write, decode, encode, parse_jsonl
 
 __all__ = [
     "SftError",
@@ -96,18 +96,6 @@ class DatasetManifest:
     source_files: list[dict]
     dataset_sha256: str
 
-    def to_dict(self) -> dict:
-        return {
-            "emitter_version": self.emitter_version,
-            "total": self.total,
-            "dropped_over_cap": self.dropped_over_cap,
-            "by_type": self.by_type,
-            "by_difficulty": self.by_difficulty,
-            "length_histogram": self.length_histogram,
-            "source_files": self.source_files,
-            "dataset_sha256": self.dataset_sha256,
-        }
-
 
 def _instruction_text(traj: Trajectory, system_prompt: str) -> str:
     # The image ref stays a placeholder; the training stack resolves it.
@@ -162,15 +150,6 @@ def _histogram(lengths: Sequence[int]) -> dict[str, int]:
     return dict(sorted(hist.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
-def _sample_to_dict(sample: LinearizedSample) -> dict:
-    return {
-        "meta": sample.meta,
-        "segments": [
-            {"role": s.role, "text": s.text, "supervise": s.supervise} for s in sample.segments
-        ],
-    }
-
-
 def emit_dataset(
     samples: Sequence[LinearizedSample],
     path: str | Path,
@@ -193,9 +172,7 @@ def emit_dataset(
         else:
             kept.append(sample)
 
-    lines = [
-        json.dumps(_sample_to_dict(s), sort_keys=True, ensure_ascii=False) + "\n" for s in kept
-    ]
+    lines = [json.dumps(encode(s), sort_keys=True, ensure_ascii=False) + "\n" for s in kept]
     payload = "".join(lines).encode("utf-8")
 
     by_type: dict[str, int] = {}
@@ -223,34 +200,22 @@ def emit_dataset(
     with atomic_write(path, binary=True) as fh:
         fh.write(payload)
     with atomic_write(str(path) + ".manifest.json") as fh:
-        fh.write(json.dumps(manifest.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        fh.write(json.dumps(encode(manifest), sort_keys=True, indent=2, ensure_ascii=False) + "\n")
     return manifest
 
 
 def read_sft_file(path: str | Path) -> list[LinearizedSample]:
-    def parse(obj: object, line_no: int) -> LinearizedSample:
-        if not isinstance(obj, dict) or "meta" not in obj or "segments" not in obj:
-            raise SftError("sample needs 'meta' and 'segments'")
-        try:
-            segments = [
-                Segment(role=s["role"], text=s["text"], supervise=bool(s["supervise"]))
-                for s in obj["segments"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise SftError(f"bad segment: {exc}") from exc
-        return LinearizedSample(meta=obj["meta"], segments=segments)
-
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, parse, SftError)
+        return parse_jsonl(fh, path, lambda obj, _: decode(LinearizedSample, obj), SftError)
 
 
 def scan_sft_file(path: str | Path) -> dict:
     """Mask-soundness audit against the raw emitted text.
 
     Checks, per sample: segments alternate decision/observation after one
-    instruction; no char inside any evidence span is supervised; every
-    decision-tag occurrence lies in a supervised segment. Returns counters;
-    any nonzero violation count means the file is unsound.
+    unsupervised instruction; no char inside any evidence span is supervised;
+    every decision-tag occurrence lies in a supervised segment. Returns
+    counters; any nonzero violation count means the file is unsound.
     """
     samples = read_sft_file(path)
     report = {
@@ -260,7 +225,7 @@ def scan_sft_file(path: str | Path) -> dict:
         "structure_errors": 0,
     }
     for sample in samples:
-        if not sample.segments or sample.segments[0].role != "instruction":
+        if not sample.segments or sample.segments[0].role != "instruction" or sample.segments[0].supervise:
             report["structure_errors"] += 1
             continue
         roles = [s.role for s in sample.segments[1:]]

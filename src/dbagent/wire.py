@@ -1,5 +1,14 @@
-"""The one JSONL reader, the one atomic file write and the one HTTP POST
-every module shares.
+"""The one record codec, the one JSONL reader, the one atomic file write
+and the one HTTP POST every module shares.
+
+``encode`` and ``decode`` map a record dataclass to and from its JSON
+object: the fields and their type hints are the schema, and a field's
+``"json"`` metadata names a key that differs from the field. A key whose
+field has a default may be absent; extra keys are ignored. ``decode`` checks
+each value against its hint (``true`` is not a number; an integer is) and
+raises ``DataError`` naming the JSON path of the first mismatch, as in
+``turns[0].raw: expected string, got null``. Each class is compiled once into
+a table walker; the path is built only when a value does not fit.
 
 ``parse_jsonl`` reads every file format the package writes line by line:
 blank lines are skipped and every bad line is collected, so one error lists
@@ -21,22 +30,172 @@ call, so a run that makes no HTTP call never loads the HTTP stack.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
 import time
+import types
 import uuid
 from contextlib import contextmanager
+from enum import Enum
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .errors import BackendError, DataError
 
-__all__ = ["atomic_write", "parse_jsonl", "post_json"]
+__all__ = ["atomic_write", "decode", "encode", "parse_jsonl", "post_json"]
 
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+_JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean", type(None): "null",
+               list: "array", dict: "object"}
+
+
+class _Mismatch(Exception):
+    """A value that does not fit its type hint. ``path`` holds the keys and
+    indexes that lead to it, innermost first; each record or list the error
+    passes out of adds its own."""
+
+    def __init__(self, message: str, *path: str | int):
+        super().__init__(message)
+        self.path = list(path)
+
+
+def _expected(expected: str, value: object, *path: str | int) -> _Mismatch:
+    return _Mismatch(f"expected {expected}, got {_JSON_NAMES.get(type(value), type(value).__name__)}", *path)
+
+
+def _optional(convert):
+    return None if convert is None else (lambda value: None if value is None else convert(value))
+
+
+@cache
+def _codec(hint) -> tuple[tuple[type, ...], Callable | None, Callable | None, str]:
+    """A type hint compiled to (JSON types, from_json, to_json, expected). A
+    JSON value fits when its type is one of the JSON types, and is then read
+    as ``from_json(value)``; a field value is written as ``to_json(value)``.
+    Either one None keeps the value as it is. ``expected`` names the type in
+    errors."""
+    origin, args = get_origin(hint), get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return (dict,), *_record_codec(hint), "object"
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+        expected = "one of " + ", ".join(map(repr, members))
+
+        def member(value):
+            if value in members:
+                return members[value]
+            raise _Mismatch(f"expected {expected}, got {value!r}")
+
+        return tuple({type(v) for v in members}), member, attrgetter("value"), expected
+    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        fits, from_json, to_json, expected = _codec(next(a for a in args if a is not type(None)))
+        return (*fits, type(None)), _optional(from_json), _optional(to_json), f"{expected} or null"
+    if origin in (list, tuple) and len(set(args) - {...}) == 1:  # a tuple's length is not checked
+        item = _codec(args[0])
+        to_json = item[2]
+        write = list if to_json is None else (lambda value: [to_json(v) for v in value])
+        return (list,), _elements(item, origin), write, "array"
+    if origin is dict and args[0] is str:
+        item = _codec(args[1])
+        to_json = item[2]
+        write = None if to_json is None else (lambda value: {k: to_json(v) for k, v in value.items()})
+        return (dict,), _elements(item, dict), write, "object"
+    leaves = {str: (str,), int: (int,), float: (float, int), bool: (bool,), dict: (dict,)}
+    if hint in leaves:
+        return leaves[hint], None, None, _JSON_NAMES[hint]
+    raise TypeError(f"no JSON form for type {hint!r}")
+
+
+def _elements(item: tuple, container: type) -> Callable[[object], object]:
+    """The from_json of a list (each element) or a dict (each value) whose
+    items ``_codec`` compiled to ``item``."""
+    fits, from_json, _, expected = item
+
+    def elements(value):
+        pairs = value.items() if container is dict else enumerate(value)
+        out = []
+        for at, element in pairs:
+            if type(element) not in fits:
+                raise _expected(expected, element, at)
+            if from_json is not None:
+                try:
+                    element = from_json(element)
+                except _Mismatch as exc:
+                    exc.path.append(at)
+                    raise
+            out.append((at, element) if container is dict else element)
+        return container(out)
+
+    return elements
+
+
+def _record_codec(cls: type) -> tuple[Callable[[dict], object], Callable[[object], dict]]:
+    """The from_json and to_json of a dataclass: each walks one table of its
+    fields."""
+    hints = get_type_hints(cls)
+    fields = [(f, f.metadata.get("json", f.name), _codec(hints[f.name])) for f in dataclasses.fields(cls)]
+    # Each field's default as a factory; MISSING when its key is required.
+    reading = [
+        (key, fits, from_json, expected,
+         f.default_factory if f.default is dataclasses.MISSING else (lambda default=f.default: default))
+        for f, key, (fits, from_json, _, expected) in fields
+    ]
+    writing = [(f.name, key, to_json) for f, key, (_, _, to_json, _) in fields]
+
+    def record_from_json(obj: dict):
+        values = []
+        for key, fits, from_json, expected, default in reading:
+            try:
+                value = obj[key]
+            except KeyError:
+                if default is dataclasses.MISSING:
+                    raise _Mismatch(f"missing {key!r}") from None
+                values.append(default())
+                continue
+            if type(value) not in fits:
+                raise _expected(expected, value, key)
+            if from_json is not None:
+                try:
+                    value = from_json(value)
+                except _Mismatch as exc:
+                    exc.path.append(key)
+                    raise
+            values.append(value)
+        return cls(*values)
+
+    def record_to_json(record) -> dict:
+        out = {}
+        for name, key, to_json in writing:
+            value = getattr(record, name)
+            out[key] = value if to_json is None else to_json(value)
+        return out
+
+    return record_from_json, record_to_json
+
+
+def decode(cls: type[T], obj: object) -> T:
+    """The ``cls`` record that JSON value ``obj`` holds; a value that does not
+    fit raises ``DataError`` naming its path."""
+    fits, from_json, _, expected = _codec(cls)
+    try:
+        if type(obj) not in fits:
+            raise _expected(expected, obj)
+        return from_json(obj)
+    except _Mismatch as exc:
+        path = "".join(f"[{at}]" if type(at) is int else f".{at}" for at in reversed(exc.path))
+        raise DataError(f"{path.lstrip('.')}: {exc}" if path else str(exc)) from None
+
+
+def encode(record: object) -> dict:
+    """The JSON object for a record dataclass: every field, under its JSON key."""
+    return _codec(type(record))[2](record)
 
 
 def parse_jsonl(

@@ -506,6 +506,21 @@ def test_validate_rejects_unsound_sft_mask(tmp_path, capsys):
     assert "mask soundness violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('"sft.jsonl"', "expected object, got string"),
+        ('{"emitter_version": 1, "total": "lots", "dataset_sha256": null}', "emitter_version: expected string, got integer"),
+        ('{"emitter_version": "v", "total": 1, "dataset_sha256": "0"}', "missing 'dropped_over_cap'"),
+    ],
+)
+def test_validate_decodes_a_manifest(tmp_path, capsys, doc, message):
+    path = tmp_path / "sft.jsonl.manifest.json"
+    path.write_text(doc + "\n", encoding="utf-8")
+    assert main(["validate", str(path), "--kind", "manifest"]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_validate_script_and_dataset_kinds(tmp_path, capsys):
     script = agent_script(tmp_path, 2)
     assert main(["validate", script]) == EXIT_OK

@@ -29,7 +29,6 @@ from dbagent.factory import (
     judge_answer,
     load_qa_dataset,
     normalize_answer,
-    outcome_to_dict,
     read_outcome_file,
     run_factory,
     sample_balanced,
@@ -37,6 +36,7 @@ from dbagent.factory import (
     write_outcome_file,
 )
 from dbagent.gateway import ScriptedBackend, ScriptedRule
+from dbagent.wire import encode
 from helpers import (
     factory_backend,
     factory_rules,
@@ -629,7 +629,7 @@ def test_outcome_file_round_trip(tools, tmp_path):
     path = tmp_path / "outcomes.jsonl"
     write_outcome_file(outcomes, path)
     loaded = read_outcome_file(path)
-    assert [outcome_to_dict(o) for o in loaded] == [outcome_to_dict(o) for o in outcomes]
+    assert [encode(o) for o in loaded] == [encode(o) for o in outcomes]
     assert loaded[3].trajectory_type == TYPE_DISCARDED
     assert loaded[3].assembled is None
 

@@ -20,9 +20,9 @@ from dbagent.runtime import (
     batch_rollout,
     read_trajectory_file,
     rollout,
-    trajectory_to_dict,
     write_trajectory_file,
 )
+from dbagent.wire import encode
 from helpers import make_corpus, make_tools, marker, question, value
 
 
@@ -538,7 +538,7 @@ def test_trajectory_file_round_trip(tools12, tmp_path):
     path = tmp_path / "trajs.jsonl"
     write_trajectory_file(out, path)
     loaded = read_trajectory_file(path)
-    assert [trajectory_to_dict(t) for t in loaded] == [trajectory_to_dict(t) for t in out]
+    assert [encode(t) for t in loaded] == [encode(t) for t in out]
 
 
 def test_read_trajectory_file_reports_bad_json(tmp_path):

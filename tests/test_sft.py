@@ -18,6 +18,7 @@ from dbagent.sft import (
     read_sft_file,
     scan_sft_file,
 )
+from dbagent.wire import encode
 from helpers import make_canonical_trajectory
 
 # Quotes the decision tags on purpose: instruction text is exempt from the
@@ -137,7 +138,7 @@ def test_emit_dataset_writes_file_and_manifest(tmp_path):
     assert sum(manifest.length_histogram.values()) == 7
     assert manifest.dataset_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     sidecar = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())
-    assert sidecar == manifest.to_dict()
+    assert sidecar == encode(manifest)
 
 
 def test_emitting_over_a_dataset_replaces_both_files_and_leaves_no_temp(tmp_path):
@@ -146,7 +147,7 @@ def test_emitting_over_a_dataset_replaces_both_files_and_leaves_no_temp(tmp_path
     manifest = emit_dataset(_mixed_samples()[:2], path)
     assert manifest.total == 2
     assert manifest.dataset_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert json.loads((tmp_path / "train.jsonl.manifest.json").read_text()) == manifest.to_dict()
+    assert json.loads((tmp_path / "train.jsonl.manifest.json").read_text()) == encode(manifest)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl", "train.jsonl.manifest.json"]
 
 
@@ -193,7 +194,7 @@ def test_read_sft_file_round_trip(tmp_path):
 def test_read_sft_file_reports_bad_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"meta": {}}\n', encoding="utf-8")
-    with pytest.raises(SftError, match="line 1: sample needs 'meta' and 'segments'"):
+    with pytest.raises(SftError, match="line 1: missing 'segments'"):
         read_sft_file(path)
     path.write_text("{]\n", encoding="utf-8")
     with pytest.raises(SftError, match="line 1: invalid JSON"):
@@ -258,3 +259,29 @@ def test_scan_flags_structural_disorder(tmp_path):
 
     _rewrite_with(path, swap_first_two)
     assert scan_sft_file(path)["structure_errors"] == 1
+
+
+def test_scan_flags_a_supervised_instruction(tmp_path):
+    path = tmp_path / "d.jsonl"
+    emit_dataset(_mixed_samples(), path)
+
+    def supervise_instruction(rows):
+        rows[0]["segments"][0]["supervise"] = True
+
+    _rewrite_with(path, supervise_instruction)
+    report = scan_sft_file(path)
+    assert report["structure_errors"] == 1
+    assert report["supervised_evidence_chars"] == report["unsupervised_decision_tags"] == 0
+
+
+@pytest.mark.parametrize("flag, got", [("false", "string"), ("no", "string"), (0, "integer"), (None, "null")])
+def test_read_sft_file_rejects_a_supervise_flag_that_is_not_boolean(tmp_path, flag, got):
+    path = tmp_path / "d.jsonl"
+    emit_dataset(_mixed_samples()[:2], path)
+
+    def set_flag(rows):
+        rows[1]["segments"][0]["supervise"] = flag
+
+    _rewrite_with(path, set_flag)
+    with pytest.raises(SftError, match=rf"1 error\(s\)\nline 2: segments\[0\]\.supervise: expected boolean, got {got}$"):
+        read_sft_file(path)

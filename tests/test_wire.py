@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import os
 import socket
@@ -12,35 +13,52 @@ from types import SimpleNamespace
 import pytest
 
 import dbagent
-from dbagent import retrieval
+from dbagent import cli, retrieval
+from dbagent.cli import EXIT_DATA, EXIT_OK, main
 from dbagent.errors import DataError
 from dbagent.factory import (
     TYPE_DISCARDED,
+    TYPE_TEXT,
     BranchOutcome,
+    StageRecord,
     load_qa_dataset,
-    outcome_to_dict,
     read_outcome_file,
     write_outcome_file,
 )
 from dbagent.gateway import ChatBackendError, ChatMessage, GenerationParams, HttpChatBackend, load_script
-from dbagent.kb import load_corpus, parse_corpus_lines
+from dbagent.kb import ImageAttachment, KbArticle, SectionChunk, load_corpus, parse_corpus_lines
+from dbagent.protocol import EvidenceBlock, EvidenceItem, TurnRecord
 from dbagent.retrieval import DeterministicEmbedder, EmbeddingError, RemoteEmbedder, build_text_index, save_index
-from dbagent.runtime import read_trajectory_file, trajectory_to_dict, write_trajectory_file
-from dbagent.sft import read_sft_file
-from dbagent.wire import atomic_write, post_json
+from dbagent.runtime import Trajectory, read_trajectory_file, write_trajectory_file
+from dbagent.sft import DatasetManifest, LinearizedSample, Segment, linearize, read_sft_file
+from dbagent.wire import atomic_write, decode, encode, post_json
 from helpers import HttpStub, article_obj, make_canonical_trajectory, make_corpus, qa_obj, write_jsonl
 
-# One valid record per reader; each reader gets it between two bad lines.
+# One valid record per reader, with every optional part filled in. Each
+# reader gets it between two bad lines, and the probe below changes each
+# value in it.
 READERS = {
-    "corpus": (lambda path: parse_corpus_lines(path.read_text(encoding="utf-8").splitlines()), article_obj(0)),
+    "corpus": (
+        lambda path: parse_corpus_lines(path.read_text(encoding="utf-8").splitlines()),
+        {**article_obj(0), "url": "wiki/a000", "images": [{"image_id": "img-000", "uri": "a.jpg", "caption": "A."}]},
+    ),
     "dataset": (load_qa_dataset, qa_obj(0)),
     "outcomes": (
         read_outcome_file,
-        outcome_to_dict(BranchOutcome(sample_id="s", trajectory_type=TYPE_DISCARDED, stages=[])),
+        encode(
+            BranchOutcome(
+                sample_id="q000",
+                trajectory_type=TYPE_TEXT,
+                stages=[StageRecord("stage1_judge", "judge-v1", "[wrong]", {"choose": "look it up"}, "wrong")],
+                assembled=make_canonical_trajectory("q000", "T-A"),
+                difficulty="medium",
+                discard_reason="kept",
+            )
+        ),
     ),
     "script": (load_script, {"match": {"turn_index": 0}, "output": "x"}),
-    "trajectories": (read_trajectory_file, trajectory_to_dict(make_canonical_trajectory("t", "T-A"))),
-    "sft": (read_sft_file, {"meta": {}, "segments": []}),
+    "trajectories": (read_trajectory_file, encode(make_canonical_trajectory("q000", "I-T-A"))),
+    "sft": (read_sft_file, encode(linearize(make_canonical_trajectory("q000", "T-A"), "Answer."))),
 }
 
 
@@ -63,6 +81,154 @@ def test_reader_names_a_file_that_is_not_utf8(tmp_path, read):
     path.write_bytes(b'{"a": 1}\n\x93NUMPY\n')
     with pytest.raises(DataError, match=r"binary\.jsonl: not UTF-8 text \(invalid start byte at byte 9\)"):
         read(path)
+
+
+# The values the probe puts in place of each value of a valid record.
+PROBE_VALUES = [None, 5, -1, 1.5, True, "", "x", [], {}, ["x"]]
+
+
+def _paths(node, path=()):
+    """The path to every value inside a JSON value, parents first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(obj, path, value):
+    out = json.loads(json.dumps(obj))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+# The command that reads each kind after ``validate`` does, and its argv for
+# a file of that kind in a directory that holds the other input it needs.
+CONSUMERS = {
+    "trajectories": (
+        "eval report",
+        lambda path: ["eval", "report", "--trajectories", str(path), "--dataset", str(path.parent / "qa.jsonl")],
+    ),
+    "dataset": (
+        "eval report",
+        lambda path: ["eval", "report", "--trajectories", str(path.parent / "trajectories.jsonl"), "--dataset", str(path)],
+    ),
+    "outcomes": (
+        "dataset emit",
+        lambda path: ["dataset", "emit", "--outcomes", str(path), "--out", str(path.parent / "sft.jsonl")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_every_value_probed_gives_a_result_or_a_data_error(tmp_path, capsys, monkeypatch, kind):
+    """Each value of a valid record, replaced by each probe value, through
+    ``validate`` and the command that consumes the file: each run exits 0 or
+    2, never with a traceback."""
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # one parser for every run
+    write_jsonl(tmp_path / "qa.jsonl", [json.dumps(READERS["dataset"][1])])
+    write_jsonl(tmp_path / "trajectories.jsonl", [json.dumps(READERS["trajectories"][1])])
+    path = tmp_path / f"probe-{kind}.jsonl"
+    runs = {"validate": ["validate", str(path), "--kind", kind]}
+    if kind in CONSUMERS:
+        name, argv = CONSUMERS[kind]
+        runs[name] = argv(path)
+    good = READERS[kind][1]
+    mutants = [(at, value, _replaced(good, at, value)) for at in _paths(good) for value in PROBE_VALUES]
+    codes = []
+    for at, value, record in [((), None, good)] + mutants:
+        write_jsonl(path, [json.dumps(record)])
+        for name, argv in runs.items():
+            try:
+                codes.append(main(argv))
+            except Exception as exc:  # noqa: BLE001 - the failure names the input
+                pytest.fail(f"{kind} with {at} = {value!r}: {name} raised {exc!r}")
+            assert codes[-1] in (EXIT_OK, EXIT_DATA), (kind, at, value, name)
+    capsys.readouterr()
+    assert codes[: len(runs)] == [EXIT_OK] * len(runs)  # the unchanged record
+    assert EXIT_DATA in codes
+
+
+# --- record codec ----------------------------------------------------------
+
+_TRAJECTORY, _OUTCOME, _ARTICLE, _SAMPLE = (READERS[k][1] for k in ("trajectories", "outcomes", "corpus", "sft"))
+_MANIFEST = encode(
+    DatasetManifest("sft-emitter-v1", 1, 0, {"T→A": 1}, {"medium": 1}, {"<=1024": 1}, [{"path": "o", "sha256": "0"}], "0")
+)
+
+# Each record type, a JSON object of it holding every key, and the value of
+# each key that may be absent when it is. Every other key is required.
+RECORDS = {
+    Trajectory: (_TRAJECTORY, {"final_answer": None, "config": {}, "protocol_events": []}),
+    TurnRecord: (_TRAJECTORY["turns"][1], {"caption": None}),
+    EvidenceBlock: (_TRAJECTORY["observations"][0], {}),
+    EvidenceItem: (_TRAJECTORY["observations"][0]["items"][0], {"section_id": None}),
+    BranchOutcome: (_OUTCOME, {"assembled": None, "difficulty": None, "discard_reason": None}),
+    StageRecord: (_OUTCOME["stages"][0], {"verdict": "n/a"}),
+    KbArticle: (_ARTICLE, {"images": (), "url": None}),
+    SectionChunk: (_ARTICLE["sections"][0], {}),
+    ImageAttachment: (_ARTICLE["images"][0], {"caption": None}),
+    LinearizedSample: (_SAMPLE, {}),
+    Segment: (_SAMPLE["segments"][0], {}),
+    DatasetManifest: (_MANIFEST, {}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_round_trip_and_only_defaulted_keys_may_be_absent(cls):
+    obj, defaults = RECORDS[cls]
+    assert encode(decode(cls, obj)) == obj
+    for key in obj:
+        rest = {k: v for k, v in obj.items() if k != key}
+        if key in defaults:
+            assert getattr(decode(cls, rest), key) == defaults[key]
+        else:
+            with pytest.raises(DataError, match=f"^missing '{key}'$"):
+                decode(cls, rest)
+    assert set(defaults) <= set(obj)
+
+
+@pytest.mark.parametrize(
+    "kind, at, value, message",
+    [
+        ("trajectories", ("turns", 0, "raw"), None, "turns[0].raw: expected string, got null"),
+        ("trajectories", ("turns", 0), "x", "turns[0]: expected object, got string"),
+        ("trajectories", ("turns", 2, "action"), "dance",
+         "turns[2].action: expected one of 'answer', 'text_search', 'image_search', got 'dance'"),
+        ("trajectories", ("final_answer",), 5, "final_answer: expected string or null, got integer"),
+        ("trajectories", ("task_id",), [], "task_id: expected string, got array"),
+        ("trajectories", ("config",), None, "config: expected object, got null"),
+        ("trajectories", ("observations", 0, "items"), None, "observations[0].items: expected array, got null"),
+        ("trajectories", ("observations", 1, "items", 0, "score"), True,
+         "observations[1].items[0].score: expected number, got boolean"),
+        ("trajectories", ("observations", 0, "turn_index"), 1.0, "observations[0].turn_index: expected integer, got number"),
+        ("outcomes", ("stages", 0, "parsed_fields", "choose"), 5,
+         "stages[0].parsed_fields.choose: expected string, got integer"),
+        ("outcomes", ("assembled", "observations", 0, "rendered"), None,
+         "assembled.observations[0].rendered: expected string, got null"),
+        ("outcomes", ("assembled",), [], "assembled: expected object or null, got array"),
+        ("sft", ("segments", 1, "text"), None, "segments[1].text: expected string, got null"),
+        ("corpus", ("images", 0, "caption"), 5, "images[0].caption: expected string or null, got integer"),
+    ],
+)
+def test_a_mismatch_names_its_line_and_json_path(tmp_path, kind, at, value, message):
+    read, good = READERS[kind]
+    path = write_jsonl(tmp_path / f"{kind}.jsonl", ["", json.dumps(_replaced(good, at, value))])
+    with pytest.raises(DataError) as err:
+        read(path)
+    assert str(err.value).endswith(f"1 error(s)\nline 2: {message}")
+
+
+def test_a_number_may_be_a_json_integer_but_not_a_boolean():
+    item = RECORDS[EvidenceItem][0]
+    assert decode(EvidenceItem, {**item, "score": 1}).score == 1
+    for field_name, value in (("score", False), ("text", True)):
+        with pytest.raises(DataError, match=f"^{field_name}: expected (number|string), got boolean$"):
+            decode(EvidenceItem, {**item, field_name: value})
+    with pytest.raises(DataError, match="^expected object, got array$"):
+        decode(EvidenceItem, [item])
 
 
 def test_post_json_to_a_closed_port_counts_attempts():
