@@ -242,7 +242,7 @@ def load_qa_dataset(path: str | Path) -> list[QaSample]:
         return sample
 
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, parse, DatasetError)
+        return list(parse_jsonl(fh, path, parse, DatasetError))
 
 
 def _parse_sample(obj: object) -> QaSample:
@@ -803,4 +803,4 @@ def write_outcome_file(outcomes: Iterable[BranchOutcome], path: str | Path) -> N
 
 def read_outcome_file(path: str | Path) -> list[BranchOutcome]:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, lambda obj, _: decode(BranchOutcome, obj), DatasetError)
+        return list(parse_jsonl(fh, path, lambda obj, _: decode(BranchOutcome, obj), DatasetError))

@@ -275,7 +275,7 @@ def load_script(path: str | Path) -> ScriptedBackend:
             raise ScriptError(f"bad pattern: {exc}") from exc
 
     with Path(path).open("r", encoding="utf-8") as fh:
-        return ScriptedBackend(parse_jsonl(fh, path, parse, ScriptError))
+        return ScriptedBackend(list(parse_jsonl(fh, path, parse, ScriptError)))
 
 
 @dataclass

@@ -110,13 +110,12 @@ def _parse_article(obj: object) -> KbArticle:
 
 def parse_corpus_lines(lines: Iterable[str], source: str = "<corpus>") -> Corpus:
     """Parse JSONL article lines; collect every line error before failing."""
-    articles: dict[str, KbArticle] = {}
     article_lines: dict[str, int] = {}
     image_lines: dict[str, int] = {}
 
-    def parse(obj: object, line_no: int) -> None:
+    def parse(obj: object, line_no: int) -> KbArticle:
         article = _parse_article(obj)
-        if article.article_id in articles:
+        if article.article_id in article_lines:
             raise CorpusError(
                 f"duplicate article_id {article.article_id!r} "
                 f"(first seen on line {article_lines[article.article_id]})"
@@ -124,13 +123,12 @@ def parse_corpus_lines(lines: Iterable[str], source: str = "<corpus>") -> Corpus
         dup_image = next((img.image_id for img in article.images if img.image_id in image_lines), None)
         if dup_image is not None:
             raise CorpusError(f"duplicate image_id {dup_image!r} (first seen on line {image_lines[dup_image]})")
-        articles[article.article_id] = article
         article_lines[article.article_id] = line_no
         for img in article.images:
             image_lines[img.image_id] = line_no
+        return article
 
-    parse_jsonl(lines, source, parse, CorpusError)
-    return Corpus(articles=articles)
+    return Corpus(articles={a.article_id: a for a in parse_jsonl(lines, source, parse, CorpusError)})
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -38,7 +38,7 @@ and ``[tool error] {message}`` when the tool failed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -54,6 +54,7 @@ __all__ = [
     "CLOSING_ACTION_TAGS",
     "parse_turn",
     "validate_in_context",
+    "check_stored_turn",
     "serialize_turn",
     "make_turn",
     "render_evidence",
@@ -410,6 +411,24 @@ def validate_in_context(
             )
     out.sort(key=lambda v: v.span)
     return out
+
+
+def check_stored_turn(turn: TurnRecord) -> list[ProtocolViolation]:
+    """The violations ``parse_turn(turn.raw)`` finds, to hand to
+    ``validate_in_context(parsed_violations=...)``, for a turn read back
+    from a file. A stored turn is what its ``raw`` parses to: raises
+    ``ValueError`` when ``raw`` yields no record, or one whose think,
+    action, payload or caption differs from the stored field."""
+    record, violations = parse_turn(turn.raw)
+    if record is None:
+        raise ValueError("raw does not parse")
+    if record != turn:
+        # raw is the same in both, so only the fields parsed from it differ.
+        differ = [
+            f.metadata.get("json", f.name) for f in fields(TurnRecord) if getattr(record, f.name) != getattr(turn, f.name)
+        ]
+        raise ValueError(f"stored {'/'.join(differ)} differs from what its raw parses to")
+    return violations
 
 
 def _caption_span(raw: str) -> tuple[int, int]:

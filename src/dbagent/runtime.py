@@ -59,6 +59,7 @@ __all__ = [
     "TERMINATED_ANSWER",
     "TERMINATED_BUDGET",
     "TERMINATED_PROTOCOL",
+    "TERMINATED_KINDS",
     "rollout",
     "batch_rollout",
     "write_trajectory_file",
@@ -70,6 +71,7 @@ logger = logging.getLogger(__name__)
 TERMINATED_ANSWER = "answer"
 TERMINATED_BUDGET = "budget_exhausted"
 TERMINATED_PROTOCOL = "protocol_failure"
+TERMINATED_KINDS = (TERMINATED_ANSWER, TERMINATED_BUDGET, TERMINATED_PROTOCOL)
 
 
 class TrajectoryError(DataError):
@@ -370,4 +372,4 @@ def write_trajectory_file(trajectories: Iterable[Trajectory], path: str | Path) 
 
 def read_trajectory_file(path: str | Path) -> list[Trajectory]:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, lambda obj, _: decode(Trajectory, obj), TrajectoryError)
+        return list(parse_jsonl(fh, path, lambda obj, _: decode(Trajectory, obj), TrajectoryError))

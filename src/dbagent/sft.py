@@ -19,6 +19,11 @@ The emitted file is JSONL ({"meta": ..., "segments": [...]}) with a JSON
 manifest beside it (counts by type and difficulty, a length histogram,
 source hashes). Samples longer than the char cap are dropped and counted;
 emission is deterministic, so re-emitting the same inputs is byte-identical.
+
+Emission and the mask audit stream: each holds one sample in memory at a
+time, whatever the size of the dataset. The emitter hashes the source files
+first, in 64 KiB blocks, then encodes, hashes, counts and writes one sample
+after another; the audit checks each sample as its line is decoded.
 """
 
 from __future__ import annotations
@@ -27,13 +32,15 @@ import hashlib
 import json
 import logging
 import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .factory import assign_difficulty, trajectory_type_of
-from .protocol import ActionKind, serialize_turn, validate_in_context
+from .protocol import ActionKind, check_stored_turn, serialize_turn, validate_in_context
 from .runtime import Trajectory
 from .wire import atomic_write, decode, encode, parse_jsonl
 
@@ -82,7 +89,7 @@ class LinearizedSample:
 
     @property
     def n_chars(self) -> int:
-        return len(self.transcript)
+        return sum(len(s.text) for s in self.segments)
 
 
 @dataclass
@@ -109,8 +116,12 @@ def linearize(traj: Trajectory, system_prompt: str) -> LinearizedSample:
     if traj.terminated_by != "answer":
         raise SftError(f"{traj.task_id}: trajectory terminated by {traj.terminated_by!r}, not answer")
     for i, turn in enumerate(traj.turns):
+        try:
+            violations = check_stored_turn(turn)
+        except ValueError as exc:
+            raise SftError(f"{traj.task_id}: turn {i + 1} {exc}") from None
         problems = validate_in_context(turn, traj.turns[:i], mode="strict",
-                                       allow_caption_before_answer=False)
+                                       allow_caption_before_answer=False, parsed_violations=violations)
         if problems:
             raise SftError(
                 f"{traj.task_id}: turn {i + 1} fails strict validation: "
@@ -141,72 +152,128 @@ def linearize(traj: Trajectory, system_prompt: str) -> LinearizedSample:
     return LinearizedSample(meta=meta, segments=segments)
 
 
-def _histogram(lengths: Sequence[int]) -> dict[str, int]:
-    buckets = [1024, 2048, 4096, 8192, 16384, 32768, 65536]
-    hist: dict[str, int] = {}
-    for length in lengths:
-        label = next((f"<={b}" for b in buckets if length <= b), f">{buckets[-1]}")
-        hist[label] = hist.get(label, 0) + 1
-    return dict(sorted(hist.items(), key=lambda kv: (len(kv[0]), kv[0])))
+def _length_bucket(length: int) -> str:
+    buckets = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
+    return next((f"<={b}" for b in buckets if length <= b), f">{buckets[-1]}")
+
+
+def _file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def emit_dataset(
-    samples: Sequence[LinearizedSample],
+    samples: Iterable[LinearizedSample],
     path: str | Path,
     max_chars: int = MAX_SAMPLE_CHARS,
     source_files: Sequence[str | Path] = (),
 ) -> DatasetManifest:
     """Write the dataset and its manifest; returns the manifest.
 
-    Over-cap samples are dropped (never truncated) and counted. Each file
-    is written with ``wire.atomic_write``: a partial file never remains.
+    One pass over ``samples`` (any iterable, a generator included), which
+    holds one sample and its line at a time: each kept sample is encoded,
+    hashed, counted and written before the next is drawn. The source files
+    are hashed first, in 64 KiB blocks, so a source that is also the target
+    is hashed as it was. Over-cap samples are dropped (never truncated) and
+    counted. Each file is written with ``wire.atomic_write``: a partial
+    file never remains, also when drawing a sample raises.
     """
-    kept: list[LinearizedSample] = []
-    dropped = 0
-    for sample in samples:
-        if sample.n_chars > max_chars:
-            dropped += 1
-            logger.warning(
-                "dropping %s: %d chars over cap %d", sample.meta.get("task_id"), sample.n_chars, max_chars
-            )
-        else:
-            kept.append(sample)
-
-    lines = [json.dumps(encode(s), sort_keys=True, ensure_ascii=False) + "\n" for s in kept]
-    payload = "".join(lines).encode("utf-8")
-
-    by_type: dict[str, int] = {}
-    by_difficulty: dict[str, int] = {}
-    for sample in kept:
-        t = sample.meta.get("trajectory_type", "?")
-        d = sample.meta.get("difficulty", "?")
-        by_type[t] = by_type.get(t, 0) + 1
-        by_difficulty[d] = by_difficulty.get(d, 0) + 1
+    sources = [{"path": str(p), "sha256": _file_sha256(p)} for p in source_files]
+    digest = hashlib.sha256()
+    total = dropped = 0
+    by_type: Counter[str] = Counter()
+    by_difficulty: Counter[str] = Counter()
+    lengths: Counter[str] = Counter()
+    with atomic_write(path, binary=True) as fh:
+        for sample in samples:
+            n_chars = sample.n_chars
+            if n_chars > max_chars:
+                dropped += 1
+                logger.warning("dropping %s: %d chars over cap %d", sample.meta.get("task_id"), n_chars, max_chars)
+                continue
+            line = (json.dumps(encode(sample), sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+            digest.update(line)
+            fh.write(line)
+            total += 1
+            by_type[sample.meta.get("trajectory_type", "?")] += 1
+            by_difficulty[sample.meta.get("difficulty", "?")] += 1
+            lengths[_length_bucket(n_chars)] += 1
 
     manifest = DatasetManifest(
         emitter_version=EMITTER_VERSION,
-        total=len(kept),
+        total=total,
         dropped_over_cap=dropped,
         by_type=dict(sorted(by_type.items())),
         by_difficulty=dict(sorted(by_difficulty.items())),
-        length_histogram=_histogram([s.n_chars for s in kept]),
-        source_files=[
-            {"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
-            for p in source_files
-        ],
-        dataset_sha256=hashlib.sha256(payload).hexdigest(),
+        length_histogram=dict(sorted(lengths.items(), key=lambda kv: (len(kv[0]), kv[0]))),
+        source_files=sources,
+        dataset_sha256=digest.hexdigest(),
     )
-
-    with atomic_write(path, binary=True) as fh:
-        fh.write(payload)
     with atomic_write(str(path) + ".manifest.json") as fh:
         fh.write(json.dumps(encode(manifest), sort_keys=True, indent=2, ensure_ascii=False) + "\n")
     return manifest
 
 
+def _parse_sft(fh: Iterable[str], path: str | Path) -> Iterator[LinearizedSample]:
+    return parse_jsonl(fh, path, lambda obj, _: decode(LinearizedSample, obj), SftError)
+
+
 def read_sft_file(path: str | Path) -> list[LinearizedSample]:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_jsonl(fh, path, lambda obj, _: decode(LinearizedSample, obj), SftError)
+        return list(_parse_sft(fh, path))
+
+
+def _audit_mask(sample: LinearizedSample) -> tuple[int, int]:
+    """(supervised chars inside evidence spans, decision-tag occurrences
+    outside evidence that some unsupervised char covers) of one sample.
+
+    Works on the merged supervised intervals of the transcript, found by
+    bisection: its cost grows with segments, evidence spans and tag
+    occurrences, not with characters.
+    """
+    transcript = sample.transcript
+    starts: list[int] = []  # merged supervised intervals, sorted and disjoint
+    ends: list[int] = []
+    pos = 0
+    for seg in sample.segments:
+        end = pos + len(seg.text)
+        if seg.supervise and end > pos:
+            if ends and ends[-1] == pos:
+                ends[-1] = end
+            else:
+                starts.append(pos)
+                ends.append(end)
+        pos = end
+
+    evidence_starts: list[int] = []
+    evidence_ends: list[int] = []
+    supervised_evidence = 0
+    for match in _EVIDENCE_SPAN.finditer(transcript):
+        start, end = match.span()
+        evidence_starts.append(start)
+        evidence_ends.append(end)
+        i = bisect_right(ends, start)  # the first interval that ends after start
+        while i < len(starts) and starts[i] < end:
+            supervised_evidence += min(ends[i], end) - max(starts[i], start)
+            i += 1
+
+    unsupervised_tags = 0
+    # The instruction quotes the tags when telling the model the output
+    # format; only text after it belongs to the trajectory proper.
+    body_start = len(sample.segments[0].text)
+    for tag in _DECISION_TAGS:
+        idx = transcript.find(tag, body_start)
+        while idx >= 0:
+            e = bisect_right(evidence_starts, idx) - 1
+            if not (e >= 0 and idx < evidence_ends[e]):
+                i = bisect_right(starts, idx) - 1
+                if not (i >= 0 and idx + len(tag) <= ends[i]):
+                    unsupervised_tags += 1
+            idx = transcript.find(tag, idx + 1)
+    return supervised_evidence, unsupervised_tags
 
 
 def scan_sft_file(path: str | Path) -> dict:
@@ -214,52 +281,34 @@ def scan_sft_file(path: str | Path) -> dict:
 
     Checks, per sample: segments alternate decision/observation after one
     unsupervised instruction; no char inside any evidence span is supervised;
-    every decision-tag occurrence lies in a supervised segment. Returns
-    counters; any nonzero violation count means the file is unsound.
+    every decision-tag occurrence lies in a supervised segment. Each sample
+    is audited as its line is decoded, so one sample is held at a time.
+    Returns counters; any nonzero violation count means the file is unsound.
     """
-    samples = read_sft_file(path)
     report = {
-        "samples": len(samples),
+        "samples": 0,
         "supervised_evidence_chars": 0,
         "unsupervised_decision_tags": 0,
         "structure_errors": 0,
     }
-    for sample in samples:
-        if not sample.segments or sample.segments[0].role != "instruction" or sample.segments[0].supervise:
-            report["structure_errors"] += 1
-            continue
-        roles = [s.role for s in sample.segments[1:]]
-        # decision, then optional observation after each decision, ending in a
-        # decision (the answer turn)
-        sound = bool(roles) and roles[0] == "decision" and roles[-1] == "decision"
-        for prev, cur in zip(roles, roles[1:]):
-            if cur not in ("decision", "observation"):
-                sound = False
-            if cur == "observation" and prev != "decision":
-                sound = False
-        if not sound:
-            report["structure_errors"] += 1
-
-        transcript = sample.transcript
-        supervised = bytearray(len(transcript))
-        pos = 0
-        for seg in sample.segments:
-            if seg.supervise:
-                supervised[pos : pos + len(seg.text)] = b"\x01" * len(seg.text)
-            pos += len(seg.text)
-        # The instruction quotes the tags when telling the model the output
-        # format; only text after it belongs to the trajectory proper.
-        body_start = len(sample.segments[0].text)
-        evidence_spans = [m.span() for m in _EVIDENCE_SPAN.finditer(transcript)]
-
-        for start, end in evidence_spans:
-            report["supervised_evidence_chars"] += sum(supervised[start:end])
-        for tag in _DECISION_TAGS:
-            idx = transcript.find(tag, body_start)
-            while idx >= 0:
-                inside_evidence = any(s <= idx < e for s, e in evidence_spans)
-                span = supervised[idx : idx + len(tag)]
-                if not inside_evidence and sum(span) != len(tag):
-                    report["unsupervised_decision_tags"] += 1
-                idx = transcript.find(tag, idx + 1)
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for sample in _parse_sft(fh, path):
+            report["samples"] += 1
+            if not sample.segments or sample.segments[0].role != "instruction" or sample.segments[0].supervise:
+                report["structure_errors"] += 1
+                continue
+            roles = [s.role for s in sample.segments[1:]]
+            # decision, then optional observation after each decision, ending
+            # in a decision (the answer turn)
+            sound = bool(roles) and roles[0] == "decision" and roles[-1] == "decision"
+            for prev, cur in zip(roles, roles[1:]):
+                if cur not in ("decision", "observation"):
+                    sound = False
+                if cur == "observation" and prev != "decision":
+                    sound = False
+            if not sound:
+                report["structure_errors"] += 1
+            evidence_chars, tags = _audit_mask(sample)
+            report["supervised_evidence_chars"] += evidence_chars
+            report["unsupervised_decision_tags"] += tags
     return report

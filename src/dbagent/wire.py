@@ -10,9 +10,10 @@ raises ``DataError`` naming the JSON path of the first mismatch, as in
 ``turns[0].raw: expected string, got null``. Each class is compiled once into
 a table walker; the path is built only when a value does not fit.
 
-``parse_jsonl`` reads every file format the package writes line by line:
-blank lines are skipped and every bad line is collected, so one error lists
-them all as ``<source>: N error(s)`` followed by one ``line L: ...`` each.
+``parse_jsonl`` reads every file format the package writes line by line and
+yields each record as its line is read: blank lines are skipped and every bad
+line is collected, so one error, raised after the last line, lists them all as
+``<source>: N error(s)`` followed by one ``line L: ...`` each.
 
 ``atomic_write`` is how every output file is written: into a temp file
 with a unique name beside the target, which replaces the target only once
@@ -203,15 +204,18 @@ def parse_jsonl(
     source: object,
     parse: Callable[[object, int], T],
     error: type[DataError],
-) -> list[T]:
-    """Return ``parse(obj, line_no)`` for each non-blank line, in order.
+) -> Iterator[T]:
+    """Yield ``parse(obj, line_no)`` for each non-blank line, in order, as
+    the line is read: a reader holds one record at a time unless it keeps
+    them.
 
     A line that is not JSON, or whose ``parse`` raises ``DataError``,
     ``KeyError``, ``TypeError`` or ``ValueError``, is recorded and reading
-    goes on; at the end one ``error`` names every bad line. Input that is
-    not UTF-8 raises ``error`` naming ``source``.
+    goes on; after the last line one ``error`` names every bad line, so a
+    caller that acts on each record as it comes must be ready to see that
+    error after the good ones. Input that is not UTF-8 raises ``error``
+    naming ``source``.
     """
-    out: list[T] = []
     errors: list[str] = []
     try:
         for line_no, line in enumerate(lines, start=1):
@@ -223,14 +227,15 @@ def parse_jsonl(
                 errors.append(f"line {line_no}: invalid JSON ({exc.msg})")
                 continue
             try:
-                out.append(parse(obj, line_no))
+                record = parse(obj, line_no)
             except (DataError, KeyError, TypeError, ValueError) as exc:
                 errors.append(f"line {line_no}: {exc}")
+                continue
+            yield record
     except UnicodeDecodeError as exc:
         raise error(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if errors:
         raise error(f"{source}: {len(errors)} error(s)\n" + "\n".join(errors))
-    return out
 
 
 @contextmanager

@@ -14,6 +14,7 @@ import math
 import random
 import re
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -803,3 +804,18 @@ class HttpStub:
     @property
     def requests(self):
         return self.server.requests
+
+
+def traced_peak(fn):
+    """``fn()`` and the most memory it had allocated at once, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -7,7 +7,8 @@ import pytest
 from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, derive_seed, main
 from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import DeterministicEmbedder, build_image_index, save_index
-from helpers import corpus_lines, factory_rules, marker, qa_obj, question, value, write_jsonl
+from dbagent.wire import encode
+from helpers import corpus_lines, factory_rules, make_canonical_trajectory, marker, qa_obj, question, value, write_jsonl
 
 
 def write_corpus(tmp_path, n):
@@ -402,9 +403,12 @@ def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypat
 
     # Same files with one defect each: a caption before any image search
     # (strict), the same in lenient mode (allowed), and an unparseable turn.
+    # The caption goes into both the raw turn and its stored field, which
+    # must agree.
     variants = {"good": rows}
     caption = json.loads(json.dumps(rows))
     caption[1]["turns"][0]["raw"] = caption[1]["turns"][0]["raw"].replace("</think>", "</think>\n<caption>a tower</caption>")
+    caption[1]["turns"][0]["caption"] = "a tower"
     variants["caption"] = caption
     lenient = json.loads(json.dumps(caption))
     lenient[1]["config"]["strict_protocol"] = False
@@ -441,6 +445,59 @@ def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypat
         "lenient": (EXIT_OK, n_turns),
         "garbled": (EXIT_DATA, first + second + 2),
     }
+
+
+def _validate_one(tmp_path, capsys, row):
+    """``validate``'s exit code and stderr for a trajectory file of ``row``."""
+    path = write_jsonl(tmp_path / "trajectories.jsonl", [json.dumps(row)])
+    code = main(["validate", str(path)])
+    return code, capsys.readouterr().err.replace(f"error: {path}: ", "")
+
+
+def _i_t_a(**changes):
+    return {**encode(make_canonical_trajectory("q000", "I-T-A")), **changes}
+
+
+@pytest.mark.parametrize("terminated_by", ["x", "", "Answer", "backend_error"])
+def test_validate_rejects_a_termination_no_rollout_writes(tmp_path, capsys, terminated_by):
+    assert _validate_one(tmp_path, capsys, _i_t_a(terminated_by=terminated_by)) == (
+        EXIT_DATA,
+        f"q000: terminated_by {terminated_by!r} is not one of 'answer', 'budget_exhausted', 'protocol_failure'\n",
+    )
+
+
+@pytest.mark.parametrize("indexes", [[2, 1], [1, 5], [-1, 2], [1, 1], [1], [1, 2, 3], []])
+def test_validate_rejects_observations_that_do_not_follow_the_tool_turns(tmp_path, capsys, indexes):
+    # I→T→A has two tool turns, so its observations must be turns 1 and 2.
+    row = _i_t_a()
+    row["observations"] = [{**row["observations"][0], "turn_index": i} for i in indexes]
+    assert _validate_one(tmp_path, capsys, row) == (
+        EXIT_DATA,
+        f"q000: observation turn indexes {indexes} are not 1..n for its 2 tool turn(s)\n",
+    )
+
+
+def test_validate_accepts_every_shape_a_rollout_writes(tmp_path, capsys):
+    answered = _i_t_a()
+    # A protocol failure on the first generation, and a budget spent on a search.
+    no_turns = _i_t_a(turns=[], observations=[], terminated_by="protocol_failure", final_answer=None)
+    out_of_budget = _i_t_a(terminated_by="budget_exhausted", final_answer=None)
+    out_of_budget["turns"] = out_of_budget["turns"][:2]
+    for row in (answered, no_turns, out_of_budget):
+        assert _validate_one(tmp_path, capsys, row) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("think", "Edited."), ("payload", "edited query"), ("caption", None), ("action", "image_search")],
+)
+def test_validate_rejects_a_stored_turn_field_its_raw_does_not_hold(tmp_path, capsys, key, value):
+    row = _i_t_a()
+    row["turns"][1][key] = value
+    assert _validate_one(tmp_path, capsys, row) == (
+        EXIT_DATA,
+        f"q000: turn 2 stored {key} differs from what its raw parses to\n",
+    )
 
 
 def test_factory_emit_validate_chain(tmp_path, capsys):

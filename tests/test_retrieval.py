@@ -9,7 +9,6 @@ import math
 import string
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from dbagent.retrieval import (
     save_index,
     text_search,
 )
-from helpers import HttpStub, article_obj, make_corpus, marker, oracle_image_topk, oracle_text_topk
+from helpers import HttpStub, article_obj, make_corpus, marker, oracle_image_topk, oracle_text_topk, traced_peak
 
 
 # --- deterministic embedder ----------------------------------------------
@@ -921,21 +920,6 @@ def test_load_reads_other_npy_layouts_to_the_same_rows(tmp_path, embedder, order
     assert loaded.matrix.flags.c_contiguous and loaded.matrix.flags.writeable
 
 
-def _traced_peak(fn):
-    """``fn()`` and the most memory it had allocated at once, in bytes."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def test_save_load_and_first_search_hold_the_matrix_about_once(tmp_path, embedder):
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((20000, 64))
@@ -944,14 +928,14 @@ def test_save_load_and_first_search_hold_the_matrix_about_once(tmp_path, embedde
     path = tmp_path / "idx.json"
 
     # The sidecar is written from the matrix itself and hashed in blocks.
-    _, peak = _traced_peak(lambda: save_index(index, path))
+    _, peak = traced_peak(lambda: save_index(index, path))
     assert peak < 1.0 * matrix.nbytes
     # One buffer holds the file; the matrix is a view of it, and the norm
     # check makes no matrix-sized temporary. The rest is the parsed keys.
-    loaded, peak = _traced_peak(lambda: load_index(path))
+    loaded, peak = traced_peak(lambda: load_index(path))
     assert peak < 2.0 * matrix.nbytes
     # The float32 screen is half the matrix; its row norms take no more.
-    hits, peak = _traced_peak(lambda: text_search(loaded, embedder, "a query", k=3))
+    hits, peak = traced_peak(lambda: text_search(loaded, embedder, "a query", k=3))
     assert peak < 0.75 * matrix.nbytes
     assert len(hits) == 3
     assert loaded.matrix.tobytes() == matrix.tobytes()

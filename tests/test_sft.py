@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbagent.factory import trajectory_type_of
 from dbagent.protocol import ActionKind, make_turn, serialize_turn
 from dbagent.sft import (
+    _DECISION_TAGS,
+    _EVIDENCE_SPAN,
     EMITTER_VERSION,
     LinearizedSample,
     Segment,
@@ -19,7 +25,7 @@ from dbagent.sft import (
     scan_sft_file,
 )
 from dbagent.wire import encode
-from helpers import make_canonical_trajectory
+from helpers import make_canonical_trajectory, traced_peak
 
 # Quotes the decision tags on purpose: instruction text is exempt from the
 # supervised-tag audit.
@@ -119,6 +125,31 @@ def test_linearize_rejects_missing_observation():
         linearize(traj, SYSTEM)
 
 
+@pytest.mark.parametrize(
+    "field, value, names",
+    [
+        ("action_payload", "edited query", "payload"),
+        ("think", "Edited.", "think"),
+        ("caption", "A photo.", "caption"),
+        ("action", ActionKind.IMAGE_SEARCH, "action"),
+    ],
+)
+def test_linearize_rejects_a_stored_field_its_raw_does_not_hold(field, value, names):
+    # The decision segment is serialized from the stored fields, so a field
+    # that disagrees with the raw turn would put words in the model's mouth.
+    base = canonical("T-A", task_id="q007")
+    traj = replace(base, turns=[replace(base.turns[0], **{field: value}), base.turns[1]])
+    with pytest.raises(SftError, match=rf"^q007: turn 1 stored {names} differs from what its raw parses to$"):
+        linearize(traj, SYSTEM)
+
+
+def test_linearize_rejects_a_raw_turn_that_does_not_parse():
+    base = canonical("A", task_id="q008")
+    traj = replace(base, turns=[replace(base.turns[0], raw="no tags at all")])
+    with pytest.raises(SftError, match="^q008: turn 1 raw does not parse$"):
+        linearize(traj, SYSTEM)
+
+
 # --- emission ---------------------------------------------------------------
 
 
@@ -171,6 +202,27 @@ def test_over_cap_samples_dropped_and_counted(tmp_path):
     assert manifest.total == 7
     ids = [s.meta["task_id"] for s in read_sft_file(tmp_path / "d.jsonl")]
     assert "huge" not in ids
+
+
+def test_emitting_from_a_generator_writes_the_same_bytes_as_from_a_list(tmp_path):
+    samples = _mixed_samples()
+    from_list = emit_dataset(samples, tmp_path / "list.jsonl", max_chars=600)
+    from_generator = emit_dataset((s for s in samples), tmp_path / "gen.jsonl", max_chars=600)
+    assert from_list.dropped_over_cap > 0  # the cap is met on the way through
+    assert from_generator == from_list
+    for name in ("{}.jsonl", "{}.jsonl.manifest.json"):
+        assert (tmp_path / name.format("gen")).read_bytes() == (tmp_path / name.format("list")).read_bytes()
+
+
+def test_a_sample_that_fails_to_linearize_leaves_the_old_dataset(tmp_path):
+    path = tmp_path / "d.jsonl"
+    emit_dataset(_mixed_samples(), path)
+    before = path.read_bytes()
+    broken = replace(canonical("T-A"), observations=[])
+    with pytest.raises(SftError):
+        emit_dataset((linearize(t, SYSTEM) for t in [canonical("A"), broken]), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.manifest.json"]
 
 
 def test_manifest_hashes_source_files(tmp_path):
@@ -285,3 +337,109 @@ def test_read_sft_file_rejects_a_supervise_flag_that_is_not_boolean(tmp_path, fl
     _rewrite_with(path, set_flag)
     with pytest.raises(SftError, match=rf"1 error\(s\)\nline 2: segments\[0\]\.supervise: expected boolean, got {got}$"):
         read_sft_file(path)
+
+
+def _reference_scan(samples):
+    """The per-character audit ``scan_sft_file`` replaced: one flag byte per
+    transcript char, summed over each evidence span and tag occurrence."""
+    report = {"samples": len(samples), "supervised_evidence_chars": 0, "unsupervised_decision_tags": 0,
+              "structure_errors": 0}
+    for sample in samples:
+        if not sample.segments or sample.segments[0].role != "instruction" or sample.segments[0].supervise:
+            report["structure_errors"] += 1
+            continue
+        roles = [s.role for s in sample.segments[1:]]
+        sound = bool(roles) and roles[0] == "decision" and roles[-1] == "decision"
+        for prev, cur in zip(roles, roles[1:]):
+            if cur not in ("decision", "observation"):
+                sound = False
+            if cur == "observation" and prev != "decision":
+                sound = False
+        if not sound:
+            report["structure_errors"] += 1
+
+        transcript = sample.transcript
+        supervised = bytearray(len(transcript))
+        pos = 0
+        for seg in sample.segments:
+            if seg.supervise:
+                supervised[pos : pos + len(seg.text)] = b"\x01" * len(seg.text)
+            pos += len(seg.text)
+        body_start = len(sample.segments[0].text)
+        evidence_spans = [m.span() for m in _EVIDENCE_SPAN.finditer(transcript)]
+        for start, end in evidence_spans:
+            report["supervised_evidence_chars"] += sum(supervised[start:end])
+        for tag in _DECISION_TAGS:
+            idx = transcript.find(tag, body_start)
+            while idx >= 0:
+                inside_evidence = any(s <= idx < e for s, e in evidence_spans)
+                span = supervised[idx : idx + len(tag)]
+                if not inside_evidence and sum(span) != len(tag):
+                    report["unsupervised_decision_tags"] += 1
+                idx = transcript.find(tag, idx + 1)
+    return report
+
+
+# Evidence delimiters, decision tags (whole and cut), and filler, so that
+# tags inside, across and outside evidence and segment edges can all be drawn.
+_MASK_PIECES = ["<evidence>\n", "</evidence>", "<think>", "</think>", "<answer>", "</answer>", "<caption>",
+                "</text_search>", "<think", "nswer>", "a", "\n", " — "]
+_segments = st.lists(
+    st.builds(
+        Segment,
+        role=st.sampled_from(["instruction", "decision", "observation"]),
+        text=st.lists(st.sampled_from(_MASK_PIECES), max_size=8).map("".join),
+        supervise=st.booleans(),
+    ),
+    max_size=7,
+)
+
+
+def _sample(segments):
+    return LinearizedSample(meta={"task_id": "t"}, segments=segments)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_segments.map(_sample), min_size=1, max_size=3))
+@example([_sample([Segment("instruction", "<think>", False), Segment("decision", "<thi", True),
+                   Segment("decision", "nk></think>", True), Segment("observation", "</think>", False)])])
+@example([_sample([Segment("instruction", "", False), Segment("decision", "<evidence>\n<think>", True),
+                   Segment("observation", "", True), Segment("decision", "a</evidence><answer>", True)])])
+def test_scan_matches_the_per_character_audit(samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text("".join(json.dumps(encode(s)) + "\n" for s in samples), encoding="utf-8")
+        assert scan_sft_file(path) == _reference_scan(samples)
+
+
+def _synthetic_samples(n):
+    """``n`` T→A samples of about 4 KB each; the em dash of the evidence
+    line makes each JSON line a two-byte-per-char string."""
+    for i in range(n):
+        evidence = "<evidence>\n" + "".join(f"[{j}] Title {i} — Part {j}: {'words ' * 40}\n" for j in range(1, 4))
+        yield LinearizedSample(
+            meta={"task_id": f"s{i:05d}", "trajectory_type": "T→A", "difficulty": "medium", "n_turns": 2},
+            segments=[
+                Segment("instruction", f"{SYSTEM}\n<image>img-{i}</image>\nWhat is it? {'x' * 1200}\n", False),
+                Segment("decision", f"<think>{'reason ' * 100}</think><text_search>q {i}</text_search>\n", True),
+                Segment("observation", evidence + "</evidence>\n", False),
+                Segment("decision", f"<think>Found.</think><answer>val{i}</answer>\n", True),
+            ],
+        )
+
+
+def test_emit_and_scan_hold_one_sample_not_the_dataset(tmp_path):
+    n = 100
+    peaks = {}
+    for size in (n, 4 * n):
+        path = tmp_path / f"d{size}.jsonl"
+        manifest, emit_peak = traced_peak(lambda: emit_dataset(_synthetic_samples(size), path))
+        assert manifest.total == size
+        report, scan_peak = traced_peak(lambda: scan_sft_file(path))
+        assert report["samples"] == size and report["structure_errors"] == 0
+        peaks[size] = (emit_peak, scan_peak, path.stat().st_size)
+    (emit_n, scan_n, bytes_n), (emit_4n, scan_4n, bytes_4n) = peaks[n], peaks[4 * n]
+    assert bytes_4n - bytes_n > 12 * 64 * 1024  # the data grows far more than the bound below
+    # What may grow with the sample count: the manifest's counters only.
+    assert emit_4n - emit_n < 64 * 1024
+    assert scan_4n - scan_n < 64 * 1024

@@ -31,7 +31,7 @@ from dbagent.protocol import EvidenceBlock, EvidenceItem, TurnRecord
 from dbagent.retrieval import DeterministicEmbedder, EmbeddingError, RemoteEmbedder, build_text_index, save_index
 from dbagent.runtime import Trajectory, read_trajectory_file, write_trajectory_file
 from dbagent.sft import DatasetManifest, LinearizedSample, Segment, linearize, read_sft_file
-from dbagent.wire import atomic_write, decode, encode, post_json
+from dbagent.wire import atomic_write, decode, encode, parse_jsonl, post_json
 from helpers import HttpStub, article_obj, make_canonical_trajectory, make_corpus, qa_obj, write_jsonl
 
 # One valid record per reader, with every optional part filled in. Each
@@ -149,6 +149,38 @@ def test_every_value_probed_gives_a_result_or_a_data_error(tmp_path, capsys, mon
     capsys.readouterr()
     assert codes[: len(runs)] == [EXIT_OK] * len(runs)  # the unchanged record
     assert EXIT_DATA in codes
+
+
+def test_an_outcome_whose_stored_payload_was_edited_fails_validate_and_emit(tmp_path, capsys):
+    # The probe's outcome with the payload of its first turn changed and its
+    # raw left as it was: the SFT decision would be built from the payload.
+    path = write_jsonl(
+        tmp_path / "outcomes.jsonl",
+        [json.dumps(_replaced(READERS["outcomes"][1], ("assembled", "turns", 0, "payload"), "edited query"))],
+    )
+    message = "q000: turn 1 stored payload differs from what its raw parses to"
+    assert main(["validate", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    sft_path = tmp_path / "sft.jsonl"
+    assert main(["dataset", "emit", "--outcomes", str(path), "--out", str(sft_path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.jsonl"]
+
+
+def test_parse_jsonl_yields_each_record_as_its_line_is_read_and_raises_after_the_last():
+    read = []
+
+    def lines():
+        for line in ['{"a": 1}', "not json", "", '{"a": 2}']:
+            read.append(line)
+            yield line
+
+    records = parse_jsonl(lines(), "src", lambda obj, line_no: (line_no, obj["a"]), DataError)
+    assert next(records) == (1, 1)
+    assert read == ['{"a": 1}']
+    assert next(records) == (4, 2)
+    with pytest.raises(DataError, match=r"^src: 1 error\(s\)\nline 2: invalid JSON \(Expecting value\)$"):
+        next(records)
 
 
 # --- record codec ----------------------------------------------------------
