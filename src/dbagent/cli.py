@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .factory import (
     FactoryConfig,
+    iter_outcome_file,
     load_qa_dataset,
     read_outcome_file,
     run_factory,
@@ -53,6 +54,7 @@ from .retrieval import (
     RemoteEmbedder,
     build_image_index,
     build_text_index,
+    index_mismatch,
     load_index,
     save_index,
 )
@@ -188,33 +190,25 @@ def _backend(settings: Settings, parser: _Parser):
     parser.error("no backend: pass --script or --chat-url (or set " + ENV_CHAT_URL + ")")
 
 
-def _load_indexes(corpus, settings: Settings, index_dir: str) -> tuple:
-    """The indexes ``index build`` wrote to ``index_dir``, checked against
-    the embedding dimension and against ``corpus``: every row must name a
-    section or an image of it."""
-    text_path = Path(index_dir) / "text_index.json"
-    image_path = Path(index_dir) / "image_index.json"
-    text_index = load_index(text_path, expect_dimension=settings.dimension, expect_modality="text")
-    image_index = load_index(image_path, expect_dimension=settings.dimension, expect_modality="image")
-    sections = {(a.article_id, s.section_id) for a in corpus.articles.values() for s in a.sections}
-    images = {(img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images}
-    for path, index, known, what in (
-        (text_path, text_index, sections, "(article_id, section_id)"),
-        (image_path, image_index, images, "(image_id, article_id)"),
-    ):
-        stale = [key for key in index.keys if key not in known]
-        if stale:
-            raise DataError(
-                f"{path}: {len(stale)} of {len(index)} index rows name no {what} of the corpus, "
-                f"first {list(stale[0])}; rebuild with `dbagent index build`"
-            )
-    return text_index, image_index
+def _load_indexes(corpus, providers: tuple, dimension: int, index_dir: str) -> tuple:
+    """The indexes ``index build`` wrote to ``index_dir``, checked to be what
+    it would write now: the embedding dimension, the provider, and the row
+    keys and texts of ``corpus``."""
+    indexes = []
+    for provider in providers:
+        path = Path(index_dir) / f"{provider.modality}_index.json"
+        index = load_index(path, expect_dimension=dimension, expect_modality=provider.modality)
+        problem = index_mismatch(index, corpus, provider)
+        if problem:
+            raise DataError(f"{path}: {problem}")
+        indexes.append(index)
+    return tuple(indexes)
 
 
 def _tools(corpus, settings: Settings, index_dir: str | None) -> ToolBinding:
     text_provider, image_provider = _embedders(settings)
     if index_dir:
-        text_index, image_index = _load_indexes(corpus, settings, index_dir)
+        text_index, image_index = _load_indexes(corpus, (text_provider, image_provider), settings.dimension, index_dir)
     else:
         text_index = build_text_index(corpus, text_provider)
         image_index = build_image_index(corpus, image_provider)
@@ -306,10 +300,11 @@ def cmd_factory_build(args, parser: _Parser) -> int:
 
 def cmd_dataset_emit(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
-    outcomes = read_outcome_file(args.outcomes)
-    usable = [o for o in outcomes if o.assembled is not None]
+    # Streamed: without balancing, one outcome is held at a time, and a bad
+    # line raises inside the emitter's atomic write, after the last good one.
+    usable = (o for o in iter_outcome_file(args.outcomes) if o.assembled is not None)
     if args.n_per_tier:
-        usable = sample_balanced(usable, args.n_per_tier, derive_seed(settings.seed, "balance"))
+        usable = sample_balanced(list(usable), args.n_per_tier, derive_seed(settings.seed, "balance"))
     system_prompt = (
         Path(args.system_prompt_file).read_text(encoding="utf-8")
         if args.system_prompt_file

@@ -33,7 +33,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .gateway import ChatMessage, GenerationParams
@@ -80,6 +80,7 @@ __all__ = [
     "assign_difficulty",
     "sample_balanced",
     "write_outcome_file",
+    "iter_outcome_file",
     "read_outcome_file",
 ]
 
@@ -801,6 +802,12 @@ def write_outcome_file(outcomes: Iterable[BranchOutcome], path: str | Path) -> N
             fh.write("\n")
 
 
-def read_outcome_file(path: str | Path) -> list[BranchOutcome]:
+def iter_outcome_file(path: str | Path) -> Iterator[BranchOutcome]:
+    """The outcomes of a file, each yielded as its line is read; a bad line
+    raises after the last good one (``wire.parse_jsonl``)."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        return list(parse_jsonl(fh, path, lambda obj, _: decode(BranchOutcome, obj), DatasetError))
+        yield from parse_jsonl(fh, path, lambda obj, _: decode(BranchOutcome, obj), DatasetError)
+
+
+def read_outcome_file(path: str | Path) -> list[BranchOutcome]:
+    return list(iter_outcome_file(path))

@@ -26,21 +26,21 @@ class CorpusError(DataError):
     """Corpus file failed schema validation; message lists line numbers."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionChunk:
     section_id: str
     heading: str
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageAttachment:
     image_id: str
     uri: str
     caption: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KbArticle:
     article_id: str
     title: str
@@ -53,7 +53,7 @@ class KbArticle:
         return self.sections[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
     """Immutable article collection keyed by id.
 

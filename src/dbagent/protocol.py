@@ -93,7 +93,7 @@ class ViolationCode(Enum):
     INPUT_TOO_LONG = "InputTooLong"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolViolation:
     """One grammar or context problem, located by a char span in the raw turn."""
 
@@ -102,7 +102,7 @@ class ProtocolViolation:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TurnRecord:
     """A parsed turn. Field text is trimmed; ``raw`` is the input as given."""
 
@@ -113,7 +113,7 @@ class TurnRecord:
     caption: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceItem:
     """One retrieved item, already resolved to article text for rendering."""
 
@@ -125,14 +125,14 @@ class EvidenceItem:
     section_id: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceBlock:
     items: tuple[EvidenceItem, ...]
     turn_index: int
     rendered: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Block:
     name: str
     start: int

@@ -33,27 +33,58 @@ Two embedding providers share one duck-typed interface
   strings are refs the server resolves (image ids/uris for the image
   modality).
 
-On disk an index is two files side by side (format version 2):
+On disk an index is two files side by side (format version 3):
 
 * ``<name>.json``: a one-line JSON header with ``format_version``,
-  ``dimension``, ``count``, ``modality``, ``keys`` (row order, each a
-  two-string list) and ``vectors_sha256``, the sha256 of the sidecar.
+  ``dimension``, ``count``, ``modality``, ``keys``, ``provider``,
+  ``texts_sha256`` and ``vectors_sha256``, the sha256 of the sidecar.
 * ``<name>.npy``: the ``(count, dimension)`` float64 matrix of unit rows,
   as written by ``np.save`` without pickling.
+
+``keys`` holds the row keys as two columns in row order: the first strings
+of every pair, then the second ones. A column whose values are all distinct
+(image ids) is the plain list of them. A column whose values repeat (the
+article ids and section ids of a text index) is ``{"codes", "values"}``:
+its distinct values in the order their first rows come, and the position
+in ``values`` of each row's value. Order comes from the rows alone, so the
+header bytes do not depend on the string hash seed.
+
+``provider`` names what embedded the rows: ``{"kind": "trigram", "seed",
+"dimension"}`` for ``DeterministicEmbedder``, ``{"kind": "remote", "url"}``
+for ``RemoteEmbedder`` with the URL's userinfo, query and fragment left out
+(they may carry credentials), and null for any other provider.
+``texts_sha256`` is the sha256 of the strings the rows embed, in row order
+(section texts for a text index, image ids for an image index), each
+preceded by the 8-byte big-endian length of its UTF-8 bytes; null when the
+index was not built from texts. ``build_text_index`` and
+``build_image_index`` compute both once, and ``index_mismatch`` recomputes
+them from a corpus and a provider to tell whether an index is still what a
+build would make.
+
+In memory ``Index.keys`` is a ``KeyTable`` whether the index was built or
+loaded. It holds each column as its distinct values laid end to end in one
+string with their int64 end offsets, plus one int32 code per row when
+values repeat, so a key costs a few bytes and no Python object per row;
+``keys[row]`` cuts the pair out in O(1).
 
 ``save_index`` writes the matrix straight into the sidecar and then hashes
 the file in blocks, so it holds no second copy of the matrix. Both files
 are written under temp names and replace the old pair only when both are
-complete, the header last (``wire.atomic_write``).
-``load_index`` reads the sidecar once into one buffer the size of the file,
-hashes that buffer, parses the ``.npy`` header in it and makes the matrix a
-writable float64 view of the bytes after the header: the bytes the checksum
-covers are the bytes searched, and the index is held in one copy. Row norms
-are checked with ``einsum``, which makes no matrix-sized temporary.
+complete, the header last (``wire.atomic_write``). ``load_index`` parses
+the header and turns its key columns into a ``KeyTable``, checked with no
+Python loop over the rows (lengths equal ``count``, codes are integers in
+range, values are strings), before it reads the sidecar: the parsed JSON is gone before the
+matrix buffer exists. It reads the sidecar once into one buffer the size of
+the file, hashes that buffer, parses the ``.npy`` header in it and makes the
+matrix a writable float64 view of the bytes after the header: the bytes the
+checksum covers are the bytes searched. A loaded index holds its matrix, its
+key columns and little more. Row norms are checked with ``einsum``, which
+makes no matrix-sized temporary.
 
 The header does not name its sidecar, so saving one index under two names
-writes byte-identical headers. Version 1 files (vectors inline as JSON
-text) are rejected on load; rebuild them with ``dbagent index build``.
+writes byte-identical headers. Headers of versions 1 (vectors inline as JSON
+text) and 2 (one key pair per row, no provider or texts digest) are rejected
+on load; rebuild them with ``dbagent index build``.
 """
 
 from __future__ import annotations
@@ -65,7 +96,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
+from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
@@ -78,17 +110,20 @@ __all__ = [
     "DeterministicEmbedder",
     "RemoteEmbedder",
     "RetrievalHit",
+    "KeyTable",
     "Index",
     "embed_batch",
     "build_text_index",
     "build_image_index",
+    "index_mismatch",
     "text_search",
     "image_search",
     "save_index",
     "load_index",
 ]
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
+_REBUILD = "rebuild with `dbagent index build`"
 _NORM_TOLERANCE = 1e-6
 # The part of a sidecar its .npy header is parsed from; numpy refuses a
 # header longer than 10,000 bytes, far inside it.
@@ -271,25 +306,217 @@ class RetrievalHit:
     image_id: str | None = None
 
 
+class _Column:
+    """One key column: its distinct values laid end to end in ``chars``
+    (value j is ``chars[ends[j]:ends[j + 1]]``) and, when values repeat,
+    the int32 ``codes`` naming each row's value; without codes row i holds
+    value i."""
+
+    __slots__ = ("chars", "ends", "codes")
+
+    def __init__(self, values: list[str], codes: np.ndarray | None):
+        self.chars = "".join(values)  # a TypeError unless every value is a string
+        self.ends = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, values), dtype=np.int64, count=len(values)), out=self.ends[1:])
+        self.codes = codes
+
+    @classmethod
+    def of_rows(cls, rows: list[str]) -> _Column:
+        """The column of one string per row: distinct values in the order
+        their first rows come, and codes only when some value repeats."""
+        code_of = {value: code for code, value in enumerate(dict.fromkeys(rows))}
+        if len(code_of) == len(rows):
+            return cls(rows, None)
+        return cls(list(code_of), np.fromiter(map(code_of.__getitem__, rows), dtype=np.int32, count=len(rows)))
+
+    @classmethod
+    def from_json(cls, raw, count: int) -> _Column:
+        """A column as ``to_json`` writes it, checked without a Python loop
+        over its rows."""
+        codes = None
+        if isinstance(raw, dict):
+            if raw.keys() != {"codes", "values"}:
+                raise ValueError("a coded key column has exactly the keys 'codes' and 'values'")
+            raw, codes = raw["values"], raw["codes"]
+            if not isinstance(codes, list) or not isinstance(raw, list):
+                raise ValueError("a coded key column holds two lists")
+            if len(codes) != count:
+                raise ValueError(f"header count {count} != {len(codes)} rows in a key column")
+            # Builtins that loop in C: JSON true is a bool, not the code 1.
+            if set(map(type, codes)) - {int}:
+                raise ValueError("key codes must be integers")
+            if codes and not (min(codes) >= 0 and max(codes) < len(raw)):
+                raise ValueError(f"a key code lies outside the column's {len(raw)} values")
+            codes = np.array(codes, dtype=np.int32)
+        elif not isinstance(raw, list):
+            raise ValueError("a key column is a list of strings or {'codes', 'values'}")
+        elif len(raw) != count:
+            raise ValueError(f"header count {count} != {len(raw)} rows in a key column")
+        try:
+            return cls(raw, codes)
+        except TypeError as exc:
+            raise ValueError(f"key values must be strings ({exc})") from None
+
+    def values(self) -> list[str]:
+        ends = self.ends.tolist()
+        return [self.chars[start:end] for start, end in zip(ends, ends[1:])]
+
+    def rows(self) -> list[str]:
+        values = self.values()
+        return values if self.codes is None else [values[code] for code in self.codes.tolist()]
+
+    def to_json(self) -> list[str] | dict:
+        if self.codes is None:
+            return self.values()
+        return {"codes": self.codes.tolist(), "values": self.values()}
+
+    def __getitem__(self, row: int) -> str:
+        j = row if self.codes is None else self.codes[row]
+        return self.chars[self.ends[j] : self.ends[j + 1]]
+
+
+class KeyTable:
+    """The row keys of an index, read-only: ``keys[row]`` is row ``row``'s
+    string pair, cut out of two columns in O(1) (see the module docstring).
+
+    Built from any sequence of pairs; iterates as tuples, and equals a
+    ``KeyTable``, list or tuple that holds the same pairs in the same order.
+    """
+
+    __slots__ = ("_columns", "_count")
+
+    def __init__(self, pairs: Iterable[Sequence[str]]):
+        pairs = list(pairs)
+        self._count = len(pairs)
+        self._columns = (_Column.of_rows([a for a, _ in pairs]), _Column.of_rows([b for _, b in pairs]))
+
+    @classmethod
+    def _from_json(cls, raw, count: int) -> KeyTable:
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ValueError("index keys must hold string pairs as two columns")
+        table = cls.__new__(cls)
+        table._count = count
+        table._columns = (_Column.from_json(raw[0], count), _Column.from_json(raw[1], count))
+        return table
+
+    def _to_json(self) -> list:
+        return [column.to_json() for column in self._columns]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, row: int) -> tuple[str, str]:
+        row = range(self._count)[row]  # IndexError past either end; a negative row counts from the end
+        first, second = self._columns
+        return first[row], second[row]
+
+    def __iter__(self):
+        first, second = self._columns
+        return zip(first.rows(), second.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (KeyTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == [tuple(pair) for pair in other]
+
+    def __repr__(self) -> str:
+        return f"KeyTable(<{self._count} rows>)"
+
+
 @dataclass
 class Index:
     """Exact-search index of one modality; ``keys[i]`` owns ``matrix[i]``.
 
     Text rows are (article_id, section_id), sorted by both; image rows are
-    (image_id, article_id), sorted by image_id.
+    (image_id, article_id), sorted by image_id. ``keys`` may be given as any
+    sequence of pairs and is held as a ``KeyTable``. ``provider`` and
+    ``texts_sha256`` record what the rows were embedded with and from (see
+    the module docstring); None when unknown.
     """
 
-    keys: list[tuple[str, str]]
+    keys: KeyTable
     matrix: np.ndarray
     dimension: int
     modality: str
+    provider: dict | None = None
+    texts_sha256: str | None = None
     # The float32 screen of ``matrix`` (None when no error bound can hold)
     # and its largest row norm, built by the first search and never saved;
     # ``matrix`` must not change after.
     _screened: tuple[np.ndarray | None, float] | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.keys, KeyTable):
+            self.keys = KeyTable(self.keys)
+
     def __len__(self) -> int:
         return len(self.keys)
+
+
+def _provider_spec(provider) -> dict | None:
+    """What an index header records of ``provider``; None for a provider of
+    a type it cannot describe."""
+    if isinstance(provider, DeterministicEmbedder):
+        return {"kind": "trigram", "seed": provider.seed, "dimension": provider.dimension}
+    if isinstance(provider, RemoteEmbedder):
+        parts = urlsplit(provider.url)
+        host = parts.netloc.rpartition("@")[2]
+        return {"kind": "remote", "url": urlunsplit((parts.scheme, host, parts.path, "", ""))}
+    return None
+
+
+def _texts_sha256(texts: Iterable[str]) -> str:
+    """sha256 over ``texts`` in order, each framed by the length of its
+    UTF-8 bytes (lone surrogates pass through), so no regrouping of the
+    same characters gives the same digest."""
+    digest = hashlib.sha256()
+    for text in texts:
+        data = text.encode("utf-8", "surrogatepass")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _entries(corpus: Corpus, modality: str) -> tuple[list[tuple[str, str]], list[str]]:
+    """The row keys of ``corpus``'s index of ``modality`` in row order, and
+    the string each row embeds."""
+    if modality == "text":
+        rows = sorted(
+            ((a.article_id, s.section_id, s.text) for a in corpus.articles.values() for s in a.sections),
+            key=lambda e: (e[0], e[1]),
+        )
+        return [(aid, sid) for aid, sid, _ in rows], [text for _, _, text in rows]
+    keys = sorted(
+        ((img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images), key=lambda e: e[0]
+    )
+    return keys, [iid for iid, _ in keys]
+
+
+def index_mismatch(index: Index, corpus: Corpus, provider) -> str | None:
+    """Why ``index`` is not what building it from ``corpus`` with
+    ``provider`` would give, ending in the advice to rebuild, or None when
+    it is. The provider, the row keys and ``texts_sha256`` are compared;
+    the vectors are the sidecar's, which ``load_index`` checks against the
+    header."""
+    spec = _provider_spec(provider)
+    keys, texts = _entries(corpus, index.modality)
+    if index.provider != spec:
+        built, now = (json.dumps(x, sort_keys=True) for x in (index.provider, spec))
+        problem = f"index built with provider {built}, this run embeds with {now}"
+    elif index.keys != keys:
+        what = "(article_id, section_id)" if index.modality == "text" else "(image_id, article_id)"
+        known = set(keys)
+        stale = [key for key in index.keys if key not in known]
+        if stale:
+            problem = f"{len(stale)} of {len(index)} index rows name no {what} of the corpus, first {list(stale[0])}"
+        else:
+            problem = f"the index's {len(index)} rows are not the corpus's {len(keys)} {what} keys in order"
+    elif index.texts_sha256 != _texts_sha256(texts):
+        what = "section texts" if index.modality == "text" else "image ids"
+        problem = f"the corpus's {what} are not those the index was built from (texts_sha256)"
+    else:
+        return None
+    return f"{problem}; {_REBUILD}"
 
 
 def _build_index(
@@ -297,8 +524,6 @@ def _build_index(
 ) -> Index:
     """Embed ``texts`` in chunks, one row per key; on a failing chunk, retry
     singly to name the entry (``label(i)`` describes ``texts[i]``)."""
-    if not keys:
-        return Index(keys=[], matrix=np.zeros((0, provider.dimension)), dimension=provider.dimension, modality=modality)
     chunk = 128
     matrix = np.empty((len(texts), provider.dimension))
     for start in range(0, len(texts), chunk):
@@ -311,36 +536,29 @@ def _build_index(
                     matrix[start + offset] = embed_batch(provider, [text])[0]
                 except (EmbeddingError, ValueError) as exc:
                     raise EmbeddingError(f"embedding failed for {label(start + offset)}: {exc}") from exc
-    return Index(keys=keys, matrix=matrix, dimension=provider.dimension, modality=modality)
+    return Index(
+        keys=keys,
+        matrix=matrix,
+        dimension=provider.dimension,
+        modality=modality,
+        provider=_provider_spec(provider),
+        texts_sha256=_texts_sha256(texts),
+    )
 
 
 def build_text_index(corpus: Corpus, provider) -> Index:
-    entries = sorted(
-        ((a.article_id, s.section_id, s.text) for a in corpus.articles.values() for s in a.sections),
-        key=lambda e: (e[0], e[1]),
-    )
+    keys, texts = _entries(corpus, "text")
     return _build_index(
-        provider,
-        "text",
-        [(aid, sid) for aid, sid, _ in entries],
-        [text for _, _, text in entries],
-        lambda i: f"(article {entries[i][0]!r}, section {entries[i][1]!r})",
+        provider, "text", keys, texts, lambda i: f"(article {keys[i][0]!r}, section {keys[i][1]!r})"
     )
 
 
 def build_image_index(corpus: Corpus, provider) -> Index:
     """Index KB images by embedding their id strings (the provider resolves
     refs; the test embedder hashes the string itself)."""
-    entries = sorted(
-        ((img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images),
-        key=lambda e: e[0],
-    )
+    keys, texts = _entries(corpus, "image")
     return _build_index(
-        provider,
-        "image",
-        entries,
-        [iid for iid, _ in entries],
-        lambda i: f"(image {entries[i][0]!r}, article {entries[i][1]!r})",
+        provider, "image", keys, texts, lambda i: f"(image {keys[i][0]!r}, article {keys[i][1]!r})"
     )
 
 
@@ -520,7 +738,9 @@ def save_index(index: Index, path: str | Path) -> None:
             "dimension": index.dimension,
             "count": len(index),
             "modality": index.modality,
-            "keys": [list(key) for key in index.keys],
+            "keys": index.keys._to_json(),
+            "provider": index.provider,
+            "texts_sha256": index.texts_sha256,
             "vectors_sha256": digest.hexdigest(),
         }
         header.write(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
@@ -543,8 +763,8 @@ def load_index(
     if "format_version" not in doc:
         raise ValueError(f"{path}: index header missing 'format_version'")
     if doc["format_version"] != INDEX_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported index format_version {doc['format_version']}")
-    for field_name in ("dimension", "count", "modality", "keys", "vectors_sha256"):
+        raise ValueError(f"{path}: unsupported index format_version {doc['format_version']}; {_REBUILD}")
+    for field_name in ("dimension", "count", "modality", "keys", "provider", "texts_sha256", "vectors_sha256"):
         if field_name not in doc:
             raise ValueError(f"{path}: index header missing {field_name!r}")
     if expect_modality is not None and doc["modality"] != expect_modality:
@@ -552,13 +772,17 @@ def load_index(
     dimension = int(doc["dimension"])
     if expect_dimension is not None and dimension != expect_dimension:
         raise ValueError(f"{path}: index dimension {dimension}, expected {expect_dimension}")
-    keys = doc["keys"]
-    if not isinstance(keys, list) or not all(
-        isinstance(key, list) and len(key) == 2 and all(isinstance(x, str) for x in key) for key in keys
-    ):
-        raise ValueError(f"{path}: index keys must be a list of string pairs")
-    if len(keys) != doc["count"]:
-        raise ValueError(f"{path}: header count {doc['count']} != {len(keys)} entries")
+    count = doc["count"]
+    if type(count) is not int or count < 0:
+        raise ValueError(f"{path}: header count {count!r} is not a row count")
+    if not (doc["provider"] is None or isinstance(doc["provider"], dict)):
+        raise ValueError(f"{path}: index provider must be an object or null")
+    if not (doc["texts_sha256"] is None or isinstance(doc["texts_sha256"], str)):
+        raise ValueError(f"{path}: index texts_sha256 must be a string or null")
+    try:  # popped, so the parsed key lists are freed before the sidecar buffer exists
+        keys = KeyTable._from_json(doc.pop("keys"), count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     sidecar = path.with_suffix(".npy")
     # One read into one buffer: it is hashed, and the matrix is a view of it.
     try:
@@ -597,4 +821,11 @@ def load_index(
     # Written so that a NaN norm fails too: NaN compares false.
     if not (np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) <= _NORM_TOLERANCE).all():
         raise ValueError(f"{path}: stored vectors are not unit-normalized")
-    return Index(keys=[tuple(key) for key in keys], matrix=matrix, dimension=dimension, modality=doc["modality"])
+    return Index(
+        keys=keys,
+        matrix=matrix,
+        dimension=dimension,
+        modality=doc["modality"],
+        provider=doc["provider"],
+        texts_sha256=doc["texts_sha256"],
+    )

@@ -806,8 +806,9 @@ class HttpStub:
         return self.server.requests
 
 
-def traced_peak(fn):
-    """``fn()`` and the most memory it had allocated at once, in bytes."""
+def traced(fn):
+    """``fn()``, the memory it left allocated and the most it had allocated
+    at once, in bytes."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -815,7 +816,14 @@ def traced_peak(fn):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        current, peak = tracemalloc.get_traced_memory()
+        return result, current - before, peak - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def traced_peak(fn):
+    """``fn()`` and the most memory it had allocated at once, in bytes."""
+    result, _, peak = traced(fn)
+    return result, peak

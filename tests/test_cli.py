@@ -8,7 +8,17 @@ from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, derive_seed, main
 from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import DeterministicEmbedder, build_image_index, save_index
 from dbagent.wire import encode
-from helpers import corpus_lines, factory_rules, make_canonical_trajectory, marker, qa_obj, question, value, write_jsonl
+from helpers import (
+    corpus_lines,
+    factory_rules,
+    make_canonical_trajectory,
+    marker,
+    qa_obj,
+    question,
+    traced_peak,
+    value,
+    write_jsonl,
+)
 
 
 def write_corpus(tmp_path, n):
@@ -295,6 +305,61 @@ def test_index_dir_image_rows_are_checked_too(tmp_path, capsys):
     assert "image_index.json: 4 of 4 index rows name no (image_id, article_id)" in capsys.readouterr().err
 
 
+def _rebuild_message_exit(argv, capsys, fragment):
+    """Run ``argv`` and check it exits 2 naming ``fragment`` and the rebuild."""
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert "rebuild with `dbagent index build`" in captured.err
+    assert "<evidence>" not in captured.out
+
+
+def test_index_dir_with_version_2_header_exits_2(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    out_dir = tmp_path / "idx"
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    path = out_dir / "text_index.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    keys = [[f"a{i:03d}", f"a{i:03d}-s{s}"] for i in range(4) for s in range(2)]
+    v2 = {key: doc[key] for key in ("dimension", "count", "modality", "vectors_sha256")}
+    path.write_text(json.dumps(dict(v2, format_version=2, keys=keys)), encoding="utf-8")
+    _rebuild_message_exit(
+        agent_run_argv(corpus, script, "--index-dir", str(out_dir)), capsys, "unsupported index format_version 2"
+    )
+
+
+def test_index_dir_built_with_another_seed_exits_2(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    out_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", out_dir, "--seed", "0"]) == EXIT_OK
+    capsys.readouterr()
+    _rebuild_message_exit(
+        agent_run_argv(corpus, script, "--seed", "1", "--index-dir", out_dir),
+        capsys,
+        'text_index.json: index built with provider {"dimension": 64, "kind": "trigram", "seed": 0}, '
+        'this run embeds with {"dimension": 64, "kind": "trigram", "seed": 1}',
+    )
+
+
+def test_index_dir_of_an_edited_section_text_exits_2(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    script = agent_script(tmp_path, 4)
+    out_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", out_dir]) == EXIT_OK
+    capsys.readouterr()
+    articles = [json.loads(line) for line in corpus_lines(4)]
+    articles[2]["sections"][1]["text"] = "Edited under the same ids."
+    write_jsonl(tmp_path / "corpus.jsonl", [json.dumps(article) for article in articles])
+    _rebuild_message_exit(
+        agent_run_argv(corpus, script, "--index-dir", out_dir),
+        capsys,
+        "text_index.json: the corpus's section texts are not those the index was built from (texts_sha256)",
+    )
+
+
 def test_agent_run_prints_transcript(tmp_path, capsys):
     corpus = write_corpus(tmp_path, 4)
     script = agent_script(tmp_path, 4)
@@ -498,6 +563,34 @@ def test_validate_rejects_a_stored_turn_field_its_raw_does_not_hold(tmp_path, ca
         EXIT_DATA,
         f"q000: turn 2 stored {key} differs from what its raw parses to\n",
     )
+
+
+def test_dataset_emit_holds_one_outcome_at_a_time(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, 4)
+    dataset = write_dataset(tmp_path, 3)
+    rules = [rule for i, route in ((0, "A"), (1, "T-A"), (2, "I-A")) for rule in factory_rules(i, route)]
+    outcomes_path = tmp_path / "outcomes.jsonl"
+    argv = ["factory", "build", "--dataset", dataset, "--corpus", corpus, "--out", str(outcomes_path)]
+    assert main([*argv, "--script", write_script(tmp_path, rules)]) == EXIT_OK
+    lines = outcomes_path.read_text(encoding="utf-8").splitlines()
+    peaks = {}
+    for n in (30, 120):
+        path = write_jsonl(tmp_path / f"outcomes-{n}.jsonl", lines * (n // len(lines)))
+        emit = ["dataset", "emit", "--outcomes", str(path), "--out", str(tmp_path / f"sft-{n}.jsonl")]
+        main(emit)  # warm: the first run loads the prompt and compiles the decoders
+        code, peaks[n] = traced_peak(lambda: main(emit))
+        assert code == EXIT_OK
+    assert f"emitted {120} samples" in capsys.readouterr().out
+    # Holding the decoded outcomes would add ~90 outcomes to the peak, more
+    # than the whole peak of the 30-outcome run.
+    assert peaks[120] < 1.25 * peaks[30], peaks
+
+    # A bad line raises after the last good one: the old dataset stays whole.
+    before = (tmp_path / "sft-30.jsonl").read_bytes()
+    bad = write_jsonl(tmp_path / "outcomes-bad.jsonl", lines * 10 + ["{not json"])
+    assert main(["dataset", "emit", "--outcomes", str(bad), "--out", str(tmp_path / "sft-30.jsonl")]) == EXIT_DATA
+    assert "line 31" in capsys.readouterr().err
+    assert (tmp_path / "sft-30.jsonl").read_bytes() == before
 
 
 def test_factory_emit_validate_chain(tmp_path, capsys):
