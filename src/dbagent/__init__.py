@@ -10,6 +10,8 @@ The package covers the full loop: a tag protocol the model speaks
 (:mod:`dbagent.evaluation`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import BackendError, DataError
 from .factory import (
     BranchOutcome,
@@ -74,62 +76,6 @@ from .evaluation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionKind",
-    "BackendError",
-    "BranchOutcome",
-    "ChatMessage",
-    "Corpus",
-    "DataError",
-    "DeterministicEmbedder",
-    "EvalRecord",
-    "FactoryConfig",
-    "GenerationParams",
-    "HttpChatBackend",
-    "ImageRetriever",
-    "KbArticle",
-    "LinearizedSample",
-    "ProtocolViolation",
-    "QaSample",
-    "RemoteEmbedder",
-    "Report",
-    "RolloutConfig",
-    "ScriptedBackend",
-    "ScriptedRule",
-    "TextRetriever",
-    "ToolBinding",
-    "Trajectory",
-    "TurnRecord",
-    "aggregate",
-    "batch_rollout",
-    "build_eval_records",
-    "build_image_index",
-    "build_text_index",
-    "emit_dataset",
-    "image_search",
-    "judge_answer",
-    "linearize",
-    "load_corpus",
-    "load_index",
-    "load_qa_dataset",
-    "load_script",
-    "make_turn",
-    "normalize_answer",
-    "parse_turn",
-    "read_sft_file",
-    "read_trajectory_file",
-    "render_evidence",
-    "rollout",
-    "run_factory",
-    "run_kb_scale",
-    "run_topk_grid",
-    "sample_balanced",
-    "save_index",
-    "scan_sft_file",
-    "score_answer",
-    "serialize_turn",
-    "subsample_corpus",
-    "text_search",
-    "validate_in_context",
-    "write_trajectory_file",
-]
+# Each name imported above is an export; the submodules those imports bind
+# as attributes of the package are not.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

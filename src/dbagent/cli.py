@@ -48,7 +48,7 @@ from .factory import (
 from .gateway import HttpChatBackend, load_script
 from .kb import load_corpus
 from .prompts import load_prompt
-from .protocol import check_stored_turn, validate_in_context
+from .protocol import validate_in_context
 from .retrieval import (
     DeterministicEmbedder,
     RemoteEmbedder,
@@ -466,8 +466,8 @@ def _detect_kind(path: Path) -> str:
 def _check_trajectory(path: Path, traj: Trajectory) -> None:
     """Raise ``DataError`` unless ``traj`` is one a rollout could write: a
     known ``terminated_by``, one observation per tool turn with turn
-    indexes 1..n in order, and turns whose stored fields are what their raw
-    parses to and that pass validation in the mode the run used."""
+    indexes 1..n in order, and turns that pass validation in the mode the
+    run used."""
     if traj.terminated_by not in TERMINATED_KINDS:
         raise DataError(
             f"{path}: {traj.task_id}: terminated_by {traj.terminated_by!r} is not one of "
@@ -482,17 +482,7 @@ def _check_trajectory(path: Path, traj: Trajectory) -> None:
     mode = "strict" if traj.config.get("strict_protocol", True) else "lenient"
     allow = traj.config.get("allow_caption_before_answer", False)
     for i, turn in enumerate(traj.turns):
-        try:
-            violations = check_stored_turn(turn)
-        except ValueError as exc:
-            raise DataError(f"{path}: {traj.task_id}: turn {i + 1} {exc}") from None
-        problems = validate_in_context(
-            turn,
-            traj.turns[:i],
-            mode=mode,
-            allow_caption_before_answer=allow,
-            parsed_violations=violations,
-        )
+        problems = validate_in_context(turn, traj.turns[:i], mode=mode, allow_caption_before_answer=allow)
         if problems:
             raise DataError(f"{path}: {traj.task_id}: turn {i + 1}: " + "; ".join(v.message for v in problems))
 

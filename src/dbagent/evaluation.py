@@ -123,10 +123,11 @@ def build_eval_records(
         sample = by_id.get(traj.task_id)
         if sample is None:
             raise ValueError(f"no QA sample for trajectory {traj.task_id!r}")
-        if not traj.final_answer or not traj.final_answer.strip():
+        prediction = traj.final_answer
+        if not prediction or not prediction.strip():
             stats["empty_predictions"] += 1
         verdict = score_answer(
-            traj.final_answer,
+            prediction,
             sample.answers,
             metric=metric,
             raw_exact=raw_exact,

@@ -578,44 +578,48 @@ def assemble_agent_trajectory(pipe: _Pipeline, trajectory_type: str, cfg: Factor
     sample = pipe.sample
     rc = cfg.rollout_config
     think1 = _merge_think(pipe.s1_think, _entity_sentence(pipe.s1_entity), pipe.s1_choose)
-    turns: list[TurnRecord] = []
-    observations: list[EvidenceBlock] = []
-
+    # Each turn as the (think, action, payload[, caption]) make_turn takes.
     if trajectory_type == TYPE_DIRECT:
-        turns = [make_turn(_merge_think(pipe.s1_think, _entity_sentence(pipe.s1_entity)), ActionKind.ANSWER, pipe.s1_answer)]
+        parts = [(_merge_think(pipe.s1_think, _entity_sentence(pipe.s1_entity)), ActionKind.ANSWER, pipe.s1_answer)]
+        observations = []
     elif trajectory_type == TYPE_IMAGE:
-        turns = [
-            make_turn(think1, ActionKind.IMAGE_SEARCH, IMAGE_PAYLOAD),
-            make_turn(pipe.s2_think, ActionKind.ANSWER, pipe.s2_answer),
+        parts = [
+            (think1, ActionKind.IMAGE_SEARCH, IMAGE_PAYLOAD),
+            (pipe.s2_think, ActionKind.ANSWER, pipe.s2_answer),
         ]
         observations = [render_evidence(pipe.stage2_items, 1)]
     elif trajectory_type == TYPE_TEXT:
-        turns = [
-            make_turn(think1, ActionKind.TEXT_SEARCH, pipe.query1),
-            make_turn(pipe.s2_think, ActionKind.ANSWER, pipe.s2_answer),
+        parts = [
+            (think1, ActionKind.TEXT_SEARCH, pipe.query1),
+            (pipe.s2_think, ActionKind.ANSWER, pipe.s2_answer),
         ]
         observations = [render_evidence(pipe.stage2_items, 1)]
     elif trajectory_type == TYPE_IMAGE_TEXT:
-        turns = [
-            make_turn(think1, ActionKind.IMAGE_SEARCH, IMAGE_PAYLOAD),
-            make_turn(pipe.rewrite_think, ActionKind.TEXT_SEARCH, pipe.query2, caption=pipe.caption),
-            make_turn(pipe.s3_think, ActionKind.ANSWER, pipe.s3_answer),
+        parts = [
+            (think1, ActionKind.IMAGE_SEARCH, IMAGE_PAYLOAD),
+            (pipe.rewrite_think, ActionKind.TEXT_SEARCH, pipe.query2, pipe.caption),
+            (pipe.s3_think, ActionKind.ANSWER, pipe.s3_answer),
         ]
         observations = [render_evidence(pipe.stage2_items, 1), render_evidence(pipe.stage3_items, 2)]
     elif trajectory_type == TYPE_TEXT_TEXT:
-        turns = [
-            make_turn(think1, ActionKind.TEXT_SEARCH, pipe.query1),
-            make_turn(pipe.rewrite_think, ActionKind.TEXT_SEARCH, pipe.query2),
-            make_turn(pipe.s3_think, ActionKind.ANSWER, pipe.s3_answer),
+        parts = [
+            (think1, ActionKind.TEXT_SEARCH, pipe.query1),
+            (pipe.rewrite_think, ActionKind.TEXT_SEARCH, pipe.query2),
+            (pipe.s3_think, ActionKind.ANSWER, pipe.s3_answer),
         ]
         observations = [render_evidence(pipe.stage2_items, 1), render_evidence(pipe.stage3_items, 2)]
     else:
         raise ValueError(f"cannot assemble trajectory type {trajectory_type!r}")
 
-    for i, turn in enumerate(turns):
+    turns: list[TurnRecord] = []
+    for i, part in enumerate(parts):
+        try:
+            turn = make_turn(*part)
+        except ValueError as exc:  # stage text that breaks the tag grammar
+            raise _Discard(f"assembled turn {i + 1} {exc}") from None
         problems = validate_in_context(
             turn,
-            turns[:i],
+            turns,
             mode="strict",
             allow_caption_before_answer=rc.allow_caption_before_answer,
         )
@@ -624,6 +628,7 @@ def assemble_agent_trajectory(pipe: _Pipeline, trajectory_type: str, cfg: Factor
                 f"assembled turn {i + 1} fails strict validation: "
                 + "; ".join(v.message for v in problems)
             )
+        turns.append(turn)
 
     _reject_gold_leak(turns, observations, sample)
 
@@ -633,7 +638,6 @@ def assemble_agent_trajectory(pipe: _Pipeline, trajectory_type: str, cfg: Factor
         question=sample.question,
         turns=turns,
         observations=observations,
-        final_answer=turns[-1].action_payload,
         terminated_by="answer",
         config=rc.snapshot(),
     )

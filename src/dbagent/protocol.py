@@ -25,7 +25,15 @@ none. Whitespace is Unicode whitespace (``str.isspace``) throughout.
 A parse is one regex pass over the turn plus Python work per tag span; no
 step loops over the turn's characters in Python.
 
-Evidence is environment-emitted, never model-emitted, and renders as::
+A ``TurnRecord`` is built from its raw text alone: one parse, made when the
+record is built, fills its think, action, payload, caption and intra-turn
+violations, so a record cannot disagree with its raw, and validation reads
+those violations instead of parsing again. A raw that yields no record
+cannot be built into one; ``parse_turn`` is the total entry point.
+
+Evidence is environment-emitted, never model-emitted. An ``EvidenceBlock``
+holds the retrieved items (or the message of a tool that failed) and its
+``rendered`` text is derived from them as::
 
     <evidence>
     [1] {title} — {heading}: {text}
@@ -38,7 +46,7 @@ and ``[tool error] {message}`` when the tool failed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -54,7 +62,6 @@ __all__ = [
     "CLOSING_ACTION_TAGS",
     "parse_turn",
     "validate_in_context",
-    "check_stored_turn",
     "serialize_turn",
     "make_turn",
     "render_evidence",
@@ -102,15 +109,47 @@ class ProtocolViolation:
     message: str
 
 
+class _Unparsed(ValueError):
+    """A raw turn without the think/action skeleton a record needs."""
+
+    def __init__(self, violations: list[ProtocolViolation]):
+        super().__init__()
+        self.violations = violations
+
+    def __str__(self) -> str:  # built when shown: parse_turn drops the error unread
+        codes = ", ".join(dict.fromkeys(v.code.value for v in self.violations))
+        return f"raw does not parse ({codes})"
+
+
 @dataclass(frozen=True, slots=True)
 class TurnRecord:
-    """A parsed turn. Field text is trimmed; ``raw`` is the input as given."""
+    """A turn: ``raw`` as generated, and what one parse of it finds.
 
-    think: str
-    action: ActionKind
-    action_payload: str = field(metadata={"json": "payload"})
+    Only ``raw`` is given. The other fields are filled at construction by
+    parsing it, so a record always holds what its raw says: the trimmed
+    think, action, payload and caption, and the intra-turn grammar
+    ``violations`` sorted by span. A raw with no think/action skeleton
+    raises ``ValueError``.
+    """
+
     raw: str
-    caption: str | None = None
+    think: str = field(init=False)
+    action: ActionKind = field(init=False)
+    action_payload: str = field(init=False)
+    caption: str | None = field(init=False)
+    violations: tuple[ProtocolViolation, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        parts, violations = _parse(self.raw)
+        if parts is None:
+            raise _Unparsed(violations)
+        think, action, payload, caption = parts
+        set_field = object.__setattr__  # the record is frozen
+        set_field(self, "think", think)
+        set_field(self, "action", action)
+        set_field(self, "action_payload", payload)
+        set_field(self, "caption", caption)
+        set_field(self, "violations", tuple(violations))
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,9 +166,27 @@ class EvidenceItem:
 
 @dataclass(frozen=True, slots=True)
 class EvidenceBlock:
+    """What one search turn's tool returned: the retrieved ``items``, or the
+    ``error`` message of a tool that failed."""
+
     items: tuple[EvidenceItem, ...]
     turn_index: int
-    rendered: str
+    error: str | None = None
+
+    @property
+    def rendered(self) -> str:
+        """The block exactly as the model sees it, byte for byte the same
+        for the same fields (see the module docstring)."""
+        if self.error is not None:
+            lines = [f"[tool error] {_flatten(self.error)}"]
+        elif self.items:
+            lines = [
+                f"[{i}] {_flatten(item.title)} — {_flatten(item.heading)}: {_flatten(item.text)}"
+                for i, item in enumerate(self.items, start=1)
+            ]
+        else:
+            lines = [NO_RESULTS_LINE]
+        return "\n".join(["<evidence>", *lines, "</evidence>"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,6 +272,16 @@ def parse_turn(raw: str) -> tuple[TurnRecord | None, list[ProtocolViolation]]:
     detected, not just the first. A turn is well-formed iff the violation
     list is empty.
     """
+    try:
+        record = TurnRecord(raw)
+    except _Unparsed as exc:
+        return None, exc.violations
+    return record, list(record.violations)
+
+
+def _parse(raw: str) -> tuple[tuple[str, ActionKind, str, str | None] | None, list[ProtocolViolation]]:
+    """The one parse of a turn: (think, action, payload, caption), or None
+    without the skeleton, and every violation sorted by span."""
     if len(raw) > MAX_TURN_CHARS:
         return None, [
             ProtocolViolation(
@@ -322,17 +389,13 @@ def parse_turn(raw: str) -> tuple[TurnRecord | None, list[ProtocolViolation]]:
                 )
             )
 
-    record: TurnRecord | None = None
+    parts = None
     if thinks and action_kind is not None:
-        record = TurnRecord(
-            think=raw[thinks[0].inner_start : thinks[0].inner_end].strip(),
-            action=action_kind,
-            action_payload=payload,
-            raw=raw,
-            caption=(raw[captions[0].inner_start : captions[0].inner_end].strip() if captions else None),
-        )
+        think = raw[thinks[0].inner_start : thinks[0].inner_end].strip()
+        caption = raw[captions[0].inner_start : captions[0].inner_end].strip() if captions else None
+        parts = (think, action_kind, payload, caption)
     violations.sort(key=lambda v: v.span)
-    return record, violations
+    return parts, violations
 
 
 def _unaccounted_runs(
@@ -369,28 +432,23 @@ def validate_in_context(
     mode: str = "strict",
     *,
     allow_caption_before_answer: bool = False,
-    parsed_violations: Sequence[ProtocolViolation] | None = None,
 ) -> list[ProtocolViolation]:
-    """Validate a parsed turn against the turns that precede it.
+    """Validate a turn against the turns that precede it.
 
-    ``strict`` re-checks the intra-turn grammar and adds the contextual
-    rules: a caption requires a prior image-search turn, and (unless
+    ``strict`` reports the intra-turn grammar violations (``turn.violations``,
+    found when the turn was parsed) and adds the contextual rules: a caption
+    requires a prior image-search turn, and (unless
     ``allow_caption_before_answer``) a caption may not ride on an answer
-    turn. ``lenient`` checks only intra-turn grammar and downgrades
+    turn. ``lenient`` reports only intra-turn grammar and downgrades
     UnknownTag to a warning. Strict findings are always a superset of
-    lenient findings for the same input.
-
-    ``parsed_violations``, when given, must be the violations
-    ``parse_turn(turn.raw)`` returned; the intra-turn grammar is then taken
-    from it instead of parsing ``turn.raw`` again.
+    lenient findings for the same input. Nothing is parsed here.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown validation mode: {mode!r}")
-    intra = parse_turn(turn.raw)[1] if parsed_violations is None else parsed_violations
     if mode == "lenient":
-        return [v for v in intra if v.code is not ViolationCode.UNKNOWN_TAG]
+        return [v for v in turn.violations if v.code is not ViolationCode.UNKNOWN_TAG]
 
-    out = list(intra)
+    out = list(turn.violations)
     if turn.caption is not None:
         span = _caption_span(turn.raw)
         if not any(t.action is ActionKind.IMAGE_SEARCH for t in history):
@@ -413,24 +471,6 @@ def validate_in_context(
     return out
 
 
-def check_stored_turn(turn: TurnRecord) -> list[ProtocolViolation]:
-    """The violations ``parse_turn(turn.raw)`` finds, to hand to
-    ``validate_in_context(parsed_violations=...)``, for a turn read back
-    from a file. A stored turn is what its ``raw`` parses to: raises
-    ``ValueError`` when ``raw`` yields no record, or one whose think,
-    action, payload or caption differs from the stored field."""
-    record, violations = parse_turn(turn.raw)
-    if record is None:
-        raise ValueError("raw does not parse")
-    if record != turn:
-        # raw is the same in both, so only the fields parsed from it differ.
-        differ = [
-            f.metadata.get("json", f.name) for f in fields(TurnRecord) if getattr(record, f.name) != getattr(turn, f.name)
-        ]
-        raise ValueError(f"stored {'/'.join(differ)} differs from what its raw parses to")
-    return violations
-
-
 def _caption_span(raw: str) -> tuple[int, int]:
     start = raw.find("<caption>")
     if start < 0:
@@ -439,14 +479,14 @@ def _caption_span(raw: str) -> tuple[int, int]:
     return (start, end + len("</caption>") if end >= 0 else len(raw))
 
 
+def _canonical(think: str, action: ActionKind, payload: str, caption: str | None) -> str:
+    caption_tag = "" if caption is None else f"<caption>{caption}</caption>"
+    return f"<think>{think}</think>{caption_tag}<{action.value}>{payload}</{action.value}>"
+
+
 def serialize_turn(turn: TurnRecord) -> str:
     """Canonical re-emission: think, optional caption, then the action tag."""
-    parts = [f"<think>{turn.think}</think>"]
-    if turn.caption is not None:
-        parts.append(f"<caption>{turn.caption}</caption>")
-    tag = turn.action.value
-    parts.append(f"<{tag}>{turn.action_payload}</{tag}>")
-    return "".join(parts)
+    return _canonical(turn.think, turn.action, turn.action_payload, turn.caption)
 
 
 def make_turn(
@@ -455,22 +495,10 @@ def make_turn(
     payload: str,
     caption: str | None = None,
 ) -> TurnRecord:
-    """Build a canonical TurnRecord whose raw equals its serialization."""
-    record = TurnRecord(
-        think=think.strip(),
-        action=action,
-        action_payload=payload.strip(),
-        raw="",
-        caption=caption.strip() if caption is not None else None,
-    )
-    raw = serialize_turn(record)
-    return TurnRecord(
-        think=record.think,
-        action=record.action,
-        action_payload=record.action_payload,
-        raw=raw,
-        caption=record.caption,
-    )
+    """The record that the canonical serialization of these parts, trimmed,
+    parses to: its raw equals its serialization whenever the parts hold no
+    tags. Raises ``ValueError`` when the serialization does not parse."""
+    return TurnRecord(_canonical(think.strip(), action, payload.strip(), None if caption is None else caption.strip()))
 
 
 def _flatten(text: str) -> str:
@@ -479,26 +507,20 @@ def _flatten(text: str) -> str:
 
 
 def render_evidence(items: Sequence[EvidenceItem], turn_index: int) -> EvidenceBlock:
-    """Render retrieval output exactly as the model sees it.
+    """The evidence block of retrieval output; its ``rendered`` is what the
+    model sees.
 
     Format: ``<evidence>\\n[i] {title} — {heading}: {text}\\n</evidence>``,
     items numbered from 1 in rank order; ``[no results]`` when empty.
     Rendering is deterministic byte-for-byte given identical items.
     """
-    lines = ["<evidence>"]
-    if items:
-        for i, item in enumerate(items, start=1):
-            lines.append(f"[{i}] {_flatten(item.title)} — {_flatten(item.heading)}: {_flatten(item.text)}")
-    else:
-        lines.append(NO_RESULTS_LINE)
-    lines.append("</evidence>")
-    return EvidenceBlock(items=tuple(items), turn_index=turn_index, rendered="\n".join(lines))
+    return EvidenceBlock(items=tuple(items), turn_index=turn_index)
 
 
 def render_tool_error(message: str, turn_index: int) -> EvidenceBlock:
-    """Sentinel evidence for a tool that failed."""
-    rendered = f"<evidence>\n[tool error] {_flatten(message)}\n</evidence>"
-    return EvidenceBlock(items=(), turn_index=turn_index, rendered=rendered)
+    """Sentinel evidence for a tool that failed: renders as
+    ``[tool error] {message}``."""
+    return EvidenceBlock(items=(), turn_index=turn_index, error=message)
 
 
 def extract_final_answer(turns: Sequence[TurnRecord]) -> str | None:

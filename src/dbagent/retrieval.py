@@ -63,9 +63,10 @@ build would make.
 
 In memory ``Index.keys`` is a ``KeyTable`` whether the index was built or
 loaded. It holds each column as its distinct values laid end to end in one
-string with their int64 end offsets, plus one int32 code per row when
-values repeat, so a key costs a few bytes and no Python object per row;
-``keys[row]`` cuts the pair out in O(1).
+string with their end offsets (``array('q')``), plus one code per row
+(``array('i')``) when values repeat, so a key costs a few bytes and no
+Python object per row; ``keys[row]`` cuts the pair out in O(1), and indexing
+an ``array`` gives a Python int, not a numpy scalar.
 
 ``save_index`` writes the matrix straight into the sidecar and then hashes
 the file in blocks, so it holds no second copy of the matrix. Both files
@@ -94,7 +95,9 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit, urlunsplit
@@ -309,15 +312,14 @@ class RetrievalHit:
 class _Column:
     """One key column: its distinct values laid end to end in ``chars``
     (value j is ``chars[ends[j]:ends[j + 1]]``) and, when values repeat,
-    the int32 ``codes`` naming each row's value; without codes row i holds
+    the ``codes`` naming each row's value; without codes row i holds
     value i."""
 
     __slots__ = ("chars", "ends", "codes")
 
-    def __init__(self, values: list[str], codes: np.ndarray | None):
+    def __init__(self, values: list[str], codes: array | None):
         self.chars = "".join(values)  # a TypeError unless every value is a string
-        self.ends = np.zeros(len(values) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, values), dtype=np.int64, count=len(values)), out=self.ends[1:])
+        self.ends = array("q", accumulate(map(len, values), initial=0))
         self.codes = codes
 
     @classmethod
@@ -327,7 +329,7 @@ class _Column:
         code_of = {value: code for code, value in enumerate(dict.fromkeys(rows))}
         if len(code_of) == len(rows):
             return cls(rows, None)
-        return cls(list(code_of), np.fromiter(map(code_of.__getitem__, rows), dtype=np.int32, count=len(rows)))
+        return cls(list(code_of), array("i", map(code_of.__getitem__, rows)))
 
     @classmethod
     def from_json(cls, raw, count: int) -> _Column:
@@ -347,7 +349,7 @@ class _Column:
                 raise ValueError("key codes must be integers")
             if codes and not (min(codes) >= 0 and max(codes) < len(raw)):
                 raise ValueError(f"a key code lies outside the column's {len(raw)} values")
-            codes = np.array(codes, dtype=np.int32)
+            codes = array("i", codes)
         elif not isinstance(raw, list):
             raise ValueError("a key column is a list of strings or {'codes', 'values'}")
         elif len(raw) != count:

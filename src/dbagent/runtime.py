@@ -206,9 +206,13 @@ class Trajectory:
     turns: list[TurnRecord]
     observations: list[EvidenceBlock]
     terminated_by: str
-    final_answer: str | None = None
     config: dict = field(default_factory=dict)
     protocol_events: list[dict] = field(default_factory=list)
+
+    @property
+    def final_answer(self) -> str | None:
+        """Payload of the last answer turn; None when no turn answered."""
+        return extract_final_answer(self.turns)
 
     @property
     def action_kinds(self) -> tuple[ActionKind, ...]:
@@ -243,7 +247,6 @@ def _effective_violations(
         transcript,
         mode=mode,
         allow_caption_before_answer=config.allow_caption_before_answer,
-        parsed_violations=parse_violations,
     )
     if mode == "lenient":
         dropped = [v for v in parse_violations if v.code is ViolationCode.UNKNOWN_TAG]
@@ -327,7 +330,6 @@ def rollout(
         question=question,
         turns=turns,
         observations=observations,
-        final_answer=extract_final_answer(turns),
         terminated_by=terminated_by,
         config=config.snapshot(),
         protocol_events=protocol_events,

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .factory import assign_difficulty, trajectory_type_of
-from .protocol import ActionKind, check_stored_turn, serialize_turn, validate_in_context
+from .protocol import ActionKind, serialize_turn, validate_in_context
 from .runtime import Trajectory
 from .wire import atomic_write, decode, encode, parse_jsonl
 
@@ -116,12 +116,7 @@ def linearize(traj: Trajectory, system_prompt: str) -> LinearizedSample:
     if traj.terminated_by != "answer":
         raise SftError(f"{traj.task_id}: trajectory terminated by {traj.terminated_by!r}, not answer")
     for i, turn in enumerate(traj.turns):
-        try:
-            violations = check_stored_turn(turn)
-        except ValueError as exc:
-            raise SftError(f"{traj.task_id}: turn {i + 1} {exc}") from None
-        problems = validate_in_context(turn, traj.turns[:i], mode="strict",
-                                       allow_caption_before_answer=False, parsed_violations=violations)
+        problems = validate_in_context(turn, traj.turns[:i], mode="strict", allow_caption_before_answer=False)
         if problems:
             raise SftError(
                 f"{traj.task_id}: turn {i + 1} fails strict validation: "

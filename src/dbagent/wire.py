@@ -2,13 +2,18 @@
 and the one HTTP POST every module shares.
 
 ``encode`` and ``decode`` map a record dataclass to and from its JSON
-object: the fields and their type hints are the schema, and a field's
-``"json"`` metadata names a key that differs from the field. A key whose
-field has a default may be absent; extra keys are ignored. ``decode`` checks
-each value against its hint (``true`` is not a number; an integer is) and
-raises ``DataError`` naming the JSON path of the first mismatch, as in
-``turns[0].raw: expected string, got null``. Each class is compiled once into
-a table walker; the path is built only when a value does not fit.
+object: the fields its constructor takes and their type hints are the
+schema, each field under its own name. A field the constructor does not take
+(``init=False``) is derived: ``encode`` does not write it, and the
+constructor fills it again when ``decode`` builds the record. A field whose
+default is None is written only when it holds a value. A key whose field has
+a default may be absent; extra keys are ignored. ``decode`` checks each value
+against its hint (``true`` is not a number; an integer is) and raises
+``DataError`` naming the JSON path of the first mismatch, as in
+``turns[0].raw: expected string, got null``; a ``ValueError`` the
+constructor raises is reported the same way, at the record's path. Each
+class is compiled once into a table walker; the path is built only when a
+value does not fit.
 
 ``parse_jsonl`` reads every file format the package writes line by line and
 yields each record as its line is read: blank lines are skipped and every bad
@@ -138,17 +143,17 @@ def _elements(item: tuple, container: type) -> Callable[[object], object]:
 
 
 def _record_codec(cls: type) -> tuple[Callable[[dict], object], Callable[[object], dict]]:
-    """The from_json and to_json of a dataclass: each walks one table of its
-    fields."""
+    """The from_json and to_json of a dataclass: each walks one table of the
+    fields its constructor takes."""
     hints = get_type_hints(cls)
-    fields = [(f, f.metadata.get("json", f.name), _codec(hints[f.name])) for f in dataclasses.fields(cls)]
+    fields = [(f, _codec(hints[f.name])) for f in dataclasses.fields(cls) if f.init]
     # Each field's default as a factory; MISSING when its key is required.
     reading = [
-        (key, fits, from_json, expected,
+        (f.name, fits, from_json, expected,
          f.default_factory if f.default is dataclasses.MISSING else (lambda default=f.default: default))
-        for f, key, (fits, from_json, _, expected) in fields
+        for f, (fits, from_json, _, expected) in fields
     ]
-    writing = [(f.name, key, to_json) for f, key, (_, _, to_json, _) in fields]
+    writing = [(f.name, to_json, f.default is None) for f, (_, _, to_json, _) in fields]
 
     def record_from_json(obj: dict):
         values = []
@@ -169,13 +174,18 @@ def _record_codec(cls: type) -> tuple[Callable[[dict], object], Callable[[object
                     exc.path.append(key)
                     raise
             values.append(value)
-        return cls(*values)
+        try:
+            return cls(*values)
+        except ValueError as exc:
+            raise _Mismatch(str(exc)) from None
 
     def record_to_json(record) -> dict:
         out = {}
-        for name, key, to_json in writing:
+        for name, to_json, omit_none in writing:
             value = getattr(record, name)
-            out[key] = value if to_json is None else to_json(value)
+            if value is None and omit_none:
+                continue
+            out[name] = value if to_json is None else to_json(value)
         return out
 
     return record_from_json, record_to_json
@@ -195,7 +205,9 @@ def decode(cls: type[T], obj: object) -> T:
 
 
 def encode(record: object) -> dict:
-    """The JSON object for a record dataclass: every field, under its JSON key."""
+    """The JSON object for a record dataclass: every field its constructor
+    takes, under its name, less the None values of fields whose default is
+    None."""
     return _codec(type(record))[2](record)
 
 

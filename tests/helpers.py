@@ -437,7 +437,6 @@ def make_canonical_trajectory(task_id: str, shape: str, i: int = 0) -> Trajector
         question=q,
         turns=turns,
         observations=observations,
-        final_answer=v,
         terminated_by="answer",
         config={"strict_protocol": True},
     )

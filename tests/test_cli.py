@@ -7,6 +7,7 @@ import pytest
 from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, derive_seed, main
 from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import DeterministicEmbedder, build_image_index, save_index
+from dbagent.runtime import read_trajectory_file
 from dbagent.wire import encode
 from helpers import (
     corpus_lines,
@@ -434,25 +435,6 @@ def test_agent_batch_then_eval_report(tmp_path, capsys):
     assert (tmp_path / "report.csv").read_text(encoding="utf-8").startswith("row,label,")
 
 
-def _reference_verdict(path):
-    """The verdict of ``validate`` on a trajectory file when every turn was
-    parsed a second time inside ``validate_in_context``."""
-    from dbagent.protocol import parse_turn, validate_in_context
-    from dbagent.runtime import read_trajectory_file
-
-    for traj in read_trajectory_file(path):
-        mode = "strict" if traj.config.get("strict_protocol", True) else "lenient"
-        allow = traj.config.get("allow_caption_before_answer", False)
-        for i, turn in enumerate(traj.turns):
-            record, _ = parse_turn(turn.raw)
-            if record is None:
-                return f"{traj.task_id}: turn {i + 1} raw does not parse"
-            problems = validate_in_context(record, traj.turns[:i], mode=mode, allow_caption_before_answer=allow)
-            if problems:
-                return f"{traj.task_id}: turn {i + 1}: " + "; ".join(v.message for v in problems)
-    return None
-
-
 def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypatch):
     from dbagent import protocol
 
@@ -462,18 +444,16 @@ def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypat
     good = tmp_path / "trajectories.jsonl"
     argv = ["agent", "batch", "--dataset", dataset, "--corpus", corpus, "--out", str(good)]
     assert main(argv + ["--script", script, "--dimension", "256", "--k-text", "1"]) == EXIT_OK
+    capsys.readouterr()
     rows = [json.loads(line) for line in good.read_text(encoding="utf-8").splitlines()]
     n_turns = sum(len(row["turns"]) for row in rows)
     assert n_turns >= 6
 
     # Same files with one defect each: a caption before any image search
     # (strict), the same in lenient mode (allowed), and an unparseable turn.
-    # The caption goes into both the raw turn and its stored field, which
-    # must agree.
     variants = {"good": rows}
     caption = json.loads(json.dumps(rows))
     caption[1]["turns"][0]["raw"] = caption[1]["turns"][0]["raw"].replace("</think>", "</think>\n<caption>a tower</caption>")
-    caption[1]["turns"][0]["caption"] = "a tower"
     variants["caption"] = caption
     lenient = json.loads(json.dumps(caption))
     lenient[1]["config"]["strict_protocol"] = False
@@ -482,33 +462,29 @@ def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypat
     garbled[2]["turns"][1]["raw"] = "no tags at all"
     variants["garbled"] = garbled
 
+    # Reading the file parses each turn once, as it builds the record;
+    # validation reads the violations that parse found.
     calls = []
-    parse_turn = protocol.parse_turn
-    monkeypatch.setattr(protocol, "parse_turn", lambda raw: calls.append(raw) or parse_turn(raw))
-    verdicts = {}
+    parse = protocol._parse
+    monkeypatch.setattr(protocol, "_parse", lambda raw: calls.append(raw) or parse(raw))
+    results = {}
     for name, variant in variants.items():
-        path = tmp_path / f"{name}.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in variant), encoding="utf-8")
+        path = write_jsonl(tmp_path / f"{name}.jsonl", [json.dumps(row) for row in variant])
         calls.clear()
         code = main(["validate", str(path)])
-        parsed = list(calls)
         captured = capsys.readouterr()
-        with monkeypatch.context() as m:
-            m.setattr(protocol, "parse_turn", parse_turn)
-            want = _reference_verdict(path)
-        if want is None:
-            assert code == EXIT_OK, name
-            assert f"OK (trajectories): {len(variant)} trajectories" in captured.out
-        else:
-            assert code == EXIT_DATA, name
-            assert captured.err == f"error: {path}: {want}\n", name
-        verdicts[name] = (code, len(parsed))
-    first, second = len(rows[0]["turns"]), len(rows[1]["turns"])
-    assert verdicts == {
-        "good": (EXIT_OK, n_turns),
-        "caption": (EXIT_DATA, first + 1),
-        "lenient": (EXIT_OK, n_turns),
-        "garbled": (EXIT_DATA, first + second + 2),
+        results[name] = (code, captured.out + captured.err.replace(f"error: {path}: ", ""), len(calls))
+    ok = f"OK (trajectories): {len(rows)} trajectories\n"
+    assert results == {
+        "good": (EXIT_OK, ok, n_turns),
+        "caption": (EXIT_DATA, f"{rows[1]['task_id']}: turn 1: <caption> requires an earlier <image_search> turn\n", n_turns),
+        "lenient": (EXIT_OK, ok, n_turns),
+        # A turn that does not parse ends the read of its trajectory.
+        "garbled": (
+            EXIT_DATA,
+            "1 error(s)\nline 3: turns[1]: raw does not parse (MissingThink, TrailingText, NoAction)\n",
+            n_turns - len(rows[2]["turns"]) + 2,
+        ),
     }
 
 
@@ -545,8 +521,8 @@ def test_validate_rejects_observations_that_do_not_follow_the_tool_turns(tmp_pat
 def test_validate_accepts_every_shape_a_rollout_writes(tmp_path, capsys):
     answered = _i_t_a()
     # A protocol failure on the first generation, and a budget spent on a search.
-    no_turns = _i_t_a(turns=[], observations=[], terminated_by="protocol_failure", final_answer=None)
-    out_of_budget = _i_t_a(terminated_by="budget_exhausted", final_answer=None)
+    no_turns = _i_t_a(turns=[], observations=[], terminated_by="protocol_failure")
+    out_of_budget = _i_t_a(terminated_by="budget_exhausted")
     out_of_budget["turns"] = out_of_budget["turns"][:2]
     for row in (answered, no_turns, out_of_budget):
         assert _validate_one(tmp_path, capsys, row) == (EXIT_OK, "")
@@ -556,13 +532,23 @@ def test_validate_accepts_every_shape_a_rollout_writes(tmp_path, capsys):
     "key, value",
     [("think", "Edited."), ("payload", "edited query"), ("caption", None), ("action", "image_search")],
 )
-def test_validate_rejects_a_stored_turn_field_its_raw_does_not_hold(tmp_path, capsys, key, value):
+def test_validate_reads_a_turn_from_its_raw_alone(tmp_path, capsys, key, value):
+    # Files written before turns were stored as their raw alone hold the
+    # parsed fields beside it; an edited copy of one is ignored.
     row = _i_t_a()
     row["turns"][1][key] = value
-    assert _validate_one(tmp_path, capsys, row) == (
-        EXIT_DATA,
-        f"q000: turn 2 stored {key} differs from what its raw parses to\n",
-    )
+    assert _validate_one(tmp_path, capsys, row) == (EXIT_OK, "")
+    assert read_trajectory_file(tmp_path / "trajectories.jsonl") == [make_canonical_trajectory("q000", "I-T-A")]
+
+
+def test_a_stored_final_answer_its_turns_do_not_hold_is_ignored(tmp_path, capsys):
+    # The final answer is the answer turn's payload, whatever the line says.
+    row = {**encode(make_canonical_trajectory("q000", "T-A")), "final_answer": "edited answer"}
+    path = write_jsonl(tmp_path / "trajectories.jsonl", [json.dumps(row)])
+    assert main(["validate", str(path)]) == EXIT_OK
+    report = ["eval", "report", "--trajectories", str(path), "--dataset", write_dataset(tmp_path, 1)]
+    assert main(report) == EXIT_OK
+    assert "overall accuracy: 100.0%" in capsys.readouterr().out
 
 
 def test_dataset_emit_holds_one_outcome_at_a_time(tmp_path, capsys):

@@ -97,7 +97,7 @@ def test_build_eval_records_joins_and_scores():
 def test_build_eval_records_counts_empty_predictions():
     base = make_canonical_trajectory("q002", "T-T-A", 2)
     stalled = replace(
-        base, turns=base.turns[:2], final_answer=None, terminated_by="budget_exhausted"
+        base, turns=base.turns[:2], terminated_by="budget_exhausted"
     )
     records, stats = build_eval_records([stalled], [qa_sample(2)])
     assert stats["empty_predictions"] == 1

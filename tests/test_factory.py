@@ -36,7 +36,8 @@ from dbagent.factory import (
     write_outcome_file,
 )
 from dbagent.gateway import ScriptedBackend, ScriptedRule
-from dbagent.wire import encode
+from dbagent.protocol import TurnRecord
+from dbagent.wire import decode, encode
 from helpers import (
     factory_backend,
     factory_rules,
@@ -438,6 +439,17 @@ def test_leak_check_keys_on_mention_not_support(tools):
     assert out.assembled.final_answer == "zephyr fact"
 
 
+def test_an_answer_whose_tags_leave_no_turn_discards(tools):
+    # The canonical turn <think>..</think><answer>a <think> b</answer> has
+    # no action tag left, so no turn can be built from it.
+    answer = f"{value(1)} <think> more"
+    s1 = stage1_output("It is known.", f"Topic 1 {marker(1)}", answer)
+    backend = ScriptedBackend([ScriptedRule(pattern=stage1_pattern(1), output=s1)])
+    out = build_outcome(qa_sample(1, answers=[answer]), backend, tools, FactoryConfig())
+    assert out.trajectory_type == TYPE_DISCARDED
+    assert out.discard_reason == "assembled turn 1 raw does not parse (NoAction, TrailingText, MissingThink)"
+
+
 # --- model-judge mode -------------------------------------------------------
 
 
@@ -577,7 +589,7 @@ def test_labels_for_canonical_shapes(shape, ttype, difficulty):
 
 def test_unfamiliar_shape_labeled_other():
     base = make_canonical_trajectory("t", "T-T-A", 1)
-    cut = replace(base, turns=base.turns[:2], final_answer=None, terminated_by="budget_exhausted")
+    cut = replace(base, turns=base.turns[:2], terminated_by="budget_exhausted")
     assert trajectory_type_of(cut) == "other:text_search/text_search"
     assert assign_difficulty(cut) == "hard"
 
@@ -727,8 +739,8 @@ def test_outcome_bytes_are_pinned_in_both_judge_modes(tools, tmp_path):
         write_outcome_file(outcomes, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests == [
-        "483a2fb286979929bb3b11dbd34ef60f9f571fa55510e996c3dfb793b8492a82",
-        "abb9a343f728b41d0b113c05c654b6341f35a53001c8548c160ea45473ec0cb6",
+        "b469bfbd0d84cd47dd5da141b123bda72bbd6db3ff773f714c53777e228980fe",
+        "1e85d57e4c860c1b95cc783529e38b8410ec07bd4388f393fa45dc6982b58728",
     ]
 
 
@@ -745,3 +757,33 @@ def test_stage3_judge_without_verdict_discards_only_that_sample(tools):
     assert [o.trajectory_type for o in outcomes] == [TYPE_TEXT_TEXT, TYPE_DISCARDED]
     assert outcomes[1].discard_reason.startswith("stage3_judge: judge output has no verdict marker")
     assert outcomes[1].assembled is None
+
+
+def test_every_outcome_record_round_trips_through_the_codec(tools):
+    exact = [build_outcome(s, b, tools, FactoryConfig(keep_failed=True)) for s, b in _golden_exact_runs()]
+    model = [
+        build_outcome(s, b, tools, FactoryConfig(judge_mode="model_judge", judge_backend=j, keep_failed=True))
+        for s, b, j in _golden_model_runs()
+    ]
+    for outcome in exact + model:
+        assert decode(BranchOutcome, encode(outcome)) == outcome
+        for turn in outcome.assembled.turns if outcome.assembled is not None else ():
+            assert encode(turn) == {"raw": turn.raw}
+            assert decode(TurnRecord, encode(turn)) == turn
+
+
+def test_reading_outcomes_and_emitting_sft_parses_each_turn_once(tools, tmp_path, monkeypatch, capsys):
+    from dbagent import protocol
+    from dbagent.cli import EXIT_OK, main
+
+    outcomes = [build_outcome(s, b, tools, FactoryConfig(keep_failed=True)) for s, b in _golden_exact_runs()]
+    path = tmp_path / "outcomes.jsonl"
+    write_outcome_file(outcomes, path)
+    turns = [turn.raw for o in outcomes if o.assembled is not None for turn in o.assembled.turns]
+    assert len(turns) >= 10
+    calls = []
+    parse = protocol._parse
+    monkeypatch.setattr(protocol, "_parse", lambda raw: calls.append(raw) or parse(raw))
+    assert main(["dataset", "emit", "--outcomes", str(path), "--out", str(tmp_path / "sft.jsonl")]) == EXIT_OK
+    assert f"emitted {sum(o.assembled is not None for o in outcomes)} samples" in capsys.readouterr().out
+    assert calls == turns

@@ -15,6 +15,7 @@ from dbagent.protocol import (
     ActionKind,
     EvidenceItem,
     ProtocolViolation,
+    TurnRecord,
     ViolationCode,
     extract_final_answer,
     make_turn,
@@ -24,6 +25,7 @@ from dbagent.protocol import (
     serialize_turn,
     validate_in_context,
 )
+from dbagent.wire import decode, encode
 from protocol_cases import CASES, run_case
 
 
@@ -34,19 +36,47 @@ def test_case_table(case):
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_preparsed_violations_change_nothing(case, monkeypatch):
+    # A record carries the violations of the one parse that built it;
+    # validation reads them and parses nothing.
     record, violations = parse_turn(case.raw)
     if record is None:
         return
+    assert list(record.violations) == violations
     history = [parse_turn(raw)[0] for raw in case.context or ()]
     for mode in ("strict", "lenient"):
         for allow in (False, True):
             kwargs = {"mode": mode, "allow_caption_before_answer": allow}
             expected = validate_in_context(record, history, **kwargs)
             with monkeypatch.context() as m:
-                m.setattr(protocol, "parse_turn", None)  # must not be called
-                got = validate_in_context(record, history, parsed_violations=violations, **kwargs)
+                m.setattr(protocol, "parse_turn", None)  # neither may be called
+                m.setattr(protocol, "_parse", None)
+                got = validate_in_context(record, history, **kwargs)
             assert got == expected
             assert got == sorted(got, key=lambda v: v.span)
+            if mode == "lenient":
+                assert got == [v for v in violations if v.code is not ViolationCode.UNKNOWN_TAG]
+            else:
+                assert set(violations) <= set(got)
+
+
+def test_every_case_that_parses_round_trips_through_the_codec():
+    records = [record for record, _ in map(parse_turn, (case.raw for case in CASES)) if record is not None]
+    assert len(records) > len(CASES) // 2
+    for record in records:
+        assert encode(record) == {"raw": record.raw}
+        assert decode(TurnRecord, encode(record)) == record
+
+
+def test_a_record_is_built_from_its_raw_alone():
+    record = TurnRecord("<think> t </think><caption>c</caption><tool></tool><text_search>q</text_search>")
+    assert (record.think, record.caption, record.action, record.action_payload) == ("t", "c", ActionKind.TEXT_SEARCH, "q")
+    assert [v.code for v in record.violations] == [ViolationCode.UNKNOWN_TAG, ViolationCode.UNKNOWN_TAG]
+    with pytest.raises(TypeError):
+        TurnRecord(raw="<think>t</think><answer>a</answer>", think="other")
+    with pytest.raises(ValueError, match=r"^raw does not parse \(MissingThink, TrailingText, NoAction\)$"):
+        TurnRecord("no tags at all")
+    with pytest.raises(ValueError, match=r"^raw does not parse \(InputTooLong\)$"):
+        TurnRecord("x" * (MAX_TURN_CHARS + 1))
 
 
 def test_parsed_fields_are_trimmed():
@@ -240,6 +270,24 @@ def test_round_trip_well_formed(think, payload, caption, action):
     parsed, violations = parse_turn(serialize_turn(turn))
     assert violations == []
     assert parsed == turn
+
+
+# Text that is mostly tags: a part with a tag in it breaks the canonical form.
+_tags = st.sampled_from((*(f"<{name}>" for name in AGENT_TAGS), *(f"</{name}>" for name in AGENT_TAGS), "<b>"))
+_part = st.lists(_tags | _inner_text, max_size=4).map("".join)
+
+
+@given(think=_part, payload=_part, caption=st.one_of(st.none(), _part), action=st.sampled_from(ActionKind))
+@settings(max_examples=300, deadline=None)
+def test_make_turn_is_what_its_raw_parses_to(think, payload, caption, action):
+    try:
+        turn = make_turn(think, action, payload, caption=caption)
+    except ValueError:
+        # Its serialization yields no record: the raw make_turn would hold.
+        raw = protocol._canonical(think.strip(), action, payload.strip(), caption if caption is None else caption.strip())
+        assert parse_turn(raw)[0] is None
+        return
+    assert parse_turn(turn.raw)[0] == turn
 
 
 @given(st.text(max_size=200))

@@ -8,7 +8,7 @@ import pytest
 
 from dbagent import protocol, runtime
 from dbagent.gateway import EmptyGenerationError, ScriptedBackend, ScriptedRule, truncate_at_stop
-from dbagent.protocol import ActionKind, EvidenceItem, render_evidence, serialize_turn
+from dbagent.protocol import ActionKind, EvidenceItem, TurnRecord, render_evidence, serialize_turn
 from dbagent.runtime import (
     RolloutConfig,
     TERMINATED_ANSWER,
@@ -22,7 +22,7 @@ from dbagent.runtime import (
     rollout,
     write_trajectory_file,
 )
-from dbagent.wire import encode
+from dbagent.wire import decode, encode
 from helpers import make_corpus, make_tools, marker, question, value
 
 
@@ -565,7 +565,6 @@ def test_serialized_turn_round_trips_through_file(tmp_path):
         question="q?",
         turns=[turn],
         observations=[],
-        final_answer=None,
         terminated_by=TERMINATED_BUDGET,
         config={},
     )
@@ -632,11 +631,25 @@ def _golden_scripts():
     }
 
 
-def test_trajectory_bytes_are_pinned(tools12, tmp_path):
-    tools = ToolBinding(
+def _golden_tools(tools12):
+    return ToolBinding(
         text_retriever=_OfflineFor(tools12.text_retriever, "offline"),
         image_retriever=tools12.image_retriever,
     )
+
+
+def test_every_rollout_record_round_trips_through_the_codec(tools12):
+    trajectories = batch_rollout(_samples(11), _ReplayByQuestion(_golden_scripts()), _golden_tools(tools12), RolloutConfig())
+    assert any(block.error for traj in trajectories for block in traj.observations)
+    for traj in trajectories:
+        assert decode(Trajectory, encode(traj)) == traj
+        for turn in traj.turns:
+            assert encode(turn) == {"raw": turn.raw}
+            assert decode(TurnRecord, encode(turn)) == turn
+
+
+def test_trajectory_bytes_are_pinned(tools12, tmp_path):
+    tools = _golden_tools(tools12)
     backend = _ReplayByQuestion(_golden_scripts())
     samples = _samples(11)
     digests = []
@@ -656,4 +669,4 @@ def test_trajectory_bytes_are_pinned(tools12, tmp_path):
     ]
     assert out[11 + 9].terminated_by == TERMINATED_ANSWER  # lenient: the unknown tag is ignored
     assert "[tool error] index offline" in out[10].observations[0].rendered
-    assert digests == ["097c6ba3ff983c9a30965f04c3013429f01b20f58c2de977bbef17076b26fa2c"] * 2
+    assert digests == ["8d27c6f0e8cb27c73163a9c81ffd7d53a0f6f4194f5669d90ad46236f533cc1c"] * 2

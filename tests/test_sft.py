@@ -95,7 +95,7 @@ def test_meta_labels_the_sample():
 
 
 def test_linearize_rejects_empty_trajectory():
-    traj = replace(canonical("A"), turns=[], final_answer=None)
+    traj = replace(canonical("A"), turns=[])
     with pytest.raises(SftError, match="no turns"):
         linearize(traj, SYSTEM)
 
@@ -126,28 +126,21 @@ def test_linearize_rejects_missing_observation():
 
 
 @pytest.mark.parametrize(
-    "field, value, names",
-    [
-        ("action_payload", "edited query", "payload"),
-        ("think", "Edited.", "think"),
-        ("caption", "A photo.", "caption"),
-        ("action", ActionKind.IMAGE_SEARCH, "action"),
-    ],
+    "field, value",
+    [("action_payload", "edited query"), ("think", "Edited."), ("caption", "A photo."), ("action", ActionKind.IMAGE_SEARCH)],
 )
-def test_linearize_rejects_a_stored_field_its_raw_does_not_hold(field, value, names):
-    # The decision segment is serialized from the stored fields, so a field
-    # that disagrees with the raw turn would put words in the model's mouth.
-    base = canonical("T-A", task_id="q007")
-    traj = replace(base, turns=[replace(base.turns[0], **{field: value}), base.turns[1]])
-    with pytest.raises(SftError, match=rf"^q007: turn 1 stored {names} differs from what its raw parses to$"):
-        linearize(traj, SYSTEM)
+def test_a_turn_field_its_raw_does_not_hold_cannot_be_built(field, value):
+    # The decision segment is serialized from the parsed fields, and those
+    # are filled from the raw turn alone: no field can be given beside it.
+    turn = canonical("T-A").turns[0]
+    with pytest.raises(ValueError, match=f"field {field} is declared with init=False"):
+        replace(turn, **{field: value})
 
 
-def test_linearize_rejects_a_raw_turn_that_does_not_parse():
-    base = canonical("A", task_id="q008")
-    traj = replace(base, turns=[replace(base.turns[0], raw="no tags at all")])
-    with pytest.raises(SftError, match="^q008: turn 1 raw does not parse$"):
-        linearize(traj, SYSTEM)
+def test_a_raw_turn_that_does_not_parse_cannot_be_built():
+    turn = canonical("A").turns[0]
+    with pytest.raises(ValueError, match=r"^raw does not parse \(MissingThink, TrailingText, NoAction\)$"):
+        replace(turn, raw="no tags at all")
 
 
 # --- emission ---------------------------------------------------------------

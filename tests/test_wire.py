@@ -27,7 +27,7 @@ from dbagent.factory import (
 )
 from dbagent.gateway import ChatBackendError, ChatMessage, GenerationParams, HttpChatBackend, load_script
 from dbagent.kb import ImageAttachment, KbArticle, SectionChunk, load_corpus, parse_corpus_lines
-from dbagent.protocol import EvidenceBlock, EvidenceItem, TurnRecord
+from dbagent.protocol import EvidenceBlock, EvidenceItem, TurnRecord, render_evidence, render_tool_error
 from dbagent.retrieval import DeterministicEmbedder, EmbeddingError, RemoteEmbedder, build_text_index, save_index
 from dbagent.runtime import Trajectory, read_trajectory_file, write_trajectory_file
 from dbagent.sft import DatasetManifest, LinearizedSample, Segment, linearize, read_sft_file
@@ -151,20 +151,35 @@ def test_every_value_probed_gives_a_result_or_a_data_error(tmp_path, capsys, mon
     assert EXIT_DATA in codes
 
 
-def test_an_outcome_whose_stored_payload_was_edited_fails_validate_and_emit(tmp_path, capsys):
-    # The probe's outcome with the payload of its first turn changed and its
-    # raw left as it was: the SFT decision would be built from the payload.
-    path = write_jsonl(
-        tmp_path / "outcomes.jsonl",
-        [json.dumps(_replaced(READERS["outcomes"][1], ("assembled", "turns", 0, "payload"), "edited query"))],
-    )
-    message = "q000: turn 1 stored payload differs from what its raw parses to"
-    assert main(["validate", str(path)]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
-    sft_path = tmp_path / "sft.jsonl"
-    assert main(["dataset", "emit", "--outcomes", str(path), "--out", str(sft_path)]) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["outcomes.jsonl"]
+def test_an_outcome_in_the_old_shape_with_edited_fields_gives_what_its_raw_holds(tmp_path, capsys):
+    # Files written before turns were stored as their raw alone also hold
+    # each turn's parsed fields, each block's rendered text and the final
+    # answer. Edited copies of those are ignored: the outcome decodes to what
+    # its raw turns and evidence items hold, and emits the same bytes.
+    good = READERS["outcomes"][1]
+    old = json.loads(json.dumps(good))
+    assembled = old["assembled"]
+    assembled["final_answer"] = "edited answer"
+    assembled["turns"][0].update(think="Edited.", action="answer", payload="edited query", caption="A photo.")
+    assembled["observations"][0]["rendered"] = "<evidence>\n[1] Edited — evidence: text\n</evidence>"
+    for name, obj in (("good", good), ("old", old)):
+        path = write_jsonl(tmp_path / f"{name}.jsonl", [json.dumps(obj)])
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["dataset", "emit", "--outcomes", str(path), "--out", str(tmp_path / f"{name}-sft.jsonl")]) == EXIT_OK
+    capsys.readouterr()
+    assert read_outcome_file(tmp_path / "old.jsonl") == read_outcome_file(tmp_path / "good.jsonl")
+    assert (tmp_path / "old-sft.jsonl").read_bytes() == (tmp_path / "good-sft.jsonl").read_bytes()
+
+
+def test_a_record_is_written_without_what_it_derives():
+    traj = make_canonical_trajectory("q000", "T-A")
+    traj.observations[0] = render_tool_error("index offline", 1)
+    obj = encode(traj)
+    assert "final_answer" not in obj
+    assert [set(turn) for turn in obj["turns"]] == [{"raw"}, {"raw"}]
+    assert obj["observations"] == [{"items": [], "turn_index": 1, "error": "index offline"}]
+    assert set(encode(render_evidence([], 2))) == {"items", "turn_index"}
+    assert decode(Trajectory, obj) == traj
 
 
 def test_parse_jsonl_yields_each_record_as_its_line_is_read_and_raises_after_the_last():
@@ -193,10 +208,10 @@ _MANIFEST = encode(
 # Each record type, a JSON object of it holding every key, and the value of
 # each key that may be absent when it is. Every other key is required.
 RECORDS = {
-    Trajectory: (_TRAJECTORY, {"final_answer": None, "config": {}, "protocol_events": []}),
-    TurnRecord: (_TRAJECTORY["turns"][1], {"caption": None}),
-    EvidenceBlock: (_TRAJECTORY["observations"][0], {}),
-    EvidenceItem: (_TRAJECTORY["observations"][0]["items"][0], {"section_id": None}),
+    Trajectory: (_TRAJECTORY, {"config": {}, "protocol_events": []}),
+    TurnRecord: (_TRAJECTORY["turns"][1], {}),
+    EvidenceBlock: ({"items": [], "turn_index": 1, "error": "index offline"}, {"error": None}),
+    EvidenceItem: ({**_TRAJECTORY["observations"][0]["items"][0], "section_id": "a000-s0"}, {"section_id": None}),
     BranchOutcome: (_OUTCOME, {"assembled": None, "difficulty": None, "discard_reason": None}),
     StageRecord: (_OUTCOME["stages"][0], {"verdict": "n/a"}),
     KbArticle: (_ARTICLE, {"images": (), "url": None}),
@@ -227,9 +242,8 @@ def test_records_round_trip_and_only_defaulted_keys_may_be_absent(cls):
     [
         ("trajectories", ("turns", 0, "raw"), None, "turns[0].raw: expected string, got null"),
         ("trajectories", ("turns", 0), "x", "turns[0]: expected object, got string"),
-        ("trajectories", ("turns", 2, "action"), "dance",
-         "turns[2].action: expected one of 'answer', 'text_search', 'image_search', got 'dance'"),
-        ("trajectories", ("final_answer",), 5, "final_answer: expected string or null, got integer"),
+        ("trajectories", ("turns", 2, "raw"), "<answer>a</answer>", "turns[2]: raw does not parse (MissingThink)"),
+        ("trajectories", ("observations", 0, "error"), 5, "observations[0].error: expected string or null, got integer"),
         ("trajectories", ("task_id",), [], "task_id: expected string, got array"),
         ("trajectories", ("config",), None, "config: expected object, got null"),
         ("trajectories", ("observations", 0, "items"), None, "observations[0].items: expected array, got null"),
@@ -238,8 +252,8 @@ def test_records_round_trip_and_only_defaulted_keys_may_be_absent(cls):
         ("trajectories", ("observations", 0, "turn_index"), 1.0, "observations[0].turn_index: expected integer, got number"),
         ("outcomes", ("stages", 0, "parsed_fields", "choose"), 5,
          "stages[0].parsed_fields.choose: expected string, got integer"),
-        ("outcomes", ("assembled", "observations", 0, "rendered"), None,
-         "assembled.observations[0].rendered: expected string, got null"),
+        ("outcomes", ("assembled", "turns", 0, "raw"), "no tags",
+         "assembled.turns[0]: raw does not parse (MissingThink, TrailingText, NoAction)"),
         ("outcomes", ("assembled",), [], "assembled: expected object or null, got array"),
         ("sft", ("segments", 1, "text"), None, "segments[1].text: expected string, got null"),
         ("corpus", ("images", 0, "caption"), 5, "images[0].caption: expected string or null, got integer"),
