@@ -78,4 +78,6 @@ __version__ = "0.1.0"
 
 # Each name imported above is an export; the submodules those imports bind
 # as attributes of the package are not.
-__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
