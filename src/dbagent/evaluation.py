@@ -355,10 +355,7 @@ def run_kb_scale(
         sub = subsample_corpus(corpus, size, seed=seed, must_include=pinned)
         tools = ToolBinding(
             text_retriever=TextRetriever(build_text_index(sub, text_provider), text_provider, sub),
-            image_retriever=ImageRetriever(
-                build_image_index(sub, image_provider), image_provider, sub,
-                full_article=base_config.image_evidence_full_article,
-            ),
+            image_retriever=ImageRetriever(build_image_index(sub, image_provider), image_provider, sub),
         )
         trajectories = batch_rollout(samples, backend, tools, base_config, workers=workers)
         records, stats = build_eval_records(trajectories, samples, metric=metric)

@@ -13,12 +13,14 @@ model's first attempt went wrong:
 * Stage 3: answer with the refined retrieval. Correct yields the two-tool
   trajectory; wrong discards the sample.
 
-The stage outputs are then assembled into one agent-format trajectory
-(think/caption/action turns with evidence observations) that must pass
-strict protocol validation, with stage judge/choose text folded into the
-think spans. Judging is either ``normalized_exact`` (closed-form string
-match plus synthesized routing text, so the whole factory runs offline) or
-``model_judge`` (a chat backend grades and writes the routing text).
+Each stage appends the turn its judge's verdict implies: the answer that
+ends the sample, or the search the next stage runs, with stage judge/choose
+text folded into its think. Each search appends its evidence block when it
+runs. The turns must pass strict protocol validation, and the trajectory
+type and difficulty are read off the result. Judging is either
+``normalized_exact`` (closed-form string match plus synthesized routing
+text, so the whole factory runs offline) or ``model_judge`` (a chat backend
+grades and writes the routing text).
 
 Trajectory types: ``A``, ``I→A``, ``T→A``, ``I→T→A``, ``T→T→A``.
 Difficulty comes from interaction depth: 0 tool turns easy, 1 medium,
@@ -70,12 +72,8 @@ __all__ = [
     "judge_answer",
     "entity_matches",
     "load_qa_dataset",
-    "run_stage1",
-    "run_stage2",
-    "run_stage3",
     "build_outcome",
     "run_factory",
-    "assemble_agent_trajectory",
     "trajectory_type_of",
     "assign_difficulty",
     "sample_balanced",
@@ -315,26 +313,18 @@ class _Discard(Exception):
 
 @dataclass
 class _Pipeline:
-    """Accumulates stage outputs for one sample until assembly."""
+    """One sample's turns as its stages decide them, each as the ``(think,
+    action, payload[, caption])`` parts ``make_turn`` takes, the evidence
+    block of each search, and what later prompts quote."""
 
     sample: QaSample
     stages: list[StageRecord] = field(default_factory=list)
-    s1_think: str = ""
-    s1_entity: str = ""
-    s1_answer: str = ""
-    s1_route: str = ""  # done | image | text
-    s1_choose: str = ""
-    query1: str = ""  # text-branch first query
-    stage2_items: list = field(default_factory=list)
-    s2_think: str = ""
-    s2_answer: str = ""
-    s2_route: str = ""  # done | refine
-    caption: str = ""
-    rewrite_think: str = ""
-    query2: str = ""  # refined query
-    stage3_items: list = field(default_factory=list)
-    s3_think: str = ""
-    s3_answer: str = ""
+    parts: list[tuple] = field(default_factory=list)
+    observations: list[EvidenceBlock] = field(default_factory=list)
+    route: str = ""  # the stage-1 judge's choose and action tags
+    entity: str = ""
+    answer: str = ""  # the latest stage's answer
+    caption: str | None = None  # the image branch's stage-2 caption
 
 
 def _tags(*names: str):
@@ -374,9 +364,9 @@ def _judge_backend(backend, cfg: FactoryConfig):
     return cfg.judge_backend if cfg.judge_backend is not None else backend
 
 
-def _judge(pipe: _Pipeline, backend, cfg: FactoryConfig, template: str, answer: str, rewrite, lines, extract) -> StageRecord:
-    """Grade ``answer`` and record the judge; a wrong verdict's fields route
-    the next stage.
+def _judge(pipe: _Pipeline, backend, cfg: FactoryConfig, template: str, rewrite, lines, extract) -> StageRecord:
+    """Grade the latest answer and record the judge; a wrong verdict's fields
+    route the next stage.
 
     ``normalized_exact`` matches strings and synthesizes with ``rewrite(pipe)``
     the fields a model judge writes; ``model_judge`` asks the judge backend
@@ -384,51 +374,78 @@ def _judge(pipe: _Pipeline, backend, cfg: FactoryConfig, template: str, answer: 
     """
     if cfg.judge_mode != "normalized_exact":
         return _ask(pipe, _judge_backend(backend, cfg), template, lines, extract)
-    correct = judge_answer(answer, pipe.sample.answers)
+    correct = judge_answer(pipe.answer, pipe.sample.answers)
     fields = {} if correct else rewrite(pipe)
     pipe.stages.append(StageRecord(template, _EXACT_JUDGE, "", fields, "correct" if correct else "wrong"))
     return pipe.stages[-1]
 
 
+def _branch(pipe: _Pipeline) -> str:
+    """The branch stage 1 routed to: "image" or "text"."""
+    return "image" if pipe.parts[0][1] is ActionKind.IMAGE_SEARCH else "text"
+
+
+def _search(pipe: _Pipeline, tools: ToolBinding, rc: RolloutConfig) -> EvidenceBlock:
+    """Run the last turn's search and append its evidence block."""
+    _, action, payload = pipe.parts[-1][:3]
+    if action is ActionKind.IMAGE_SEARCH:
+        # Always the sample's image; the payload is just a placeholder.
+        items = tools.image_retriever.search(
+            pipe.sample.image_ref, rc.k_image, full_article=rc.image_evidence_full_article
+        )
+    else:
+        items = tools.text_retriever.search(payload, rc.k_text)
+    pipe.observations.append(render_evidence(items, len(pipe.observations) + 1))
+    return pipe.observations[-1]
+
+
+def _merge_think(*parts: str) -> str:
+    return " ".join(p.strip() for p in parts if p and p.strip())
+
+
 # --- stage 1 -------------------------------------------------------------
 
 
-def run_stage1(sample: QaSample, backend, cfg: FactoryConfig) -> _Pipeline:
+def _stage1(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) -> None:
     """First-pass answer plus judge routing.
 
-    Routes: "done" (answer correct), "image" (entity mismatch), "text"
-    (entity right, fact missing; carries the first text query).
+    A correct answer is the answer turn. A wrong one is an image search
+    (entity mismatch) or a text search (entity right, fact missing), with
+    the entity and the judge's choose text merged into its think.
     """
-    pipe = _Pipeline(sample=sample)
+    sample = pipe.sample
     images = (sample.image_ref,) if sample.image_ref else ()
     lines = [f"[question] {sample.question}"]
     fields = _ask(pipe, backend, "stage1_answer", lines, _tags("think", "entity", "answer"), images).parsed_fields
-    pipe.s1_think, pipe.s1_entity, pipe.s1_answer = fields["think"], fields["entity"], fields["answer"]
+    pipe.entity, pipe.answer = fields["entity"], fields["answer"]
     lines += [
-        f"[stage1_think] {pipe.s1_think}",
-        f"[stage1_entity] {pipe.s1_entity}",
-        f"[stage1_answer] {pipe.s1_answer}",
+        f"[stage1_think] {fields['think']}",
+        f"[stage1_entity] {pipe.entity}",
+        f"[stage1_answer] {pipe.answer}",
         f"[gold_answer] {'|'.join(sample.answers)}",
         f"[gold_entity] {sample.gold_entity or '(not provided)'}",
     ]
-    judged = _judge(pipe, backend, cfg, "stage1_judge", pipe.s1_answer, _stage1_rewrite, lines, _parse_stage1_judge)
+    judged = _judge(pipe, backend, cfg, "stage1_judge", _stage1_rewrite, lines, _parse_stage1_judge)
+    route = judged.parsed_fields
+    entity = f"The main entity is {pipe.entity}." if pipe.entity.strip() else ""
+    think = _merge_think(fields["think"], entity, route.get("choose", ""))
     if judged.verdict == "correct":
-        pipe.s1_route = "done"
-    else:
-        pipe.s1_route = "image" if "image_search" in judged.parsed_fields else "text"
-        pipe.s1_choose = judged.parsed_fields["choose"]
-        pipe.query1 = judged.parsed_fields.get("text_search", "")
-    return pipe
+        pipe.parts.append((think, ActionKind.ANSWER, pipe.answer))
+        return
+    action = ActionKind.IMAGE_SEARCH if "image_search" in route else ActionKind.TEXT_SEARCH
+    tag, payload = action.value, route[action.value]
+    pipe.parts.append((think, action, payload))
+    pipe.route = f"<choose>{route['choose']}</choose>\n<{tag}>{payload}</{tag}>"
 
 
 def _stage1_rewrite(pipe: _Pipeline) -> dict[str, str]:
     sample = pipe.sample
     # Without a gold entity there is no way to certify a mismatch, so
     # default to the text branch.
-    if sample.gold_entity is None or entity_matches(pipe.s1_entity, sample.gold_entity):
+    if sample.gold_entity is None or entity_matches(pipe.entity, sample.gold_entity):
         return {
             "choose": "The entity is correct but the needed fact is missing, so it must be looked up.",
-            "text_search": f"{pipe.s1_entity} {sample.question}".strip(),
+            "text_search": f"{pipe.entity} {sample.question}".strip(),
         }
     return {
         "choose": "The identified entity does not match the image, so the image itself must be re-identified.",
@@ -454,31 +471,18 @@ def _parse_stage1_judge(output: str) -> dict[str, str]:
 # --- stage 2 -------------------------------------------------------------
 
 
-def _stage1_output_repr(pipe: _Pipeline) -> str:
-    action = (
-        f"<image_search>{IMAGE_PAYLOAD}</image_search>"
-        if pipe.s1_route == "image"
-        else f"<text_search>{pipe.query1}</text_search>"
-    )
-    return f"<choose>{pipe.s1_choose}</choose>\n{action}"
+def _stage2(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) -> None:
+    """Retrieval-grounded second pass on the routed branch.
 
-
-def run_stage2(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) -> None:
-    """Retrieval-grounded second pass on the routed branch."""
+    A correct answer is the answer turn; a wrong one is a refined text
+    search, captioned on the image branch.
+    """
     sample = pipe.sample
-    rc = cfg.rollout_config
-    branch = "image" if pipe.s1_route == "image" else "text"
-    if branch == "image":
-        pipe.stage2_items = tools.image_retriever.search(sample.image_ref, rc.k_image)
-    else:
-        pipe.stage2_items = tools.text_retriever.search(pipe.query1, rc.k_text)
-    lines = [
-        f"[question] {sample.question}",
-        f"[stage1_output] {_stage1_output_repr(pipe)}",
-        f"[evidence] {render_evidence(pipe.stage2_items, 1).rendered}",
-    ]
+    branch = _branch(pipe)
+    block = _search(pipe, tools, cfg.rollout_config)
+    lines = [f"[question] {sample.question}", f"[stage1_output] {pipe.route}", f"[evidence] {block.rendered}"]
     fields = _ask(pipe, backend, f"stage2_{branch}_answer", lines, _tags("think", "answer")).parsed_fields
-    pipe.s2_think, pipe.s2_answer = fields["think"], fields["answer"]
+    pipe.answer = fields["answer"]
 
     def parse_judge(output: str) -> dict[str, str]:
         verdict = _parse_verdict(output)
@@ -489,24 +493,24 @@ def run_stage2(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig)
         query = _extract_tag(output, "text_search")
         if not query:
             raise StageParseError("judge rewrite needs a <text_search> query")
-        if branch == "text" and normalize_answer(query) == normalize_answer(pipe.query1):
+        if branch == "text" and normalize_answer(query) == normalize_answer(pipe.parts[0][2]):
             raise StageParseError("rewrite query must differ from the previous query")
         return {"verdict": verdict, **caption, "think": think, "text_search": query}
 
-    lines += [f"[stage2_answer] {pipe.s2_answer}", f"[gold_answer] {'|'.join(sample.answers)}"]
-    judged = _judge(pipe, backend, cfg, f"stage2_{branch}_judge", pipe.s2_answer, _stage2_rewrite, lines, parse_judge)
+    lines += [f"[stage2_answer] {pipe.answer}", f"[gold_answer] {'|'.join(sample.answers)}"]
+    judged = _judge(pipe, backend, cfg, f"stage2_{branch}_judge", _stage2_rewrite, lines, parse_judge)
     if judged.verdict == "correct":
-        pipe.s2_route = "done"
-    else:
-        pipe.s2_route = "refine"
-        pipe.caption = judged.parsed_fields.get("caption", "")
-        pipe.rewrite_think = judged.parsed_fields["think"]
-        pipe.query2 = judged.parsed_fields["text_search"]
+        pipe.parts.append((fields["think"], ActionKind.ANSWER, pipe.answer))
+        return
+    rewrite = judged.parsed_fields
+    pipe.caption = rewrite.get("caption")
+    pipe.parts.append((rewrite["think"], ActionKind.TEXT_SEARCH, rewrite["text_search"], pipe.caption))
 
 
 def _stage2_rewrite(pipe: _Pipeline) -> dict[str, str]:
-    if pipe.s1_route == "image":
-        anchor = pipe.stage2_items[0].title if pipe.stage2_items else pipe.s1_entity
+    if _branch(pipe) == "image":
+        items = pipe.observations[0].items
+        anchor = items[0].title if items else pipe.entity
         return {
             "caption": f"The image shows {anchor}.",
             "think": "The retrieved article identifies the entity but does not state the asked fact, "
@@ -515,104 +519,62 @@ def _stage2_rewrite(pipe: _Pipeline) -> dict[str, str]:
         }
     return {
         "think": "The evidence does not contain the asked fact; the query needs to target it more directly.",
-        "text_search": f"{pipe.query1} additional details",
+        "text_search": f"{pipe.parts[0][2]} additional details",
     }
 
 
 # --- stage 3 -------------------------------------------------------------
 
 
-def run_stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) -> bool:
-    """Final pass on the refined query; returns the judge verdict."""
+def _stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) -> None:
+    """Final pass on the refined query. A correct answer is the answer turn;
+    a wrong one fails the sample."""
     sample = pipe.sample
-    branch = "image" if pipe.s1_route == "image" else "text"
-    pipe.stage3_items = tools.text_retriever.search(pipe.query2, cfg.rollout_config.k_text)
+    think, _, query = pipe.parts[-1][:3]
+    block = _search(pipe, tools, cfg.rollout_config)
     lines = [
         f"[question] {sample.question}",
-        f"[stage1_output] {_stage1_output_repr(pipe)}",
-        f"[stage2_evidence] {render_evidence(pipe.stage2_items, 1).rendered}",
-        f"[stage2_answer] {pipe.s2_answer}",
-        *([f"[stage2_caption] {pipe.caption}"] if branch == "image" else []),
-        f"[stage2_think] {pipe.rewrite_think}",
-        f"[stage3_query] {pipe.query2}",
-        f"[stage3_new_evidence] {render_evidence(pipe.stage3_items, 2).rendered}",
+        f"[stage1_output] {pipe.route}",
+        f"[stage2_evidence] {pipe.observations[0].rendered}",
+        f"[stage2_answer] {pipe.answer}",
+        *([f"[stage2_caption] {pipe.caption}"] if pipe.caption is not None else []),
+        f"[stage2_think] {think}",
+        f"[stage3_query] {query}",
+        f"[stage3_new_evidence] {block.rendered}",
     ]
-    fields = _ask(pipe, backend, f"stage3_{branch}_answer", lines, _tags("think", "answer")).parsed_fields
-    pipe.s3_think, pipe.s3_answer = fields["think"], fields["answer"]
+    fields = _ask(pipe, backend, f"stage3_{_branch(pipe)}_answer", lines, _tags("think", "answer")).parsed_fields
+    pipe.answer = fields["answer"]
 
     # The stage-3 judge only grades: one call, recorded without its output.
     if cfg.judge_mode == "normalized_exact":
-        correct, judge_id = judge_answer(pipe.s3_answer, sample.answers), _EXACT_JUDGE
+        correct, judge_id = judge_answer(pipe.answer, sample.answers), _EXACT_JUDGE
     else:
         judge = _judge_backend(backend, cfg)
         try:
             correct = judge_answer(
-                pipe.s3_answer, sample.answers, mode="model_judge", backend=judge, question=sample.question
+                pipe.answer, sample.answers, mode="model_judge", backend=judge, question=sample.question
             )
         except JudgeParseFailure as exc:
             # Not FAILED: the answer was never graded.
             raise _Discard(f"stage3_judge: {exc}") from exc
         judge_id = prompt_id("stage3_judge")
     pipe.stages.append(StageRecord("stage3_judge", judge_id, "", {}, "correct" if correct else "wrong"))
-    return correct
+    if not correct:
+        raise _Discard("stage3 answer judged wrong", failed=True)
+    pipe.parts.append((fields["think"], ActionKind.ANSWER, pipe.answer))
 
 
 # --- assembly ------------------------------------------------------------
 
 
-def _merge_think(*parts: str) -> str:
-    return " ".join(p.strip() for p in parts if p and p.strip())
+def _assemble(pipe: _Pipeline, rc: RolloutConfig) -> Trajectory:
+    """The sample's turns as one strict-valid agent trajectory.
 
-
-def _entity_sentence(entity: str) -> str:
-    return f"The main entity is {entity}." if entity.strip() else ""
-
-
-def assemble_agent_trajectory(pipe: _Pipeline, trajectory_type: str, cfg: FactoryConfig) -> Trajectory:
-    """Fold stage outputs into one strict-valid agent trajectory.
-
-    Entity and choose text merge into the first think; the image-branch
-    caption rides on the follow-up text-search turn. Raises _Discard when
-    the result does not validate or leaks a gold answer outside evidence.
+    Raises _Discard when a turn does not validate or the result leaks a
+    gold answer outside evidence.
     """
-    sample = pipe.sample
-    rc = cfg.rollout_config
-    think1 = _merge_think(pipe.s1_think, _entity_sentence(pipe.s1_entity), pipe.s1_choose)
-    # Each turn as the (think, action, payload[, caption]) make_turn takes.
-    if trajectory_type == TYPE_DIRECT:
-        parts = [(_merge_think(pipe.s1_think, _entity_sentence(pipe.s1_entity)), ActionKind.ANSWER, pipe.s1_answer)]
-        observations = []
-    elif trajectory_type == TYPE_IMAGE:
-        parts = [
-            (think1, ActionKind.IMAGE_SEARCH, IMAGE_PAYLOAD),
-            (pipe.s2_think, ActionKind.ANSWER, pipe.s2_answer),
-        ]
-        observations = [render_evidence(pipe.stage2_items, 1)]
-    elif trajectory_type == TYPE_TEXT:
-        parts = [
-            (think1, ActionKind.TEXT_SEARCH, pipe.query1),
-            (pipe.s2_think, ActionKind.ANSWER, pipe.s2_answer),
-        ]
-        observations = [render_evidence(pipe.stage2_items, 1)]
-    elif trajectory_type == TYPE_IMAGE_TEXT:
-        parts = [
-            (think1, ActionKind.IMAGE_SEARCH, IMAGE_PAYLOAD),
-            (pipe.rewrite_think, ActionKind.TEXT_SEARCH, pipe.query2, pipe.caption),
-            (pipe.s3_think, ActionKind.ANSWER, pipe.s3_answer),
-        ]
-        observations = [render_evidence(pipe.stage2_items, 1), render_evidence(pipe.stage3_items, 2)]
-    elif trajectory_type == TYPE_TEXT_TEXT:
-        parts = [
-            (think1, ActionKind.TEXT_SEARCH, pipe.query1),
-            (pipe.rewrite_think, ActionKind.TEXT_SEARCH, pipe.query2),
-            (pipe.s3_think, ActionKind.ANSWER, pipe.s3_answer),
-        ]
-        observations = [render_evidence(pipe.stage2_items, 1), render_evidence(pipe.stage3_items, 2)]
-    else:
-        raise ValueError(f"cannot assemble trajectory type {trajectory_type!r}")
-
     turns: list[TurnRecord] = []
-    for i, part in enumerate(parts):
+    for i, part in enumerate(pipe.parts):
         try:
             turn = make_turn(*part)
         except ValueError as exc:  # stage text that breaks the tag grammar
@@ -630,14 +592,14 @@ def assemble_agent_trajectory(pipe: _Pipeline, trajectory_type: str, cfg: Factor
             )
         turns.append(turn)
 
-    _reject_gold_leak(turns, observations, sample)
-
+    sample = pipe.sample
+    _reject_gold_leak(turns, pipe.observations, sample)
     return Trajectory(
         task_id=sample.sample_id,
         image_ref=sample.image_ref,
         question=sample.question,
         turns=turns,
-        observations=observations,
+        observations=pipe.observations,
         terminated_by="answer",
         config=rc.snapshot(),
     )
@@ -678,6 +640,13 @@ def _reject_gold_leak(
 
 @dataclass
 class BranchOutcome:
+    """One sample's factory result.
+
+    An assembled outcome is labelled with its trajectory's type and
+    difficulty; any other is DISCARDED or FAILED, with no difficulty.
+    Labels that disagree raise ``ValueError``.
+    """
+
     sample_id: str
     trajectory_type: str
     stages: list[StageRecord]
@@ -685,40 +654,33 @@ class BranchOutcome:
     difficulty: str | None = None
     discard_reason: str | None = None
 
+    def __post_init__(self) -> None:
+        labels = (self.trajectory_type, self.difficulty)
+        if self.assembled is not None:
+            want = (trajectory_type_of(self.assembled), assign_difficulty(self.assembled))
+            if labels != want:
+                raise ValueError(f"labels {labels} disagree with the trajectory's {want}")
+        elif self.trajectory_type not in (TYPE_DISCARDED, TYPE_FAILED) or self.difficulty is not None:
+            raise ValueError(f"labels {labels} of an outcome with no trajectory are not DISCARDED or FAILED")
+
 
 def build_outcome(sample: QaSample, backend, tools: ToolBinding, cfg: FactoryConfig) -> BranchOutcome:
-    """Run all stages for one sample and assemble the result."""
+    """Run the stages for one sample until one answers, then assemble its
+    turns; the labels are read off the result."""
     if sample.split != "train":
         raise ValueError(f"factory runs on split=train only, got {sample.split!r}")
     pipe = _Pipeline(sample=sample)
     try:
-        pipe = run_stage1(sample, backend, cfg)
-        if pipe.s1_route == "done":
-            trajectory_type = TYPE_DIRECT
-        else:
-            run_stage2(pipe, tools, backend, cfg)
-            if pipe.s2_route == "done":
-                trajectory_type = TYPE_IMAGE if pipe.s1_route == "image" else TYPE_TEXT
-            else:
-                correct = run_stage3(pipe, tools, backend, cfg)
-                if not correct:
-                    raise _Discard("stage3 answer judged wrong", failed=True)
-                trajectory_type = TYPE_IMAGE_TEXT if pipe.s1_route == "image" else TYPE_TEXT_TEXT
-        assembled = assemble_agent_trajectory(pipe, trajectory_type, cfg)
+        for stage in (_stage1, _stage2, _stage3):
+            stage(pipe, tools, backend, cfg)
+            if pipe.parts[-1][1] is ActionKind.ANSWER:
+                break
+        assembled = _assemble(pipe, cfg.rollout_config)
     except _Discard as exc:
         label = TYPE_FAILED if (exc.failed and cfg.keep_failed) else TYPE_DISCARDED
-        return BranchOutcome(
-            sample_id=sample.sample_id,
-            trajectory_type=label,
-            stages=pipe.stages,
-            discard_reason=exc.reason,
-        )
+        return BranchOutcome(sample.sample_id, label, pipe.stages, discard_reason=exc.reason)
     return BranchOutcome(
-        sample_id=sample.sample_id,
-        trajectory_type=trajectory_type,
-        stages=pipe.stages,
-        assembled=assembled,
-        difficulty=assign_difficulty(assembled),
+        sample.sample_id, trajectory_type_of(assembled), pipe.stages, assembled, assign_difficulty(assembled)
     )
 
 

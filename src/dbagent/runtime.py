@@ -11,9 +11,10 @@ action budget. Each accepted turn is one of the three actions:
 Tool output is injected back as a user-role message containing exactly the
 rendered evidence block. A turn that violates the protocol is answered with
 one corrective reprompt; a second consecutive violation terminates the
-rollout as a protocol failure. Violating generations are never stored as
-turns; they live in ``Trajectory.protocol_events``. A tool runs once per
-search; if it fails, its error comes back as ``[tool error]`` evidence.
+rollout as a protocol failure, and so does an empty generation, at once.
+Violating generations are never stored as turns; they live in
+``Trajectory.protocol_events``. A tool runs once per search; if it fails,
+its error comes back as ``[tool error]`` evidence.
 
 Rollouts are deterministic: same config, backend, and tools give
 byte-identical serialized trajectories, independent of worker count.
@@ -149,20 +150,19 @@ class TextRetriever:
 
 class ImageRetriever:
     """Image search returning article text: title + lead section, or the
-    full article when configured."""
+    full article when asked."""
 
-    def __init__(self, index, provider, corpus: Corpus, full_article: bool = False):
+    def __init__(self, index, provider, corpus: Corpus):
         self.index = index
         self.provider = provider
         self.corpus = corpus
-        self.full_article = full_article
 
-    def search(self, image_ref: str, k: int) -> list[EvidenceItem]:
+    def search(self, image_ref: str, k: int, full_article: bool = False) -> list[EvidenceItem]:
         hits = image_search(self.index, self.provider, image_ref, k=k)
         items = []
         for hit in hits:
             article = self.corpus.article(hit.article_id)
-            if self.full_article:
+            if full_article:
                 heading = article.sections[0].heading
                 text = " ".join(f"{s.heading}: {s.text}" for s in article.sections)
             else:
@@ -187,12 +187,12 @@ class ToolBinding:
     image_retriever: ImageRetriever
 
 
-def _searched(retriever, query: str, k: int, turn_index: int) -> EvidenceBlock:
+def _searched(retriever, query: str, k: int, turn_index: int, **options) -> EvidenceBlock:
     """Run a tool once; a failure surfaces as sentinel evidence so the model
     can react instead of the rollout dying. Transport retries belong to the
     provider's HTTP client."""
     try:
-        return render_evidence(retriever.search(query, k), turn_index)
+        return render_evidence(retriever.search(query, k, **options), turn_index)
     except Exception as exc:  # tool errors must not kill the rollout
         logger.warning("tool failed at turn %d: %s", turn_index, exc)
         return render_tool_error(str(exc), turn_index)
@@ -279,17 +279,13 @@ def rollout(
     terminated_by = TERMINATED_BUDGET
 
     while len(turns) < config.budget:
-        raw: str | None = None
-        for _ in range(2):  # one retry on an empty generation
-            try:
-                raw = backend.complete(messages, params, turn_index=generation_index)
-                break
-            except EmptyGenerationError as exc:
-                logger.warning("empty generation at index %d: %s", generation_index, exc)
-        generation_index += 1
-        if raw is None:
+        try:
+            raw = backend.complete(messages, params, turn_index=generation_index)
+        except EmptyGenerationError as exc:
+            logger.warning("empty generation at index %d: %s", generation_index, exc)
             terminated_by = TERMINATED_PROTOCOL
             break
+        generation_index += 1
 
         record, parse_violations = parse_turn(raw)
         violations = _effective_violations(record, parse_violations, turns, config)
@@ -320,7 +316,10 @@ def rollout(
             block = _searched(tools.text_retriever, record.action_payload, config.k_text, turn_index)
         else:
             # Always the original input image; the payload is just a placeholder.
-            block = _searched(tools.image_retriever, image_ref, config.k_image, turn_index)
+            block = _searched(
+                tools.image_retriever, image_ref, config.k_image, turn_index,
+                full_article=config.image_evidence_full_article,
+            )
         observations.append(block)
         messages.append(ChatMessage(role="user", content=block.rendered))
 

@@ -79,13 +79,13 @@ def write_jsonl(path: Path, lines: list[str]) -> Path:
     return path
 
 
-def make_tools(corpus, dimension=64, seed=0, full_article=False) -> ToolBinding:
+def make_tools(corpus, dimension=64, seed=0) -> ToolBinding:
     embedder = DeterministicEmbedder(dimension=dimension, seed=seed)
     text_index = build_text_index(corpus, embedder)
     image_index = build_image_index(corpus, embedder)
     return ToolBinding(
         text_retriever=TextRetriever(text_index, embedder, corpus),
-        image_retriever=ImageRetriever(image_index, embedder, corpus, full_article=full_article),
+        image_retriever=ImageRetriever(image_index, embedder, corpus),
     )
 
 

@@ -37,6 +37,7 @@ from dbagent.factory import (
 )
 from dbagent.gateway import ScriptedBackend, ScriptedRule
 from dbagent.protocol import TurnRecord
+from dbagent.runtime import RolloutConfig
 from dbagent.wire import decode, encode
 from helpers import (
     factory_backend,
@@ -317,6 +318,18 @@ def test_image_branch_stage_names(tools):
     assert out.stages[-1].verdict == "correct"
 
 
+def test_image_evidence_follows_the_full_article_setting(tools):
+    rendered = {}
+    for full_article in (False, True):
+        cfg = FactoryConfig(rollout_config=RolloutConfig(image_evidence_full_article=full_article))
+        out = build_outcome(qa_sample(5), ScriptedBackend(factory_rules(5, "I-A")), tools, cfg)
+        assert out.assembled.config["image_evidence_full_article"] is full_article
+        rendered[full_article] = out.assembled.observations[0].rendered
+    # Full-article rendering concatenates every section, not just the lead.
+    assert "Part 1:" in rendered[True]
+    assert "Part 1:" not in rendered[False]
+
+
 def test_missing_gold_entity_defaults_to_text_route(tools):
     backend = ScriptedBackend(factory_rules(6, "T-A"))
     out = build_outcome(qa_sample(6, gold_entity=None), backend, tools, FactoryConfig())
@@ -542,6 +555,14 @@ def test_model_judge_rewrite_must_differ_from_first_query(tools):
     assert "must differ" in out.discard_reason
 
 
+def test_a_stage1_judge_discard_keeps_its_stage_records(tools):
+    cfg = FactoryConfig(judge_mode="model_judge", judge_backend=ScriptedBackend(_judge_rules(3, "no verdict here")))
+    out = build_outcome(qa_sample(3), factory_backend([(3, "T-A")]), tools, cfg)
+    assert out.trajectory_type == TYPE_DISCARDED
+    assert out.discard_reason.startswith("stage1_judge: judge output has no verdict marker")
+    assert [s.stage for s in out.stages] == ["stage1_answer"]
+
+
 # --- orchestration ----------------------------------------------------------
 
 
@@ -627,6 +648,16 @@ def test_sample_balanced_exact_counts_and_determinism():
 def test_sample_balanced_rejects_deficient_tier():
     with pytest.raises(ValueError, match="'easy' has 4 usable outcomes, need 5"):
         sample_balanced(_outcome_pool(), 5, seed=0)
+
+
+def test_outcome_labels_must_be_those_of_its_trajectory():
+    good = _outcome(4, "T-A")
+    for relabel in ({"difficulty": "easy"}, {"trajectory_type": TYPE_IMAGE}, {"difficulty": None}):
+        with pytest.raises(ValueError, match="disagree with the trajectory's"):
+            replace(good, **relabel)
+    for ttype, difficulty in ((TYPE_TEXT, None), (TYPE_DISCARDED, "easy")):
+        with pytest.raises(ValueError, match="of an outcome with no trajectory"):
+            BranchOutcome(sample_id="s", trajectory_type=ttype, stages=[], difficulty=difficulty)
 
 
 # --- wire format ------------------------------------------------------------
@@ -787,3 +818,21 @@ def test_reading_outcomes_and_emitting_sft_parses_each_turn_once(tools, tmp_path
     assert main(["dataset", "emit", "--outcomes", str(path), "--out", str(tmp_path / "sft.jsonl")]) == EXIT_OK
     assert f"emitted {sum(o.assembled is not None for o in outcomes)} samples" in capsys.readouterr().out
     assert calls == turns
+
+
+@pytest.mark.parametrize("command", [["validate"], ["dataset", "emit", "--n-per-tier", "1", "--outcomes"]])
+def test_a_relabelled_outcome_fails_validate_and_emit(tools, tmp_path, capsys, command):
+    from dbagent.cli import EXIT_DATA, main
+
+    outcomes = [build_outcome(s, b, tools, FactoryConfig(keep_failed=True)) for s, b in _golden_exact_runs()]
+    path = tmp_path / "outcomes.jsonl"
+    write_outcome_file(outcomes, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    relabelled = json.loads(lines[1])
+    assert relabelled["difficulty"] == "medium"
+    lines[1] = json.dumps({**relabelled, "difficulty": "easy"}, sort_keys=True, ensure_ascii=False)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = ["--out", str(tmp_path / "sft.jsonl")] if command[0] == "dataset" else []
+    assert main([*command, str(path), *out]) == EXIT_DATA
+    assert "line 2: labels ('I→A', 'easy') disagree with the trajectory's ('I→A', 'medium')" in capsys.readouterr().err
+    assert not (tmp_path / "sft.jsonl").exists()

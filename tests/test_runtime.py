@@ -365,7 +365,7 @@ class RecordingRetriever:
         self.fail_times = fail_times
         self.calls = []
 
-    def search(self, query, k):
+    def search(self, query, k, full_article=False):
         self.calls.append((query, k))
         if self.fail_times > 0:
             self.fail_times -= 1
@@ -455,26 +455,27 @@ def test_tool_error_twice_becomes_error_evidence():
     assert "[tool error] index offline" in traj.observations[0].rendered
 
 
-def test_empty_generation_retried_within_turn():
+def test_an_empty_generation_ends_the_rollout_at_once(caplog):
     class FlakyBackend:
         def __init__(self, inner):
             self.inner = inner
-            self.failures = 1
+            self.calls = 0
 
         def complete(self, messages, params, turn_index=0):
-            if self.failures > 0:
-                self.failures -= 1
+            self.calls += 1
+            if self.calls == 1:
                 raise EmptyGenerationError("nothing")
             return self.inner.complete(messages, params, turn_index=turn_index)
 
     backend = FlakyBackend(
         ScriptedBackend([ScriptedRule(output=turn_raw("Hi.", "answer", "yes"), pattern=r".")])
     )
-    tools = fake_tools()
-    traj = rollout("img-x", "q?", backend, tools, RolloutConfig())
-    assert traj.terminated_by == TERMINATED_ANSWER
-    assert traj.final_answer == "yes"
-    assert traj.protocol_events == []
+    with caplog.at_level("WARNING", logger="dbagent.runtime"):
+        traj = rollout("img-x", "q?", backend, fake_tools(), RolloutConfig())
+    assert backend.calls == 1
+    assert traj.terminated_by == TERMINATED_PROTOCOL
+    assert traj.turns == []
+    assert [r.getMessage() for r in caplog.records] == ["empty generation at index 0: nothing"]
 
 
 def test_persistent_empty_generation_is_protocol_failure():
@@ -488,8 +489,6 @@ def test_persistent_empty_generation_is_protocol_failure():
 
 
 def test_full_article_image_evidence(tools12):
-    corpus = make_corpus(12)
-    tools = make_tools(corpus, full_article=True)
     backend = ScriptedBackend(
         [
             ScriptedRule(
@@ -498,16 +497,15 @@ def test_full_article_image_evidence(tools12):
             ScriptedRule(output=turn_raw("Done.", "answer", value(6)), turn_index=1),
         ]
     )
-    traj = rollout(
-        "img-006",
-        question(6),
-        backend,
-        tools,
-        RolloutConfig(image_evidence_full_article=True),
-    )
-    rendered = traj.observations[0].rendered
+    rendered = {}
+    for full_article in (False, True):
+        config = RolloutConfig(image_evidence_full_article=full_article)
+        traj = rollout("img-006", question(6), backend, tools12, config)
+        assert traj.config["image_evidence_full_article"] is full_article
+        rendered[full_article] = traj.observations[0].rendered
     # Full-article rendering concatenates every section, not just the lead.
-    assert "Part 1:" in rendered
+    assert "Part 1:" in rendered[True]
+    assert "Part 1:" not in rendered[False]
 
 
 # --- config snapshot -------------------------------------------------------
