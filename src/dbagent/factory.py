@@ -643,8 +643,9 @@ class BranchOutcome:
     """One sample's factory result.
 
     An assembled outcome is labelled with its trajectory's type and
-    difficulty; any other is DISCARDED or FAILED, with no difficulty.
-    Labels that disagree raise ``ValueError``.
+    difficulty and has no discard reason; any other is DISCARDED or FAILED,
+    with no difficulty and a non-empty discard reason. Labels that disagree
+    raise ``ValueError``.
     """
 
     sample_id: str
@@ -660,8 +661,12 @@ class BranchOutcome:
             want = (trajectory_type_of(self.assembled), assign_difficulty(self.assembled))
             if labels != want:
                 raise ValueError(f"labels {labels} disagree with the trajectory's {want}")
+            if self.discard_reason is not None:
+                raise ValueError(f"an assembled outcome has discard_reason {self.discard_reason!r}")
         elif self.trajectory_type not in (TYPE_DISCARDED, TYPE_FAILED) or self.difficulty is not None:
             raise ValueError(f"labels {labels} of an outcome with no trajectory are not DISCARDED or FAILED")
+        elif not self.discard_reason:
+            raise ValueError(f"a {self.trajectory_type} outcome has no discard_reason")
 
 
 def build_outcome(sample: QaSample, backend, tools: ToolBinding, cfg: FactoryConfig) -> BranchOutcome:

@@ -22,8 +22,11 @@ list of violations found, never an exception. Surrounding whitespace around
 the whole turn is tolerated by the parser; the canonical serialization emits
 none. Whitespace is Unicode whitespace (``str.isspace``) throughout.
 
-A parse is one regex pass over the turn plus Python work per tag span; no
-step loops over the turn's characters in Python.
+A parse is one walk over the turn's tag tokens: ``str.find`` jumps to each
+``<`` and the tag pattern is matched there. Each token is read once; blocks
+are paired as the walk goes, each violation is recorded where it is found,
+and the text between tags is checked gap by gap. No step loops over the
+turn's characters in Python.
 
 A ``TurnRecord`` is built from its raw text alone: one parse, made when the
 record is built, fills its think, action, payload, caption and intra-turn
@@ -48,6 +51,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 __all__ = [
@@ -79,7 +83,7 @@ IMAGE_PAYLOAD = "image_path"
 NO_RESULTS_LINE = "[no results]"
 MAX_TURN_CHARS = 65_536
 
-_TAG_TOKEN = re.compile(r"</?([A-Za-z_][A-Za-z0-9_]*)>")
+_TAG_TOKEN = re.compile(r"<(/?)([A-Za-z_][A-Za-z0-9_]*)>")
 
 
 class ActionKind(Enum):
@@ -107,6 +111,12 @@ class ProtocolViolation:
     code: ViolationCode
     span: tuple[int, int]
     message: str
+
+
+_span = attrgetter("span")
+_ACTION_KINDS = {kind.value: kind for kind in ActionKind}
+# The code of a known open tag that is never closed; an action's is NoAction.
+_UNCLOSED = {THINK: ViolationCode.MISSING_THINK, CAPTION: ViolationCode.CAPTION_MISPLACED}
 
 
 class _Unparsed(ValueError):
@@ -189,81 +199,6 @@ class EvidenceBlock:
         return "\n".join(["<evidence>", *lines, "</evidence>"])
 
 
-@dataclass(frozen=True, slots=True)
-class _Block:
-    name: str
-    start: int
-    inner_start: int
-    inner_end: int
-    end: int
-
-
-def _scan_blocks(raw: str) -> tuple[list[_Block], list[ProtocolViolation], list[tuple[int, int]]]:
-    """Tokenize tags and pair known open/close tags into blocks.
-
-    Returns (blocks in document order, violations from malformed tag usage,
-    spans of raw already accounted for by tags/blocks/violations).
-    """
-    violations: list[ProtocolViolation] = []
-    accounted: list[tuple[int, int]] = []
-    blocks: list[_Block] = []
-    pending: tuple[str, int, int] | None = None  # (name, start, inner_start)
-
-    for match in _TAG_TOKEN.finditer(raw):
-        name = match.group(1)
-        is_close = raw[match.start() + 1] == "/"
-        span = (match.start(), match.end())
-        if name not in AGENT_TAGS:
-            violations.append(
-                ProtocolViolation(
-                    ViolationCode.UNKNOWN_TAG,
-                    span,
-                    f"tag <{name}> is not part of the agent tag set",
-                )
-            )
-            accounted.append(span)
-            continue
-        if not is_close:
-            if pending is not None:
-                violations.append(_unclosed(pending, raw))
-                accounted.append((pending[1], pending[2]))
-            pending = (name, match.start(), match.end())
-        else:
-            if pending is not None and pending[0] == name:
-                blocks.append(_Block(name, pending[1], pending[2], match.start(), match.end()))
-                accounted.append((pending[1], match.end()))
-                pending = None
-            else:
-                if pending is not None:
-                    violations.append(_unclosed(pending, raw))
-                    accounted.append((pending[1], pending[2]))
-                    pending = None
-                violations.append(
-                    ProtocolViolation(
-                        ViolationCode.TRAILING_TEXT,
-                        span,
-                        f"closing tag </{name}> has no matching open tag",
-                    )
-                )
-                accounted.append(span)
-    if pending is not None:
-        violations.append(_unclosed(pending, raw))
-        accounted.append((pending[1], pending[2]))
-    return blocks, violations, accounted
-
-
-def _unclosed(pending: tuple[str, int, int], raw: str) -> ProtocolViolation:
-    name, start, inner_start = pending
-    span = (start, inner_start)
-    if name == THINK:
-        code = ViolationCode.MISSING_THINK
-    elif name == CAPTION:
-        code = ViolationCode.CAPTION_MISPLACED
-    else:
-        code = ViolationCode.NO_ACTION
-    return ProtocolViolation(code, span, f"tag <{name}> is never closed")
-
-
 def parse_turn(raw: str) -> tuple[TurnRecord | None, list[ProtocolViolation]]:
     """Parse one model turn.
 
@@ -281,149 +216,129 @@ def parse_turn(raw: str) -> tuple[TurnRecord | None, list[ProtocolViolation]]:
 
 def _parse(raw: str) -> tuple[tuple[str, ActionKind, str, str | None] | None, list[ProtocolViolation]]:
     """The one parse of a turn: (think, action, payload, caption), or None
-    without the skeleton, and every violation sorted by span."""
-    if len(raw) > MAX_TURN_CHARS:
-        return None, [
-            ProtocolViolation(
-                ViolationCode.INPUT_TOO_LONG,
-                (0, MAX_TURN_CHARS),
-                f"turn exceeds {MAX_TURN_CHARS} characters ({len(raw)})",
-            )
-        ]
+    without the skeleton, and every violation sorted by span.
 
-    blocks, violations, accounted = _scan_blocks(raw)
-    thinks = [b for b in blocks if b.name == THINK]
-    captions = [b for b in blocks if b.name == CAPTION]
-    actions = [b for b in blocks if b.name in ACTION_TAG_NAMES]
+    One walk over the tag tokens pairs each known open tag with the next
+    known tag when that closes it, into blocks held as (start, inner_start,
+    inner_end, end, name). The text between two tokens is a gap, and a gap
+    no block holds is unaccounted text; whether a block holds the gaps after
+    an open tag is known when the next known tag comes, so they are held
+    until then.
+    """
+    size = len(raw)
+    if size > MAX_TURN_CHARS:
+        message = f"turn exceeds {MAX_TURN_CHARS} characters ({size})"
+        return None, [ProtocolViolation(ViolationCode.INPUT_TOO_LONG, (0, MAX_TURN_CHARS), message)]
 
-    lead = len(raw) - len(raw.lstrip())
-    if not thinks or thinks[0].start != lead:
-        violations.append(
-            ProtocolViolation(
-                ViolationCode.MISSING_THINK,
-                (lead, min(len(raw), lead + 7)),
-                "turn must begin with a <think> block",
-            )
-        )
+    thinks: list[tuple[int, int, int, int, str]] = []
+    captions: list[tuple[int, int, int, int, str]] = []
+    actions: list[tuple[int, int, int, int, str]] = []
+    blocks_of = {THINK: thinks, CAPTION: captions, "answer": actions, "text_search": actions,
+                 "image_search": actions}
+    violations: list[ProtocolViolation] = []
+    add = violations.append
+    gaps: list[tuple[int, int]] = []
+    held: list[tuple[int, int]] = []
+    pending: tuple[str, int, int] | None = None  # (name, start, inner_start) of the open tag
+    last = 0  # end of the previous token
+
+    start = raw.find("<")
+    while start >= 0:
+        token = _TAG_TOKEN.match(raw, start)
+        if token is None:
+            start = raw.find("<", start + 1)
+            continue
+        end = token.end()
+        close, name = token.groups()
+        blocks = blocks_of.get(name)
+        if blocks is None:
+            message = f"tag <{name}> is not part of the agent tag set"
+            add(ProtocolViolation(ViolationCode.UNKNOWN_TAG, (start, end), message))
+            if last < start:
+                (gaps if pending is None else held).append((last, start))
+        elif close and pending is not None and pending[0] == name:
+            blocks.append((pending[1], pending[2], start, end, name))
+            pending = None
+            held = []
+        else:
+            if pending is not None:
+                code = _UNCLOSED.get(pending[0], ViolationCode.NO_ACTION)
+                add(ProtocolViolation(code, pending[1:], f"tag <{pending[0]}> is never closed"))
+                gaps += held
+                held = []
+                pending = None
+            if last < start:
+                gaps.append((last, start))
+            if close:
+                message = f"closing tag </{name}> has no matching open tag"
+                add(ProtocolViolation(ViolationCode.TRAILING_TEXT, (start, end), message))
+            else:
+                pending = (name, start, end)
+        last = end
+        start = raw.find("<", end)
+    if pending is not None:
+        code = _UNCLOSED.get(pending[0], ViolationCode.NO_ACTION)
+        add(ProtocolViolation(code, pending[1:], f"tag <{pending[0]}> is never closed"))
+        gaps += held
+    if last < size:
+        gaps.append((last, size))
+
+    lead = size - len(raw.lstrip())
+    if not thinks or thinks[0][0] != lead:
+        message = "turn must begin with a <think> block"
+        add(ProtocolViolation(ViolationCode.MISSING_THINK, (lead, min(size, lead + 7)), message))
     for extra in thinks[1:]:
-        violations.append(
-            ProtocolViolation(
-                ViolationCode.TRAILING_TEXT,
-                (extra.start, extra.end),
-                "duplicate <think> block",
-            )
-        )
+        add(ProtocolViolation(ViolationCode.TRAILING_TEXT, (extra[0], extra[3]), "duplicate <think> block"))
 
     if not actions:
         if not any(v.code is ViolationCode.NO_ACTION for v in violations):
-            violations.append(
-                ProtocolViolation(
-                    ViolationCode.NO_ACTION,
-                    (max(0, len(raw) - 1), len(raw)),
-                    "turn has no action tag (<answer>, <text_search>, or <image_search>)",
-                )
-            )
+            message = "turn has no action tag (<answer>, <text_search>, or <image_search>)"
+            add(ProtocolViolation(ViolationCode.NO_ACTION, (max(0, size - 1), size), message))
     elif len(actions) > 1:
-        names = ", ".join(f"<{b.name}>" for b in actions)
-        violations.append(
-            ProtocolViolation(
-                ViolationCode.MULTIPLE_ACTIONS,
-                (actions[1].start, actions[-1].end),
-                f"turn has {len(actions)} action tags ({names}); exactly one is allowed",
-            )
-        )
+        names = ", ".join(f"<{action[4]}>" for action in actions)
+        message = f"turn has {len(actions)} action tags ({names}); exactly one is allowed"
+        add(ProtocolViolation(ViolationCode.MULTIPLE_ACTIONS, (actions[1][0], actions[-1][3]), message))
 
     if captions:
         first = captions[0]
-        lo = thinks[0].end if thinks else 0
-        hi = actions[0].start if actions else len(raw)
-        if first.start < lo or first.end > hi:
-            violations.append(
-                ProtocolViolation(
-                    ViolationCode.CAPTION_MISPLACED,
-                    (first.start, first.end),
-                    "<caption> may appear only between </think> and the action tag",
-                )
-            )
+        lo = thinks[0][3] if thinks else 0
+        hi = actions[0][0] if actions else size
+        if first[0] < lo or first[3] > hi:
+            message = "<caption> may appear only between </think> and the action tag"
+            add(ProtocolViolation(ViolationCode.CAPTION_MISPLACED, (first[0], first[3]), message))
         for extra in captions[1:]:
-            violations.append(
-                ProtocolViolation(
-                    ViolationCode.CAPTION_MISPLACED,
-                    (extra.start, extra.end),
-                    "duplicate <caption> block",
-                )
-            )
+            add(ProtocolViolation(ViolationCode.CAPTION_MISPLACED, (extra[0], extra[3]), "duplicate <caption> block"))
 
+    # Text after the final action tag is flagged as one span, so the gaps
+    # there are left out; no gap straddles that tag's end.
+    limit = size
     if actions:
-        tail = raw[actions[-1].end :]
-        if tail.strip():
-            start = actions[-1].end + (len(tail) - len(tail.lstrip()))
-            violations.append(
-                ProtocolViolation(
-                    ViolationCode.TRAILING_TEXT,
-                    (start, len(raw)),
-                    "text after the closing action tag",
-                )
-            )
-
-    for start, end in _unaccounted_runs(raw, accounted, blocks):
-        violations.append(
-            ProtocolViolation(
-                ViolationCode.TRAILING_TEXT,
-                (start, end),
-                "unexpected text between tags",
-            )
-        )
-
-    action_kind: ActionKind | None = None
-    payload = ""
-    if actions:
-        action_kind = ActionKind(actions[0].name)
-        payload = raw[actions[0].inner_start : actions[0].inner_end].strip()
-        if action_kind is ActionKind.IMAGE_SEARCH and payload != IMAGE_PAYLOAD:
-            violations.append(
-                ProtocolViolation(
-                    ViolationCode.BAD_IMAGE_PAYLOAD,
-                    (actions[0].inner_start, actions[0].inner_end),
-                    f"<image_search> payload must be exactly '{IMAGE_PAYLOAD}', got {payload!r}",
-                )
-            )
+        limit = actions[-1][3]
+        tail = raw[limit:].lstrip()
+        if tail:
+            message = "text after the closing action tag"
+            add(ProtocolViolation(ViolationCode.TRAILING_TEXT, (size - len(tail), size), message))
+    # A gap holds at most one run, from its first non-whitespace character to its last.
+    for start, end in gaps:
+        rest = raw[start:end].lstrip() if start < limit else ""
+        if rest:
+            first_char = end - len(rest)
+            span = (first_char, first_char + len(rest.rstrip()))
+            add(ProtocolViolation(ViolationCode.TRAILING_TEXT, span, "unexpected text between tags"))
 
     parts = None
-    if thinks and action_kind is not None:
-        think = raw[thinks[0].inner_start : thinks[0].inner_end].strip()
-        caption = raw[captions[0].inner_start : captions[0].inner_end].strip() if captions else None
-        parts = (think, action_kind, payload, caption)
-    violations.sort(key=lambda v: v.span)
+    if actions:
+        _, inner_start, inner_end, _, name = actions[0]
+        payload = raw[inner_start:inner_end].strip()
+        if name == "image_search" and payload != IMAGE_PAYLOAD:
+            message = f"<image_search> payload must be exactly '{IMAGE_PAYLOAD}', got {payload!r}"
+            add(ProtocolViolation(ViolationCode.BAD_IMAGE_PAYLOAD, (inner_start, inner_end), message))
+        if thinks:
+            think = raw[thinks[0][1] : thinks[0][2]].strip()
+            caption = raw[captions[0][1] : captions[0][2]].strip() if captions else None
+            parts = (think, _ACTION_KINDS[name], payload, caption)
+    violations.sort(key=_span)
     return parts, violations
-
-
-def _unaccounted_runs(
-    raw: str, accounted: list[tuple[int, int]], blocks: list[_Block]
-) -> list[tuple[int, int]]:
-    """Non-whitespace char runs covered neither by a block nor a flagged token.
-
-    Text after the final action tag is excluded here; it gets its own,
-    more specific TrailingText violation.
-
-    The accounted spans (non-empty, possibly overlapping) are walked in
-    order; each gap between them up to ``limit`` holds at most one run,
-    from its first non-whitespace character to its last.
-    """
-    actions = [b for b in blocks if b.name in ACTION_TAG_NAMES]
-    limit = actions[-1].end if actions else len(raw)
-    runs: list[tuple[int, int]] = []
-    pos = 0
-    for start, end in sorted(accounted) + [(limit, limit)]:
-        stop = min(start, limit)
-        rest = raw[pos:stop].lstrip()
-        if rest:
-            first = stop - len(rest)
-            runs.append((first, first + len(rest.rstrip())))
-        pos = max(pos, end)
-        if pos >= limit:
-            break
-    return runs
 
 
 def validate_in_context(
@@ -467,7 +382,7 @@ def validate_in_context(
                     "<caption> is not allowed on an answer turn",
                 )
             )
-    out.sort(key=lambda v: v.span)
+    out.sort(key=_span)
     return out
 
 

@@ -22,6 +22,7 @@ byte-identical serialized trajectories, independent of worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -114,10 +115,19 @@ class RolloutConfig:
         return GenerationParams(temperature=self.temperature, max_new_tokens=self.max_new_tokens)
 
     def snapshot(self) -> dict:
-        """Scalar config fields plus a digest of the system prompt."""
+        """Scalar config fields plus the sha256 of the system prompt, which
+        is computed once per distinct prompt text (``_prompt_sha256``), not
+        once per rollout."""
         snap = encode(self)
-        snap["system_prompt_sha256"] = hashlib.sha256(snap.pop("system_prompt").encode("utf-8")).hexdigest()
+        snap["system_prompt_sha256"] = _prompt_sha256(snap.pop("system_prompt"))
         return snap
+
+
+@functools.cache
+def _prompt_sha256(prompt: str) -> str:
+    """Hex sha256 of a prompt's UTF-8 bytes, kept for the life of the
+    process: a batch has one prompt, and every rollout records its digest."""
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 class TextRetriever:

@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dbagent import runtime
 from dbagent.factory import (
     BranchOutcome,
     DatasetError,
@@ -589,6 +591,23 @@ def test_run_factory_skips_non_train_and_keeps_order(tools):
     ]
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_factory_run_hashes_its_prompt_once(tools, workers):
+    plan = [(0, "A"), (1, "T-A"), (2, "I-A"), (3, "I-T-A"), (4, "T-T-A")]
+    cfg = FactoryConfig(rollout_config=RolloutConfig(system_prompt=f"factory prompt for {workers} worker(s)"))
+    runtime._prompt_sha256.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)  # no thread switch between a cache miss and its store
+    try:
+        outcomes = run_factory([qa_sample(i) for i, _ in plan], factory_backend(plan), tools, cfg, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    info = runtime._prompt_sha256.cache_info()
+    assert (info.misses, info.hits) == (1, len(plan) - 1)
+    digest = hashlib.sha256(cfg.rollout_config.system_prompt.encode("utf-8")).hexdigest()
+    assert {o.assembled.config["system_prompt_sha256"] for o in outcomes} == {digest}
+
+
 # --- labeling and balanced sampling ----------------------------------------
 
 
@@ -629,7 +648,7 @@ def _outcome(idx, shape):
 def _outcome_pool():
     shapes = ["A", "A", "A", "A", "T-A", "I-A", "T-A", "I-A", "T-T-A", "I-T-A", "T-T-A", "I-T-A"]
     pool = [_outcome(i, s) for i, s in enumerate(shapes)]
-    pool.append(BranchOutcome(sample_id="sbad", trajectory_type=TYPE_DISCARDED, stages=[]))
+    pool.append(BranchOutcome(sample_id="sbad", trajectory_type=TYPE_DISCARDED, stages=[], discard_reason="judged wrong"))
     return pool
 
 
@@ -658,6 +677,32 @@ def test_outcome_labels_must_be_those_of_its_trajectory():
     for ttype, difficulty in ((TYPE_TEXT, None), (TYPE_DISCARDED, "easy")):
         with pytest.raises(ValueError, match="of an outcome with no trajectory"):
             BranchOutcome(sample_id="s", trajectory_type=ttype, stages=[], difficulty=difficulty)
+
+
+def test_only_an_outcome_with_no_trajectory_has_a_discard_reason():
+    with pytest.raises(ValueError, match=r"^an assembled outcome has discard_reason 'kept'$"):
+        replace(_outcome(4, "T-A"), discard_reason="kept")
+    for ttype in (TYPE_DISCARDED, TYPE_FAILED):
+        for reason in (None, ""):
+            with pytest.raises(ValueError, match=f"^a {ttype} outcome has no discard_reason$"):
+                BranchOutcome(sample_id="s", trajectory_type=ttype, stages=[], discard_reason=reason)
+        assert BranchOutcome("s", ttype, [], discard_reason="judged wrong").discard_reason == "judged wrong"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["dataset", "emit", "--n-per-tier", "1", "--outcomes"]])
+def test_an_outcome_with_a_misplaced_discard_reason_fails_validate_and_emit(tools, tmp_path, capsys, command):
+    from dbagent.cli import EXIT_DATA, main
+
+    kept = encode(_outcome(4, "T-A"))
+    discarded = encode(BranchOutcome("s9", TYPE_DISCARDED, [], discard_reason="judged wrong"))
+    lines = [{**kept, "discard_reason": "kept"}, {k: v for k, v in discarded.items() if k != "discard_reason"}]
+    path = write_jsonl(tmp_path / "outcomes.jsonl", [json.dumps(obj, ensure_ascii=False) for obj in lines])
+    out = ["--out", str(tmp_path / "sft.jsonl")] if command[0] == "dataset" else []
+    assert main([*command, str(path), *out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1: an assembled outcome has discard_reason 'kept'" in err
+    assert "line 2: a DISCARDED outcome has no discard_reason" in err
+    assert not (tmp_path / "sft.jsonl").exists()
 
 
 # --- wire format ------------------------------------------------------------

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import re
-from unittest import mock
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from dbagent import protocol
 from dbagent.protocol import (
     ACTION_TAG_NAMES,
     AGENT_TAGS,
+    IMAGE_PAYLOAD,
     MAX_TURN_CHARS,
     ActionKind,
     EvidenceItem,
@@ -319,11 +320,213 @@ def test_render_evidence_matches_pattern(specs):
     assert _EVIDENCE_LINE.match(block.rendered), block.rendered
 
 
-# --- the gap scan against the per-character scan it replaced ----------------
+# --- the parser against the one it replaced ----------------------------------
+#
+# The parser before the one-walk rewrite, verbatim but for its names: it
+# scanned the tag tokens into ``_Block`` records, then checked them, and
+# found unaccounted text with the per-character scan its gap walk replaced.
+
+_TAG_TOKEN = re.compile(r"</?([A-Za-z_][A-Za-z0-9_]*)>")
+THINK = "think"
+CAPTION = "caption"
+
+
+@dataclass(frozen=True, slots=True)
+class _Block:
+    name: str
+    start: int
+    inner_start: int
+    inner_end: int
+    end: int
+
+
+def _scan_blocks(raw: str) -> tuple[list[_Block], list[ProtocolViolation], list[tuple[int, int]]]:
+    """Tokenize tags and pair known open/close tags into blocks.
+
+    Returns (blocks in document order, violations from malformed tag usage,
+    spans of raw already accounted for by tags/blocks/violations).
+    """
+    violations: list[ProtocolViolation] = []
+    accounted: list[tuple[int, int]] = []
+    blocks: list[_Block] = []
+    pending: tuple[str, int, int] | None = None  # (name, start, inner_start)
+
+    for match in _TAG_TOKEN.finditer(raw):
+        name = match.group(1)
+        is_close = raw[match.start() + 1] == "/"
+        span = (match.start(), match.end())
+        if name not in AGENT_TAGS:
+            violations.append(
+                ProtocolViolation(
+                    ViolationCode.UNKNOWN_TAG,
+                    span,
+                    f"tag <{name}> is not part of the agent tag set",
+                )
+            )
+            accounted.append(span)
+            continue
+        if not is_close:
+            if pending is not None:
+                violations.append(_unclosed(pending, raw))
+                accounted.append((pending[1], pending[2]))
+            pending = (name, match.start(), match.end())
+        else:
+            if pending is not None and pending[0] == name:
+                blocks.append(_Block(name, pending[1], pending[2], match.start(), match.end()))
+                accounted.append((pending[1], match.end()))
+                pending = None
+            else:
+                if pending is not None:
+                    violations.append(_unclosed(pending, raw))
+                    accounted.append((pending[1], pending[2]))
+                    pending = None
+                violations.append(
+                    ProtocolViolation(
+                        ViolationCode.TRAILING_TEXT,
+                        span,
+                        f"closing tag </{name}> has no matching open tag",
+                    )
+                )
+                accounted.append(span)
+    if pending is not None:
+        violations.append(_unclosed(pending, raw))
+        accounted.append((pending[1], pending[2]))
+    return blocks, violations, accounted
+
+
+def _unclosed(pending: tuple[str, int, int], raw: str) -> ProtocolViolation:
+    name, start, inner_start = pending
+    span = (start, inner_start)
+    if name == THINK:
+        code = ViolationCode.MISSING_THINK
+    elif name == CAPTION:
+        code = ViolationCode.CAPTION_MISPLACED
+    else:
+        code = ViolationCode.NO_ACTION
+    return ProtocolViolation(code, span, f"tag <{name}> is never closed")
+
+
+def _reference_parse(raw: str) -> tuple[tuple[str, ActionKind, str, str | None] | None, list[ProtocolViolation]]:
+    """The one parse of a turn: (think, action, payload, caption), or None
+    without the skeleton, and every violation sorted by span."""
+    if len(raw) > MAX_TURN_CHARS:
+        return None, [
+            ProtocolViolation(
+                ViolationCode.INPUT_TOO_LONG,
+                (0, MAX_TURN_CHARS),
+                f"turn exceeds {MAX_TURN_CHARS} characters ({len(raw)})",
+            )
+        ]
+
+    blocks, violations, accounted = _scan_blocks(raw)
+    thinks = [b for b in blocks if b.name == THINK]
+    captions = [b for b in blocks if b.name == CAPTION]
+    actions = [b for b in blocks if b.name in ACTION_TAG_NAMES]
+
+    lead = len(raw) - len(raw.lstrip())
+    if not thinks or thinks[0].start != lead:
+        violations.append(
+            ProtocolViolation(
+                ViolationCode.MISSING_THINK,
+                (lead, min(len(raw), lead + 7)),
+                "turn must begin with a <think> block",
+            )
+        )
+    for extra in thinks[1:]:
+        violations.append(
+            ProtocolViolation(
+                ViolationCode.TRAILING_TEXT,
+                (extra.start, extra.end),
+                "duplicate <think> block",
+            )
+        )
+
+    if not actions:
+        if not any(v.code is ViolationCode.NO_ACTION for v in violations):
+            violations.append(
+                ProtocolViolation(
+                    ViolationCode.NO_ACTION,
+                    (max(0, len(raw) - 1), len(raw)),
+                    "turn has no action tag (<answer>, <text_search>, or <image_search>)",
+                )
+            )
+    elif len(actions) > 1:
+        names = ", ".join(f"<{b.name}>" for b in actions)
+        violations.append(
+            ProtocolViolation(
+                ViolationCode.MULTIPLE_ACTIONS,
+                (actions[1].start, actions[-1].end),
+                f"turn has {len(actions)} action tags ({names}); exactly one is allowed",
+            )
+        )
+
+    if captions:
+        first = captions[0]
+        lo = thinks[0].end if thinks else 0
+        hi = actions[0].start if actions else len(raw)
+        if first.start < lo or first.end > hi:
+            violations.append(
+                ProtocolViolation(
+                    ViolationCode.CAPTION_MISPLACED,
+                    (first.start, first.end),
+                    "<caption> may appear only between </think> and the action tag",
+                )
+            )
+        for extra in captions[1:]:
+            violations.append(
+                ProtocolViolation(
+                    ViolationCode.CAPTION_MISPLACED,
+                    (extra.start, extra.end),
+                    "duplicate <caption> block",
+                )
+            )
+
+    if actions:
+        tail = raw[actions[-1].end :]
+        if tail.strip():
+            start = actions[-1].end + (len(tail) - len(tail.lstrip()))
+            violations.append(
+                ProtocolViolation(
+                    ViolationCode.TRAILING_TEXT,
+                    (start, len(raw)),
+                    "text after the closing action tag",
+                )
+            )
+
+    for start, end in _reference_unaccounted_runs(raw, accounted, blocks):
+        violations.append(
+            ProtocolViolation(
+                ViolationCode.TRAILING_TEXT,
+                (start, end),
+                "unexpected text between tags",
+            )
+        )
+
+    action_kind: ActionKind | None = None
+    payload = ""
+    if actions:
+        action_kind = ActionKind(actions[0].name)
+        payload = raw[actions[0].inner_start : actions[0].inner_end].strip()
+        if action_kind is ActionKind.IMAGE_SEARCH and payload != IMAGE_PAYLOAD:
+            violations.append(
+                ProtocolViolation(
+                    ViolationCode.BAD_IMAGE_PAYLOAD,
+                    (actions[0].inner_start, actions[0].inner_end),
+                    f"<image_search> payload must be exactly '{IMAGE_PAYLOAD}', got {payload!r}",
+                )
+            )
+
+    parts = None
+    if thinks and action_kind is not None:
+        think = raw[thinks[0].inner_start : thinks[0].inner_end].strip()
+        caption = raw[captions[0].inner_start : captions[0].inner_end].strip() if captions else None
+        parts = (think, action_kind, payload, caption)
+    violations.sort(key=lambda v: v.span)
+    return parts, violations
 
 
 def _reference_unaccounted_runs(raw, accounted, blocks):
-    """The per-character scan ``protocol._unaccounted_runs`` used before the gap walk, verbatim."""
+    """The per-character scan of unaccounted text that the gap walk replaced, verbatim."""
     actions = [b for b in blocks if b.name in ACTION_TAG_NAMES]
     limit = actions[-1].end if actions else len(raw)
     covered = bytearray(len(raw))
@@ -346,9 +549,12 @@ def _reference_unaccounted_runs(raw, accounted, blocks):
     return runs
 
 
-def _reference_parse(raw):
-    with mock.patch.object(protocol, "_unaccounted_runs", _reference_unaccounted_runs):
-        return parse_turn(raw)
+def _parse_turn_parts(raw):
+    """``parse_turn``'s record and violations in the reference's shape."""
+    record, violations = parse_turn(raw)
+    if record is None:
+        return None, violations
+    return (record.think, record.action, record.action_payload, record.caption), violations
 
 
 _SOUP_TOKENS = (
@@ -363,12 +569,12 @@ _tag_soup = st.lists(st.sampled_from(_SOUP_TOKENS), max_size=40).map("".join)
 @given(_tag_soup)
 @settings(max_examples=500, deadline=None)
 def test_gap_scan_matches_reference_on_tag_soup(raw):
-    assert parse_turn(raw) == _reference_parse(raw)
+    assert _parse_turn_parts(raw) == _reference_parse(raw)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_gap_scan_matches_reference_on_cases(case):
-    assert parse_turn(case.raw) == _reference_parse(case.raw)
+    assert _parse_turn_parts(case.raw) == _reference_parse(case.raw)
 
 
 def test_gap_scan_matches_reference_at_max_turn_chars():
@@ -377,8 +583,8 @@ def test_gap_scan_matches_reference_at_max_turn_chars():
     raw = unit * ((MAX_TURN_CHARS - len(tail)) // len(unit))
     raw += "y" * (MAX_TURN_CHARS - len(raw) - len(tail)) + tail
     assert len(raw) == MAX_TURN_CHARS
-    record, violations = parse_turn(raw)
-    assert (record, violations) == _reference_parse(raw)
+    parts, violations = _parse_turn_parts(raw)
+    assert (parts, violations) == _reference_parse(raw)
     assert sum(v.message == "unexpected text between tags" for v in violations) > 1000
 
 
@@ -391,8 +597,76 @@ def test_gap_scan_matches_reference_at_max_turn_chars():
     ],
 )
 def test_gap_scan_matches_reference_on_overlapping_spans(raw):
-    blocks, _, accounted = protocol._scan_blocks(raw)
+    blocks, _, accounted = _scan_blocks(raw)
     ordered = sorted(accounted)
     assert any(a_end > b_start for (_, a_end), (b_start, _) in zip(ordered, ordered[1:]))
-    assert protocol._unaccounted_runs(raw, accounted, blocks) == _reference_unaccounted_runs(raw, accounted, blocks)
-    assert parse_turn(raw) == _reference_parse(raw)
+    parts, violations = _parse_turn_parts(raw)
+    assert (parts, violations) == _reference_parse(raw)
+    assert any(v.message == "unexpected text between tags" for v in violations)
+
+
+# Turns where two violations share a span, so the order in which the parser
+# records them decides their order in the sorted list.
+_TIED_SPANS = [
+    "",
+    "x",
+    "<x>",
+    "<think>",
+    "abcdefg<think>t</think><answer>a</answer>",
+    "<abcde><think>t</think><answer>a</answer>",
+    "<think>t</think><answer>a</answer> <b>",
+    "<think>t</think><answer>a</answer>\t</caption>",
+    "<think>t</think><answer>a</answer> <text_search>",
+    "<think>a</think><answer>x</answer> <think>b</think>",
+    "<think>t</think><answer>a</answer><caption>c</caption>",
+    "<think>t</think><caption>c</caption><answer>a</answer> <caption>d</caption>",
+    "<think>t</think><image_search><b></image_search>",
+]
+
+
+@pytest.mark.parametrize("raw", _TIED_SPANS)
+def test_parse_matches_reference_where_spans_tie(raw):
+    parts, violations = _parse_turn_parts(raw)
+    assert (parts, violations) == _reference_parse(raw)
+    spans = [v.span for v in violations]
+    assert len(set(spans)) < len(spans)
+
+
+# Turns shaped like a model's: a think of a few hundred words, stray angle
+# brackets, an unknown tag pair, then the action and sometimes text after it.
+_word = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+_stray = st.sampled_from(("<", ">", "a < b", "b > a", "<<", "< think>", "<think", "x<y>", "</>", "<1>"))
+_think_words = st.lists(st.one_of(_word, _word, _word, _stray), min_size=150, max_size=250).map(" ".join)
+
+
+@st.composite
+def _long_turns(draw):
+    think = draw(_think_words)
+    caption = draw(st.none() | _think_words.map(lambda words: f"<caption>{words[:200]}</caption>"))
+    lookup = draw(st.sampled_from(("", "<lookup>x</lookup>", "<lookup>q</lookup> stray ", "<tool>")))
+    action = draw(st.sampled_from(ACTION_TAG_NAMES))
+    payload = draw(st.sampled_from((IMAGE_PAYLOAD, " 1889 ", "tower <b> height", "")))
+    after = draw(st.sampled_from(("", "\n", " done", "<answer>2</answer>", " <x>")))
+    head = draw(st.sampled_from(("", " ", "Sure. ", "<think>")))
+    return f"{head}<think>{think}</think>{caption or ''}{lookup}<{action}>{payload}</{action}>{after}"
+
+
+_LONG_TURNS = [
+    "<think>" + "word " * 200 + "a < b and c > d</think><lookup>x</lookup><answer>6365</answer>",
+    "<think>" + "word " * 200 + "</think><caption>c</caption><tool> <image_search>image</image_search> then",
+    "<think>" + "w<x " * 200 + "</think>\n<text_search>q</text_search>\n<answer>a</answer>tail",
+]
+
+
+@pytest.mark.parametrize("raw", _LONG_TURNS, ids=range(len(_LONG_TURNS)))
+def test_parse_matches_reference_on_long_turns(raw):
+    parts, violations = _parse_turn_parts(raw)
+    assert (parts, violations) == _reference_parse(raw)
+    assert parts is not None and violations
+
+
+@given(_long_turns())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_reference_on_generated_long_turns(raw):
+    assert len(raw) > 300
+    assert _parse_turn_parts(raw) == _reference_parse(raw)

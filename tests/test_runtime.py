@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -525,6 +527,55 @@ def test_config_snapshot_digests_system_prompt(tools12):
     expected = hashlib.sha256(b"custom instructions").hexdigest()
     assert snap["system_prompt_sha256"] == expected
     assert "custom instructions" not in json.dumps(snap)
+
+
+def _parent_snapshot(config):
+    """What ``snapshot`` gave before it kept the digest: the encoded fields,
+    the prompt replaced by its sha256, hashed on every call."""
+    snap = encode(config)
+    snap["system_prompt_sha256"] = hashlib.sha256(snap.pop("system_prompt").encode("utf-8")).hexdigest()
+    return snap
+
+
+@pytest.mark.parametrize("prompt", [None, "custom instructions \u2014 caf\u00e9"])
+def test_snapshot_is_the_fields_and_the_prompt_digest(prompt):
+    config = RolloutConfig() if prompt is None else RolloutConfig(system_prompt=prompt)
+    assert config.snapshot() == _parent_snapshot(config)
+    assert list(config.snapshot()) == list(_parent_snapshot(config))
+    grid_point = replace(config, k_text=7)  # how run_topk_grid varies a config
+    assert grid_point.snapshot() == {**_parent_snapshot(config), "k_text": 7}
+    config.system_prompt = "edited after the first snapshot"
+    assert config.snapshot() == _parent_snapshot(config)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_batch_hashes_its_prompt_once(tools12, workers):
+    config = RolloutConfig(system_prompt=f"batch prompt for {workers} worker(s)")
+    runtime._prompt_sha256.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)  # no thread switch between a cache miss and its store
+    try:
+        out = batch_rollout(_samples(8), _mixed_script(8), tools12, config, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    info = runtime._prompt_sha256.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+    assert {t.config["system_prompt_sha256"] for t in out} == {_parent_snapshot(config)["system_prompt_sha256"]}
+
+
+def test_the_prompt_digest_holds_under_thread_switches(tools12):
+    # Threads that miss the cache together each hash the prompt; every
+    # rollout must still record its digest.
+    config = RolloutConfig(system_prompt="prompt shared by eight threads")
+    runtime._prompt_sha256.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = batch_rollout(_samples(32), _mixed_script(32), tools12, config, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.config for t in out] == [_parent_snapshot(config)] * 32
+    assert runtime._prompt_sha256.cache_info().misses <= 8
 
 
 # --- wire format -----------------------------------------------------------

@@ -52,7 +52,6 @@ READERS = {
                 stages=[StageRecord("stage1_judge", "judge-v1", "[wrong]", {"choose": "look it up"}, "wrong")],
                 assembled=make_canonical_trajectory("q000", "T-A"),
                 difficulty="medium",
-                discard_reason="kept",
             )
         ),
     ),
@@ -222,9 +221,11 @@ RECORDS = {
     DatasetManifest: (_MANIFEST, {}),
 }
 # Keys that may be absent only beside other changes, as (changed values,
-# keys also absent): an outcome with no trajectory is DISCARDED or FAILED
-# and has no difficulty.
-_NO_TRAJECTORY = ({"trajectory_type": TYPE_DISCARDED}, ("assembled", "difficulty"))
+# keys also absent): an outcome with no trajectory is DISCARDED or FAILED,
+# has no difficulty and has a discard reason, which an assembled outcome
+# lacks. A defaulted key that a valid record cannot hold beside the others
+# is one that these changes put in.
+_NO_TRAJECTORY = ({"trajectory_type": TYPE_DISCARDED, "discard_reason": "judged wrong"}, ("assembled", "difficulty"))
 ABSENT_WITH = {(BranchOutcome, "assembled"): _NO_TRAJECTORY, (BranchOutcome, "difficulty"): _NO_TRAJECTORY}
 
 
@@ -241,7 +242,8 @@ def test_records_round_trip_and_only_defaulted_keys_may_be_absent(cls):
         else:
             with pytest.raises(DataError, match=f"^missing '{key}'$"):
                 decode(cls, rest)
-    assert set(defaults) <= set(obj)
+    put_in = {key for (owner, _), (changes, _) in ABSENT_WITH.items() if owner is cls for key in changes}
+    assert set(defaults) <= set(obj) | put_in
 
 
 @pytest.mark.parametrize(
@@ -392,7 +394,7 @@ WRITERS = {
     ),
     "outcomes": (
         write_outcome_file,
-        [BranchOutcome(sample_id=f"s{i}", trajectory_type=TYPE_DISCARDED, stages=[]) for i in range(2)],
+        [BranchOutcome(f"s{i}", TYPE_DISCARDED, [], discard_reason="judged wrong") for i in range(2)],
     ),
 }
 
