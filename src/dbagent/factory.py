@@ -16,15 +16,17 @@ model's first attempt went wrong:
 Each stage appends the turn its judge's verdict implies: the answer that
 ends the sample, or the search the next stage runs, with stage judge/choose
 text folded into its think. Each search appends its evidence block when it
-runs. The turns must pass strict protocol validation, and the trajectory
-type and difficulty are read off the result. Judging is either
+runs. The turns are built into a ``Trajectory`` recorded as strict without
+caption-before-answer, whatever the rollout config says, and a trajectory
+that breaks its rules is discarded; the trajectory type and difficulty are
+read off the result. Judging is either
 ``normalized_exact`` (closed-form string match plus synthesized routing
 text, so the whole factory runs offline) or ``model_judge`` (a chat backend
 grades and writes the routing text).
 
 Trajectory types: ``A``, ``I→A``, ``T→A``, ``I→T→A``, ``T→T→A``.
 Difficulty comes from interaction depth: 0 tool turns easy, 1 medium,
-2 or more hard (rule id ``depth-v1``).
+2 or more hard.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from .protocol import (
     TurnRecord,
     make_turn,
     render_evidence,
-    validate_in_context,
+    validate_in_context,  # noqa: F401 - unused: perfbench's spans rebind it (ROADMAP item 2)
 )
-from .runtime import RolloutConfig, ToolBinding, Trajectory
+from .runtime import TERMINATED_ANSWER, RolloutConfig, ToolBinding, Trajectory
 from .wire import atomic_write, decode, encode, parse_jsonl
 
 __all__ = [
@@ -67,7 +69,6 @@ __all__ = [
     "TYPE_TEXT_TEXT",
     "TYPE_DISCARDED",
     "TYPE_FAILED",
-    "DIFFICULTY_RULE_VERSION",
     "normalize_answer",
     "judge_answer",
     "entity_matches",
@@ -94,7 +95,6 @@ TYPE_FAILED = "FAILED"
 
 SFT_TYPES = (TYPE_DIRECT, TYPE_IMAGE, TYPE_TEXT, TYPE_IMAGE_TEXT, TYPE_TEXT_TEXT)
 
-DIFFICULTY_RULE_VERSION = "depth-v1"
 DIFFICULTY_TIERS = ("easy", "medium", "hard")
 
 _CORRECT = "[correct]"
@@ -395,7 +395,7 @@ def _search(pipe: _Pipeline, tools: ToolBinding, rc: RolloutConfig) -> EvidenceB
         )
     else:
         items = tools.text_retriever.search(payload, rc.k_text)
-    pipe.observations.append(render_evidence(items, len(pipe.observations) + 1))
+    pipe.observations.append(render_evidence(items))
     return pipe.observations[-1]
 
 
@@ -568,41 +568,33 @@ def _stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) ->
 
 
 def _assemble(pipe: _Pipeline, rc: RolloutConfig) -> Trajectory:
-    """The sample's turns as one strict-valid agent trajectory.
+    """The sample's turns as one agent trajectory, recorded (and so
+    validated) strict without caption-before-answer.
 
-    Raises _Discard when a turn does not validate or the result leaks a
-    gold answer outside evidence.
+    Raises _Discard when a turn does not parse, the trajectory breaks a rule
+    (``Trajectory``), or it leaks a gold answer outside evidence.
     """
     turns: list[TurnRecord] = []
     for i, part in enumerate(pipe.parts):
         try:
-            turn = make_turn(*part)
+            turns.append(make_turn(*part))
         except ValueError as exc:  # stage text that breaks the tag grammar
             raise _Discard(f"assembled turn {i + 1} {exc}") from None
-        problems = validate_in_context(
-            turn,
-            turns,
-            mode="strict",
-            allow_caption_before_answer=rc.allow_caption_before_answer,
-        )
-        if problems:
-            raise _Discard(
-                f"assembled turn {i + 1} fails strict validation: "
-                + "; ".join(v.message for v in problems)
-            )
-        turns.append(turn)
-
     sample = pipe.sample
+    try:
+        trajectory = Trajectory(
+            task_id=sample.sample_id,
+            image_ref=sample.image_ref,
+            question=sample.question,
+            turns=turns,
+            observations=pipe.observations,
+            terminated_by=TERMINATED_ANSWER,
+            config={**rc.snapshot(), "strict_protocol": True, "allow_caption_before_answer": False},
+        )
+    except ValueError as exc:
+        raise _Discard(f"assembled {exc}") from None
     _reject_gold_leak(turns, pipe.observations, sample)
-    return Trajectory(
-        task_id=sample.sample_id,
-        image_ref=sample.image_ref,
-        question=sample.question,
-        turns=turns,
-        observations=pipe.observations,
-        terminated_by="answer",
-        config=rc.snapshot(),
-    )
+    return trajectory
 
 
 def _reject_gold_leak(
@@ -731,12 +723,7 @@ def trajectory_type_of(traj: Trajectory) -> str:
 
 def assign_difficulty(traj: Trajectory) -> str:
     """Interaction depth: 0 tool turns easy, 1 medium, >=2 hard."""
-    depth = traj.n_tool_turns
-    if depth == 0:
-        return "easy"
-    if depth == 1:
-        return "medium"
-    return "hard"
+    return DIFFICULTY_TIERS[min(traj.n_tool_turns, len(DIFFICULTY_TIERS) - 1)]
 
 
 def sample_balanced(

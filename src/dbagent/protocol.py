@@ -29,14 +29,22 @@ and the text between tags is checked gap by gap. No step loops over the
 turn's characters in Python.
 
 A ``TurnRecord`` is built from its raw text alone: one parse, made when the
-record is built, fills its think, action, payload, caption and intra-turn
-violations, so a record cannot disagree with its raw, and validation reads
-those violations instead of parsing again. A raw that yields no record
-cannot be built into one; ``parse_turn`` is the total entry point.
+record is built, fills its think, action, payload, caption (and the caption
+block's span) and intra-turn violations, so a record cannot disagree with
+its raw, and validation reads those violations instead of parsing again. A
+raw that yields no record cannot be built into one; ``parse_turn`` is the
+total entry point.
+
+This module holds the rules of one turn: the grammar, and in
+``validate_in_context`` the rules that depend on the turns before it. The
+rules of a whole trajectory (which turns may follow which, and one evidence
+block per search) live in ``runtime.Trajectory``, which applies these to
+each of its turns when it is built.
 
 Evidence is environment-emitted, never model-emitted. An ``EvidenceBlock``
-holds the retrieved items (or the message of a tool that failed) and its
-``rendered`` text is derived from them as::
+holds the retrieved items (or the message of a tool that failed) of one
+search turn; it pairs with that turn by position among the trajectory's
+search turns, and its ``rendered`` text is derived from its items as::
 
     <evidence>
     [1] {title} — {heading}: {text}
@@ -137,9 +145,9 @@ class TurnRecord:
 
     Only ``raw`` is given. The other fields are filled at construction by
     parsing it, so a record always holds what its raw says: the trimmed
-    think, action, payload and caption, and the intra-turn grammar
-    ``violations`` sorted by span. A raw with no think/action skeleton
-    raises ``ValueError``.
+    think, action, payload and caption, the span of the caption block (None
+    without one), and the intra-turn grammar ``violations`` sorted by span.
+    A raw with no think/action skeleton raises ``ValueError``.
     """
 
     raw: str
@@ -147,18 +155,20 @@ class TurnRecord:
     action: ActionKind = field(init=False)
     action_payload: str = field(init=False)
     caption: str | None = field(init=False)
+    caption_span: tuple[int, int] | None = field(init=False, repr=False)
     violations: tuple[ProtocolViolation, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         parts, violations = _parse(self.raw)
         if parts is None:
             raise _Unparsed(violations)
-        think, action, payload, caption = parts
+        think, action, payload, caption, caption_span = parts
         set_field = object.__setattr__  # the record is frozen
         set_field(self, "think", think)
         set_field(self, "action", action)
         set_field(self, "action_payload", payload)
         set_field(self, "caption", caption)
+        set_field(self, "caption_span", caption_span)
         set_field(self, "violations", tuple(violations))
 
 
@@ -180,7 +190,6 @@ class EvidenceBlock:
     ``error`` message of a tool that failed."""
 
     items: tuple[EvidenceItem, ...]
-    turn_index: int
     error: str | None = None
 
     @property
@@ -214,9 +223,12 @@ def parse_turn(raw: str) -> tuple[TurnRecord | None, list[ProtocolViolation]]:
     return record, list(record.violations)
 
 
-def _parse(raw: str) -> tuple[tuple[str, ActionKind, str, str | None] | None, list[ProtocolViolation]]:
-    """The one parse of a turn: (think, action, payload, caption), or None
-    without the skeleton, and every violation sorted by span.
+def _parse(
+    raw: str,
+) -> tuple[tuple[str, ActionKind, str, str | None, tuple[int, int] | None] | None, list[ProtocolViolation]]:
+    """The one parse of a turn: (think, action, payload, caption, caption
+    span), or None without the skeleton, and every violation sorted by span.
+    The caption and its span are those of the first caption block.
 
     One walk over the tag tokens pairs each known open tag with the next
     known tag when that closes it, into blocks held as (start, inner_start,
@@ -336,7 +348,8 @@ def _parse(raw: str) -> tuple[tuple[str, ActionKind, str, str | None] | None, li
         if thinks:
             think = raw[thinks[0][1] : thinks[0][2]].strip()
             caption = raw[captions[0][1] : captions[0][2]].strip() if captions else None
-            parts = (think, _ACTION_KINDS[name], payload, caption)
+            caption_span = (captions[0][0], captions[0][3]) if captions else None
+            parts = (think, _ACTION_KINDS[name], payload, caption, caption_span)
     violations.sort(key=_span)
     return parts, violations
 
@@ -365,7 +378,7 @@ def validate_in_context(
 
     out = list(turn.violations)
     if turn.caption is not None:
-        span = _caption_span(turn.raw)
+        span = turn.caption_span
         if not any(t.action is ActionKind.IMAGE_SEARCH for t in history):
             out.append(
                 ProtocolViolation(
@@ -384,14 +397,6 @@ def validate_in_context(
             )
     out.sort(key=_span)
     return out
-
-
-def _caption_span(raw: str) -> tuple[int, int]:
-    start = raw.find("<caption>")
-    if start < 0:
-        return (0, 0)
-    end = raw.find("</caption>", start)
-    return (start, end + len("</caption>") if end >= 0 else len(raw))
 
 
 def _canonical(think: str, action: ActionKind, payload: str, caption: str | None) -> str:
@@ -421,7 +426,7 @@ def _flatten(text: str) -> str:
     return " ".join(text.split("\n"))
 
 
-def render_evidence(items: Sequence[EvidenceItem], turn_index: int) -> EvidenceBlock:
+def render_evidence(items: Sequence[EvidenceItem]) -> EvidenceBlock:
     """The evidence block of retrieval output; its ``rendered`` is what the
     model sees.
 
@@ -429,13 +434,13 @@ def render_evidence(items: Sequence[EvidenceItem], turn_index: int) -> EvidenceB
     items numbered from 1 in rank order; ``[no results]`` when empty.
     Rendering is deterministic byte-for-byte given identical items.
     """
-    return EvidenceBlock(items=tuple(items), turn_index=turn_index)
+    return EvidenceBlock(items=tuple(items))
 
 
-def render_tool_error(message: str, turn_index: int) -> EvidenceBlock:
+def render_tool_error(message: str) -> EvidenceBlock:
     """Sentinel evidence for a tool that failed: renders as
     ``[tool error] {message}``."""
-    return EvidenceBlock(items=(), turn_index=turn_index, error=message)
+    return EvidenceBlock(items=(), error=message)
 
 
 def extract_final_answer(turns: Sequence[TurnRecord]) -> str | None:

@@ -16,6 +16,14 @@ Violating generations are never stored as turns; they live in
 ``Trajectory.protocol_events``. A tool runs once per search; if it fails,
 its error comes back as ``[tool error]`` evidence.
 
+A ``Trajectory`` checks, when it is built, every rule a stored trajectory
+must hold: a known ``terminated_by``, an answer turn only last and exactly
+when the trajectory is answer-terminated, one evidence block per search
+turn (paired by position), and each turn valid in context in the mode its
+``config`` records. The rollout, the factory and every file reader build
+one the same way, so a trajectory that breaks a rule cannot be held, and
+a file line that holds one is rejected where it is read.
+
 Rollouts are deterministic: same config, backend, and tools give
 byte-identical serialized trajectories, independent of worker count.
 """
@@ -197,19 +205,27 @@ class ToolBinding:
     image_retriever: ImageRetriever
 
 
-def _searched(retriever, query: str, k: int, turn_index: int, **options) -> EvidenceBlock:
+def _searched(retriever, query: str, k: int, **options) -> EvidenceBlock:
     """Run a tool once; a failure surfaces as sentinel evidence so the model
     can react instead of the rollout dying. Transport retries belong to the
     provider's HTTP client."""
     try:
-        return render_evidence(retriever.search(query, k, **options), turn_index)
+        return render_evidence(retriever.search(query, k, **options))
     except Exception as exc:  # tool errors must not kill the rollout
-        logger.warning("tool failed at turn %d: %s", turn_index, exc)
-        return render_tool_error(str(exc), turn_index)
+        logger.warning("tool failed: %s", exc)
+        return render_tool_error(str(exc))
 
 
 @dataclass
 class Trajectory:
+    """One rollout: its turns, the evidence block of each search turn in
+    order, how it ended, and the config it ran with.
+
+    Construction raises ``ValueError`` unless the rules of the module
+    docstring hold; the validation mode is the one ``config`` records
+    (``validation``).
+    """
+
     task_id: str
     image_ref: str
     question: str
@@ -218,6 +234,35 @@ class Trajectory:
     terminated_by: str
     config: dict = field(default_factory=dict)
     protocol_events: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.terminated_by not in TERMINATED_KINDS:
+            raise ValueError(
+                f"terminated_by {self.terminated_by!r} is not one of " + ", ".join(map(repr, TERMINATED_KINDS))
+            )
+        mode, allow = self.validation
+        turns = self.turns
+        tool_turns = 0
+        for i, turn in enumerate(turns):
+            if turn.action is not ActionKind.ANSWER:
+                tool_turns += 1
+            elif i < len(turns) - 1:
+                raise ValueError(f"turn {i + 1} of {len(turns)} is an answer turn before the last")
+            problems = validate_in_context(turn, turns[:i], mode, allow_caption_before_answer=allow)
+            if problems:
+                raise ValueError(f"turn {i + 1} fails {mode} validation: " + "; ".join(v.message for v in problems))
+        if (self.terminated_by == TERMINATED_ANSWER) != (tool_turns < len(turns)):
+            ending = "an answer turn" if tool_turns < len(turns) else "no answer turn"
+            raise ValueError(f"terminated_by {self.terminated_by!r} with {ending} last")
+        if len(self.observations) != tool_turns:
+            raise ValueError(f"{len(self.observations)} observation(s) for {tool_turns} tool turn(s)")
+
+    @property
+    def validation(self) -> tuple[str, bool]:
+        """The validation mode and caption-before-answer permission that
+        ``config`` records; a config without them is strict without it."""
+        strict = self.config.get("strict_protocol", True)
+        return "strict" if strict else "lenient", bool(self.config.get("allow_caption_before_answer", False))
 
     @property
     def final_answer(self) -> str | None:
@@ -240,31 +285,6 @@ def _reflection_message(violations: Sequence[ProtocolViolation]) -> str:
     return "\n".join(lines)
 
 
-def _effective_violations(
-    record: TurnRecord | None,
-    parse_violations: list[ProtocolViolation],
-    transcript: Sequence[TurnRecord],
-    config: RolloutConfig,
-) -> list[ProtocolViolation]:
-    mode = "strict" if config.strict_protocol else "lenient"
-    if record is None:
-        if mode == "lenient":
-            kept = [v for v in parse_violations if v.code is not ViolationCode.UNKNOWN_TAG]
-            return kept
-        return parse_violations
-    found = validate_in_context(
-        record,
-        transcript,
-        mode=mode,
-        allow_caption_before_answer=config.allow_caption_before_answer,
-    )
-    if mode == "lenient":
-        dropped = [v for v in parse_violations if v.code is ViolationCode.UNKNOWN_TAG]
-        for v in dropped:
-            logger.warning("ignoring unknown tag in lenient mode: %s", v.message)
-    return found
-
-
 def rollout(
     image_ref: str,
     question: str,
@@ -284,6 +304,7 @@ def rollout(
     turns: list[TurnRecord] = []
     observations: list[EvidenceBlock] = []
     protocol_events: list[dict] = []
+    mode = "strict" if config.strict_protocol else "lenient"
     generation_index = 0
     violation_streak = 0
     terminated_by = TERMINATED_BUDGET
@@ -297,8 +318,17 @@ def rollout(
             break
         generation_index += 1
 
-        record, parse_violations = parse_turn(raw)
-        violations = _effective_violations(record, parse_violations, turns, config)
+        record, violations = parse_turn(raw)
+        if record is not None:
+            if mode == "lenient":
+                for v in violations:
+                    if v.code is ViolationCode.UNKNOWN_TAG:
+                        logger.warning("ignoring unknown tag in lenient mode: %s", v.message)
+            violations = validate_in_context(
+                record, turns, mode, allow_caption_before_answer=config.allow_caption_before_answer
+            )
+        elif mode == "lenient":  # lenient drops unknown tags also where there is no record to validate
+            violations = [v for v in violations if v.code is not ViolationCode.UNKNOWN_TAG]
         if record is None or violations:
             protocol_events.append(
                 {
@@ -321,14 +351,12 @@ def rollout(
         if record.action is ActionKind.ANSWER:
             terminated_by = TERMINATED_ANSWER
             break
-        turn_index = len(observations) + 1
         if record.action is ActionKind.TEXT_SEARCH:
-            block = _searched(tools.text_retriever, record.action_payload, config.k_text, turn_index)
+            block = _searched(tools.text_retriever, record.action_payload, config.k_text)
         else:
             # Always the original input image; the payload is just a placeholder.
             block = _searched(
-                tools.image_retriever, image_ref, config.k_image, turn_index,
-                full_article=config.image_evidence_full_article,
+                tools.image_retriever, image_ref, config.k_image, full_article=config.image_evidence_full_article
             )
         observations.append(block)
         messages.append(ChatMessage(role="user", content=block.rendered))

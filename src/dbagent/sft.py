@@ -40,8 +40,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 from .factory import assign_difficulty, trajectory_type_of
-from .protocol import ActionKind, serialize_turn, validate_in_context
-from .runtime import Trajectory
+from .protocol import ActionKind, serialize_turn
+from .protocol import validate_in_context  # noqa: F401 - unused: perfbench's spans rebind it (ROADMAP item 2)
+from .runtime import TERMINATED_ANSWER, Trajectory
 from .wire import atomic_write, decode, encode, parse_jsonl
 
 __all__ = [
@@ -110,34 +111,22 @@ def _instruction_text(traj: Trajectory, system_prompt: str) -> str:
 
 
 def linearize(traj: Trajectory, system_prompt: str) -> LinearizedSample:
-    """Turn one strict-valid, answer-terminated trajectory into segments."""
-    if not traj.turns:
-        raise SftError(f"{traj.task_id}: trajectory has no turns")
-    if traj.terminated_by != "answer":
+    """Turn one answer-terminated trajectory, recorded strict without
+    caption-before-answer, into segments. The trajectory checked its turns
+    and observations when it was built."""
+    if traj.terminated_by != TERMINATED_ANSWER:
         raise SftError(f"{traj.task_id}: trajectory terminated by {traj.terminated_by!r}, not answer")
-    for i, turn in enumerate(traj.turns):
-        problems = validate_in_context(turn, traj.turns[:i], mode="strict", allow_caption_before_answer=False)
-        if problems:
-            raise SftError(
-                f"{traj.task_id}: turn {i + 1} fails strict validation: "
-                + "; ".join(v.message for v in problems)
-            )
+    mode, allow = traj.validation
+    if mode != "strict" or allow:
+        recorded = mode + (" with caption-before-answer" if allow else "")
+        raise SftError(f"{traj.task_id}: trajectory recorded {recorded}, not strict without caption-before-answer")
 
     segments = [Segment(role="instruction", text=_instruction_text(traj, system_prompt), supervise=False)]
-    observation = 0
+    observations = iter(traj.observations)  # one per tool turn, in order
     for turn in traj.turns:
         segments.append(Segment(role="decision", text=serialize_turn(turn) + "\n", supervise=True))
         if turn.action is not ActionKind.ANSWER:
-            if observation >= len(traj.observations):
-                raise SftError(f"{traj.task_id}: tool turn without a matching observation")
-            segments.append(
-                Segment(
-                    role="observation",
-                    text=traj.observations[observation].rendered + "\n",
-                    supervise=False,
-                )
-            )
-            observation += 1
+            segments.append(Segment(role="observation", text=next(observations).rendered + "\n", supervise=False))
     meta = {
         "task_id": traj.task_id,
         "trajectory_type": trajectory_type_of(traj),

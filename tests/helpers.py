@@ -22,9 +22,10 @@ from dbagent.evaluation import EvalRecord
 from dbagent.factory import QaSample
 from dbagent.gateway import ScriptedBackend, ScriptedRule
 from dbagent.kb import Corpus, parse_corpus_lines
-from dbagent.protocol import EvidenceItem, render_evidence
+from dbagent.protocol import ActionKind, EvidenceItem, make_turn, render_evidence
 from dbagent.retrieval import DeterministicEmbedder, build_image_index, build_text_index
 from dbagent.runtime import ImageRetriever, TextRetriever, ToolBinding, Trajectory
+from dbagent.wire import encode
 
 
 def marker(i: int) -> str:
@@ -383,18 +384,10 @@ def make_canonical_trajectory(task_id: str, shape: str, i: int = 0) -> Trajector
     ``shape`` is one of "A", "I-A", "T-A", "I-T-A", "T-T-A" (ASCII aliases
     for the factory labels).
     """
-    from dbagent.protocol import ActionKind, make_turn
-
     m, v = marker(i), value(i)
     q = question(i)
-    ev1 = render_evidence(
-        evidence_items((f"a{i:03d}", f"Topic {i} {m}", "Lead", f"The special fact of {m} is {v}.")),
-        1,
-    )
-    ev2 = render_evidence(
-        evidence_items((f"a{i:03d}", f"Topic {i} {m}", "Part 1", f"Indeed, {m} has fact {v}.")),
-        2,
-    )
+    ev1 = render_evidence(evidence_items((f"a{i:03d}", f"Topic {i} {m}", "Lead", f"The special fact of {m} is {v}.")))
+    ev2 = render_evidence(evidence_items((f"a{i:03d}", f"Topic {i} {m}", "Part 1", f"Indeed, {m} has fact {v}.")))
     if shape == "A":
         turns = [make_turn(f"I recognize {m} and recall the fact.", ActionKind.ANSWER, v)]
         observations = []
@@ -440,6 +433,38 @@ def make_canonical_trajectory(task_id: str, shape: str, i: int = 0) -> Trajector
         terminated_by="answer",
         config={"strict_protocol": True},
     )
+
+
+def rule_breaking_trajectories() -> list[tuple[str, dict, str]]:
+    """One case per rule a stored trajectory must hold, each breaking that
+    rule alone: (name, the ``Trajectory`` fields, the ``ValueError`` message
+    building it raises). Each is a T→A trajectory with one part changed."""
+    base = make_canonical_trajectory("q001", "T-A", 1)
+    search, answer = base.turns
+    captioned = make_turn(search.think, search.action, search.action_payload, caption="A photo.")
+    fields = {name: getattr(base, name) for name in base.__dataclass_fields__}
+    return [
+        ("unknown termination", {**fields, "terminated_by": "backend_error"},
+         "terminated_by 'backend_error' is not one of 'answer', 'budget_exhausted', 'protocol_failure'"),
+        ("answer with no turns", {**fields, "turns": [], "observations": []},
+         "terminated_by 'answer' with no answer turn last"),
+        ("answer turn last without answer termination", {**fields, "terminated_by": "budget_exhausted"},
+         "terminated_by 'budget_exhausted' with an answer turn last"),
+        ("answer before the last turn", {**fields, "turns": [answer, search], "terminated_by": "budget_exhausted"},
+         "turn 1 of 2 is an answer turn before the last"),
+        ("one observation too few", {**fields, "observations": []}, "0 observation(s) for 1 tool turn(s)"),
+        ("one observation too many", {**fields, "observations": base.observations * 2},
+         "2 observation(s) for 1 tool turn(s)"),
+        ("caption before any image search", {**fields, "turns": [captioned, answer]},
+         "turn 1 fails strict validation: <caption> requires an earlier <image_search> turn"),
+    ]
+
+
+def trajectory_json(fields: dict) -> dict:
+    """The JSON object ``encode`` would write for a trajectory of these
+    fields, built without the trajectory (which may not be buildable)."""
+    return {name: [encode(x) for x in value] if name in ("turns", "observations") else value
+            for name, value in fields.items()}
 
 
 # --- factory stage scripting ----------------------------------------------

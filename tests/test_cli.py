@@ -16,7 +16,9 @@ from helpers import (
     marker,
     qa_obj,
     question,
+    rule_breaking_trajectories,
     traced_peak,
+    trajectory_json,
     value,
     write_jsonl,
 )
@@ -477,7 +479,11 @@ def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypat
     ok = f"OK (trajectories): {len(rows)} trajectories\n"
     assert results == {
         "good": (EXIT_OK, ok, n_turns),
-        "caption": (EXIT_DATA, f"{rows[1]['task_id']}: turn 1: <caption> requires an earlier <image_search> turn\n", n_turns),
+        "caption": (
+            EXIT_DATA,
+            "1 error(s)\nline 2: turn 1 fails strict validation: <caption> requires an earlier <image_search> turn\n",
+            n_turns,
+        ),
         "lenient": (EXIT_OK, ok, n_turns),
         # A turn that does not parse ends the read of its trajectory.
         "garbled": (
@@ -503,19 +509,26 @@ def _i_t_a(**changes):
 def test_validate_rejects_a_termination_no_rollout_writes(tmp_path, capsys, terminated_by):
     assert _validate_one(tmp_path, capsys, _i_t_a(terminated_by=terminated_by)) == (
         EXIT_DATA,
-        f"q000: terminated_by {terminated_by!r} is not one of 'answer', 'budget_exhausted', 'protocol_failure'\n",
+        f"1 error(s)\nline 1: terminated_by {terminated_by!r} is not one of 'answer', 'budget_exhausted', 'protocol_failure'\n",
     )
 
 
 @pytest.mark.parametrize("indexes", [[2, 1], [1, 5], [-1, 2], [1, 1], [1], [1, 2, 3], []])
 def test_validate_rejects_observations_that_do_not_follow_the_tool_turns(tmp_path, capsys, indexes):
-    # I→T→A has two tool turns, so its observations must be turns 1 and 2.
+    # I→T→A has two tool turns, and observations pair with them by position,
+    # so it must have two. Files written before evidence blocks dropped their
+    # turn_index key hold one; it is ignored, whatever number it holds.
     row = _i_t_a()
     row["observations"] = [{**row["observations"][0], "turn_index": i} for i in indexes]
-    assert _validate_one(tmp_path, capsys, row) == (
-        EXIT_DATA,
-        f"q000: observation turn indexes {indexes} are not 1..n for its 2 tool turn(s)\n",
-    )
+    if len(indexes) == 2:
+        assert _validate_one(tmp_path, capsys, row) == (EXIT_OK, "")
+        (read,) = read_trajectory_file(tmp_path / "trajectories.jsonl")
+        assert read.observations == [make_canonical_trajectory("q000", "I-T-A").observations[0]] * 2
+    else:
+        assert _validate_one(tmp_path, capsys, row) == (
+            EXIT_DATA,
+            f"1 error(s)\nline 1: {len(indexes)} observation(s) for 2 tool turn(s)\n",
+        )
 
 
 def test_validate_accepts_every_shape_a_rollout_writes(tmp_path, capsys):
@@ -526,6 +539,33 @@ def test_validate_accepts_every_shape_a_rollout_writes(tmp_path, capsys):
     out_of_budget["turns"] = out_of_budget["turns"][:2]
     for row in (answered, no_turns, out_of_budget):
         assert _validate_one(tmp_path, capsys, row) == (EXIT_OK, "")
+
+
+_RULE_CASES = rule_breaking_trajectories()
+
+
+@pytest.mark.parametrize("name, fields, message", _RULE_CASES, ids=[name for name, _, _ in _RULE_CASES])
+def test_every_reader_refuses_a_line_that_breaks_a_trajectory_rule(tmp_path, capsys, name, fields, message):
+    good = encode(make_canonical_trajectory("q001", "T-A", 1))
+    trajectories = write_jsonl(tmp_path / "trajectories.jsonl", [json.dumps(good), json.dumps(trajectory_json(fields))])
+    outcomes = write_jsonl(
+        tmp_path / "outcomes.jsonl",
+        [
+            json.dumps({"sample_id": "q001", "trajectory_type": "T→A", "stages": [], "assembled": t, "difficulty": "medium"})
+            for t in (good, trajectory_json(fields))
+        ],
+    )
+    runs = [
+        (["validate", str(trajectories)], f"line 2: {message}"),
+        (["eval", "report", "--trajectories", str(trajectories), "--dataset", write_dataset(tmp_path, 2)], f"line 2: {message}"),
+        (["validate", str(outcomes)], f"line 2: assembled: {message}"),
+        (["dataset", "emit", "--outcomes", str(outcomes), "--out", str(tmp_path / "sft.jsonl")], f"line 2: assembled: {message}"),
+    ]
+    for argv, line in runs:
+        assert main(argv) == EXIT_DATA, argv
+        assert capsys.readouterr().err.endswith(f"1 error(s)\n{line}\n"), argv
+    # The emitter wrote nothing: no dataset, no manifest, no temp file.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.jsonl", "outcomes.jsonl", "trajectories.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,20 @@ def test_caption_on_answer_allowed_when_configured():
     assert out == []
 
 
+def test_a_contextual_caption_violation_spans_the_caption_block_the_parse_paired():
+    # The first literal <caption> here is an unclosed tag; the caption the
+    # record holds is the block at (25, 45).
+    raw = "<caption><think>t</think><caption>c</caption><answer>a</answer>"
+    record, _ = parse_turn(raw)
+    assert record.caption == "c" and raw[25:45] == "<caption>c</caption>"
+    for history, message in (
+        ([_parsed(_IMG)], "<caption> is not allowed on an answer turn"),
+        ([], "<caption> requires an earlier <image_search> turn"),
+    ):
+        found = validate_in_context(record, history, mode="strict")
+        assert [v.span for v in found if v.message == message] == [(25, 45)]
+
+
 def test_lenient_drops_unknown_tag_only():
     record, violations = parse_turn("<think>t</think><tool>x</tool><answer>a</answer>")
     assert any(v.code is ViolationCode.UNKNOWN_TAG for v in violations)
@@ -200,31 +214,30 @@ def test_render_evidence_format():
         EvidenceItem("a1", "Eiffel Tower", "Lead", "Completed in 1889.", 0.9, section_id="s0"),
         EvidenceItem("a2", "Big Ben", "Lead", "A bell in Westminster.", 0.5, section_id="s0"),
     ]
-    block = render_evidence(items, 1)
+    block = render_evidence(items)
     assert block.rendered == (
         "<evidence>\n"
         "[1] Eiffel Tower — Lead: Completed in 1889.\n"
         "[2] Big Ben — Lead: A bell in Westminster.\n"
         "</evidence>"
     )
-    assert block.turn_index == 1
     assert len(block.items) == 2
 
 
 def test_render_evidence_empty_sentinel():
-    block = render_evidence([], 2)
+    block = render_evidence([])
     assert block.rendered == "<evidence>\n[no results]\n</evidence>"
 
 
 def test_render_evidence_flattens_newlines():
     items = [EvidenceItem("a1", "T", "H", "line one\nline two", 0.1)]
-    block = render_evidence(items, 1)
+    block = render_evidence(items)
     assert "\nline two" not in block.rendered
     assert "line one line two" in block.rendered
 
 
 def test_render_tool_error():
-    block = render_tool_error("timeout\nafter retry", 3)
+    block = render_tool_error("timeout\nafter retry")
     assert block.rendered == "<evidence>\n[tool error] timeout after retry\n</evidence>"
     assert block.items == ()
 
@@ -316,7 +329,7 @@ def test_render_evidence_matches_pattern(specs):
         EvidenceItem(article_id=a or "a", title=t, heading=h, text=x, score=0.5)
         for a, t, h, x in specs
     ]
-    block = render_evidence(items, 1)
+    block = render_evidence(items)
     assert _EVIDENCE_LINE.match(block.rendered), block.rendered
 
 

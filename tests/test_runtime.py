@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbagent import protocol, runtime
 from dbagent.gateway import EmptyGenerationError, ScriptedBackend, ScriptedRule, truncate_at_stop
@@ -24,8 +27,20 @@ from dbagent.runtime import (
     rollout,
     write_trajectory_file,
 )
+from dbagent.errors import DataError
+from dbagent.factory import read_outcome_file
 from dbagent.wire import decode, encode
-from helpers import make_corpus, make_tools, marker, question, value
+from helpers import (
+    make_canonical_trajectory,
+    make_corpus,
+    make_tools,
+    marker,
+    question,
+    rule_breaking_trajectories,
+    trajectory_json,
+    value,
+    write_jsonl,
+)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +184,7 @@ def test_double_text_answer_shape(tools12):
         ActionKind.TEXT_SEARCH,
         ActionKind.ANSWER,
     )
-    assert [b.turn_index for b in traj.observations] == [1, 2]
+    assert len(traj.observations) == 2
     assert traj.final_answer == value(5)
 
 
@@ -425,7 +440,7 @@ def test_evidence_message_is_exact_rendering():
         )
     )
     traj = rollout("img-x", "q?", backend, tools, RolloutConfig())
-    expected = render_evidence([ITEM], 1).rendered
+    expected = render_evidence([ITEM]).rendered
     assert traj.observations[0].rendered == expected
     # The second generation saw exactly that rendering as the latest user turn.
     assert backend.calls[1][-1] == ("user", expected)
@@ -613,7 +628,7 @@ def test_serialized_turn_round_trips_through_file(tmp_path):
         image_ref="img",
         question="q?",
         turns=[turn],
-        observations=[],
+        observations=[render_evidence([])],
         terminated_by=TERMINATED_BUDGET,
         config={},
     )
@@ -718,4 +733,70 @@ def test_trajectory_bytes_are_pinned(tools12, tmp_path):
     ]
     assert out[11 + 9].terminated_by == TERMINATED_ANSWER  # lenient: the unknown tag is ignored
     assert "[tool error] index offline" in out[10].observations[0].rendered
-    assert digests == ["8d27c6f0e8cb27c73163a9c81ffd7d53a0f6f4194f5669d90ad46236f533cc1c"] * 2
+    assert digests == ["633423b006e5ac6b8a5bbd05d8dd0754eab8edb09dd5398a0cec69a8df0694e6"] * 2
+
+
+# --- the rules a trajectory holds ------------------------------------------
+
+
+# What a scripted model may generate: well-formed searches and answers,
+# captions (legal in strict mode only after an image search), unknown tags,
+# malformed turns, a search the tool fails on, and None, an empty generation.
+_GENERATIONS = [
+    turn_raw("Look the fact up.", "text_search", f"special fact of {marker(1)}"),
+    turn_raw("Identify the image first.", "image_search", "image_path"),
+    turn_raw("The evidence settles it.", "answer", value(1)),
+    turn_raw("The article names it.", "text_search", f"{marker(1)} fact", caption="The image shows a topic."),
+    turn_raw("Named.", "answer", value(1), caption="The image shows a topic."),
+    "<think>ok</think><note></note><text_search>a query</text_search>",
+    f"<think>ok</think><note></note><answer>{value(1)}</answer>",
+    f"<answer>{value(1)}</answer>",
+    "no tags at all",
+    "<think>t</think><text_search>a</text_search><answer>b</answer>",
+    turn_raw("Search.", "text_search", "offline notes"),
+    None,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outputs=st.lists(st.sampled_from(_GENERATIONS), min_size=1, max_size=10),
+    strict=st.booleans(),
+    allow_caption_before_answer=st.booleans(),
+    budget=st.integers(min_value=0, max_value=4),
+)
+@example(outputs=[_GENERATIONS[1], _GENERATIONS[3], _GENERATIONS[4]], strict=True, allow_caption_before_answer=True, budget=4)
+@example(outputs=[_GENERATIONS[1], _GENERATIONS[4]], strict=True, allow_caption_before_answer=False, budget=4)
+def test_every_trajectory_a_rollout_writes_reads_back(tools12, outputs, strict, allow_caption_before_answer, budget):
+    config = RolloutConfig(budget=budget, strict_protocol=strict, allow_caption_before_answer=allow_caption_before_answer)
+    backend = _ReplayByQuestion({question(1): outputs})
+    traj = rollout("img-001", question(1), backend, _golden_tools(tools12), config, task_id="q001")
+    # Built, so it holds every rule; a file line of it reads back as itself.
+    assert decode(Trajectory, json.loads(json.dumps(encode(traj)))) == traj
+
+
+_RULE_CASES = rule_breaking_trajectories()
+
+
+@pytest.mark.parametrize("name, fields, message", _RULE_CASES, ids=[name for name, _, _ in _RULE_CASES])
+def test_each_rule_rejects_its_case(tmp_path, name, fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Trajectory(**fields)
+    good = make_canonical_trajectory("q001", "T-A", 1)
+    path = write_jsonl(tmp_path / "trajectories.jsonl", [json.dumps(encode(good)), json.dumps(trajectory_json(fields))])
+    with pytest.raises(DataError, match=f"1 error\\(s\\)\nline 2: {re.escape(message)}$"):
+        read_trajectory_file(path)
+    outcomes = [
+        {"sample_id": "q001", "trajectory_type": "T→A", "stages": [], "assembled": trajectory, "difficulty": "medium"}
+        for trajectory in (encode(good), trajectory_json(fields))
+    ]
+    path = write_jsonl(tmp_path / "outcomes.jsonl", [json.dumps(o) for o in outcomes])
+    with pytest.raises(DataError, match=f"1 error\\(s\\)\nline 2: assembled: {re.escape(message)}$"):
+        read_outcome_file(path)
+
+
+def test_lenient_mode_accepts_a_caption_before_any_image_search(tmp_path):
+    (fields,) = [fields for name, fields, _ in _RULE_CASES if name == "caption before any image search"]
+    lenient = Trajectory(**{**fields, "config": {"strict_protocol": False}})
+    write_trajectory_file([lenient], tmp_path / "lenient.jsonl")
+    assert read_trajectory_file(tmp_path / "lenient.jsonl") == [lenient]

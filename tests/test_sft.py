@@ -94,16 +94,25 @@ def test_meta_labels_the_sample():
     }
 
 
+def _stalled():
+    """A T→T trajectory whose budget ran out after its two searches."""
+    base = canonical("T-T-A")
+    return replace(base, turns=base.turns[:2], terminated_by="budget_exhausted")
+
+
+# A trajectory that breaks a rule cannot be built, so ``linearize`` never
+# sees one: its no-turn, contextual and missing-observation cases are
+# rejected where the trajectory is built.
+
+
 def test_linearize_rejects_empty_trajectory():
-    traj = replace(canonical("A"), turns=[])
-    with pytest.raises(SftError, match="no turns"):
-        linearize(traj, SYSTEM)
+    with pytest.raises(ValueError, match="^terminated_by 'answer' with no answer turn last$"):
+        replace(canonical("A"), turns=[])
 
 
 def test_linearize_rejects_non_answer_termination():
-    traj = replace(canonical("T-A"), terminated_by="budget_exhausted")
     with pytest.raises(SftError, match="terminated by 'budget_exhausted'"):
-        linearize(traj, SYSTEM)
+        linearize(_stalled(), SYSTEM)
 
 
 def test_linearize_rejects_contextually_invalid_turns():
@@ -114,15 +123,27 @@ def test_linearize_rejects_contextually_invalid_turns():
         "some query",
         caption="A photo.",
     )
-    traj = replace(base, turns=[bad_first, base.turns[1]])
-    with pytest.raises(SftError, match="turn 1 fails strict validation"):
+    with pytest.raises(ValueError, match="^turn 1 fails strict validation: <caption> requires an earlier"):
+        replace(base, turns=[bad_first, base.turns[1]])
+    # Recorded lenient, the same turns are a trajectory, which SFT refuses.
+    lenient = replace(base, turns=[bad_first, base.turns[1]], config={"strict_protocol": False})
+    with pytest.raises(SftError, match="recorded lenient, not strict"):
+        linearize(lenient, SYSTEM)
+
+
+@pytest.mark.parametrize(
+    "config, recorded",
+    [({"strict_protocol": False}, "lenient"), ({"allow_caption_before_answer": True}, "strict with caption-before-answer")],
+)
+def test_linearize_refuses_a_trajectory_not_recorded_strict_even_when_its_turns_are(config, recorded):
+    traj = replace(canonical("I-T-A"), config=config)
+    with pytest.raises(SftError, match=f"^t0: trajectory recorded {recorded}, not strict without caption-before-answer$"):
         linearize(traj, SYSTEM)
 
 
 def test_linearize_rejects_missing_observation():
-    traj = replace(canonical("T-A"), observations=[])
-    with pytest.raises(SftError, match="without a matching observation"):
-        linearize(traj, SYSTEM)
+    with pytest.raises(ValueError, match=r"^0 observation\(s\) for 1 tool turn\(s\)$"):
+        replace(canonical("T-A"), observations=[])
 
 
 @pytest.mark.parametrize(
@@ -211,9 +232,8 @@ def test_a_sample_that_fails_to_linearize_leaves_the_old_dataset(tmp_path):
     path = tmp_path / "d.jsonl"
     emit_dataset(_mixed_samples(), path)
     before = path.read_bytes()
-    broken = replace(canonical("T-A"), observations=[])
     with pytest.raises(SftError):
-        emit_dataset((linearize(t, SYSTEM) for t in [canonical("A"), broken]), path)
+        emit_dataset((linearize(t, SYSTEM) for t in [canonical("A"), _stalled()]), path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.manifest.json"]
 

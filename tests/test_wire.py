@@ -172,12 +172,12 @@ def test_an_outcome_in_the_old_shape_with_edited_fields_gives_what_its_raw_holds
 
 def test_a_record_is_written_without_what_it_derives():
     traj = make_canonical_trajectory("q000", "T-A")
-    traj.observations[0] = render_tool_error("index offline", 1)
+    traj.observations[0] = render_tool_error("index offline")
     obj = encode(traj)
     assert "final_answer" not in obj
     assert [set(turn) for turn in obj["turns"]] == [{"raw"}, {"raw"}]
-    assert obj["observations"] == [{"items": [], "turn_index": 1, "error": "index offline"}]
-    assert set(encode(render_evidence([], 2))) == {"items", "turn_index"}
+    assert obj["observations"] == [{"items": [], "error": "index offline"}]
+    assert set(encode(render_evidence([]))) == {"items"}
     assert decode(Trajectory, obj) == traj
 
 
@@ -209,7 +209,7 @@ _MANIFEST = encode(
 RECORDS = {
     Trajectory: (_TRAJECTORY, {"config": {}, "protocol_events": []}),
     TurnRecord: (_TRAJECTORY["turns"][1], {}),
-    EvidenceBlock: ({"items": [], "turn_index": 1, "error": "index offline"}, {"error": None}),
+    EvidenceBlock: ({"items": [], "error": "index offline"}, {"error": None}),
     EvidenceItem: ({**_TRAJECTORY["observations"][0]["items"][0], "section_id": "a000-s0"}, {"section_id": None}),
     BranchOutcome: (_OUTCOME, {"assembled": None, "difficulty": None, "discard_reason": None}),
     StageRecord: (_OUTCOME["stages"][0], {"verdict": "n/a"}),
@@ -258,7 +258,8 @@ def test_records_round_trip_and_only_defaulted_keys_may_be_absent(cls):
         ("trajectories", ("observations", 0, "items"), None, "observations[0].items: expected array, got null"),
         ("trajectories", ("observations", 1, "items", 0, "score"), True,
          "observations[1].items[0].score: expected number, got boolean"),
-        ("trajectories", ("observations", 0, "turn_index"), 1.0, "observations[0].turn_index: expected integer, got number"),
+        ("trajectories", ("terminated_by",), "answered",
+         "terminated_by 'answered' is not one of 'answer', 'budget_exhausted', 'protocol_failure'"),
         ("outcomes", ("stages", 0, "parsed_fields", "choose"), 5,
          "stages[0].parsed_fields.choose: expected string, got integer"),
         ("outcomes", ("assembled", "turns", 0, "raw"), "no tags",
@@ -266,6 +267,10 @@ def test_records_round_trip_and_only_defaulted_keys_may_be_absent(cls):
         ("outcomes", ("assembled",), [], "assembled: expected object or null, got array"),
         ("sft", ("segments", 1, "text"), None, "segments[1].text: expected string, got null"),
         ("corpus", ("images", 0, "caption"), 5, "images[0].caption: expected string or null, got integer"),
+        # A trajectory that breaks a rule is reported at the path of the record.
+        ("outcomes", ("assembled", "observations"), [], "assembled: 0 observation(s) for 1 tool turn(s)"),
+        ("trajectories", ("turns", 0, "raw"), "<think>t</think><caption>c</caption><image_search>image_path</image_search>",
+         "turn 1 fails strict validation: <caption> requires an earlier <image_search> turn"),
     ],
 )
 def test_a_mismatch_names_its_line_and_json_path(tmp_path, kind, at, value, message):
