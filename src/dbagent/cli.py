@@ -4,12 +4,13 @@ Subcommands: ``index build``, ``agent run``, ``agent batch``,
 ``factory build``, ``dataset emit``, ``eval report``, ``eval topk-grid``,
 ``eval kb-scale``, ``validate``.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
-unavailable.
+Exit codes: 0 success, 1 usage error, 2 data/validation error or an input
+file that cannot be read, 3 backend unavailable.
 
 Settings resolve with precedence flags > environment > config file >
 defaults. Environment variables: DBAGENT_CHAT_URL, DBAGENT_EMBED_URL,
-DBAGENT_API_KEY. The config file is JSON with the same keys the flags use.
+DBAGENT_API_KEY. The config file is JSON with the same keys the flags use,
+each holding a value of its setting's type.
 ``--print-config`` dumps the effective merged settings (API key masked);
 the key itself is never logged or echoed.
 """
@@ -22,7 +23,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import BackendError, DataError
@@ -112,12 +113,10 @@ class Settings:
         return out
 
 
-_INT_KEYS = ("dimension", "seed", "budget", "k_text", "k_image", "workers")
-
-
 def resolve_settings(args: argparse.Namespace) -> Settings:
     """defaults < config file < environment < explicit flags."""
-    values = Settings().__dict__.copy()
+    names = [f.name for f in fields(Settings)]
+    values: dict = {}
 
     config_path = getattr(args, "config", None)
     if config_path:
@@ -127,7 +126,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise DataError(f"config file {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DataError(f"config file {config_path}: top level must be an object")
-        unknown = set(loaded) - set(values)
+        unknown = set(loaded) - set(names)
         if unknown:
             raise DataError(f"config file {config_path}: unknown keys {sorted(unknown)}")
         values.update(loaded)
@@ -139,14 +138,15 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     if os.environ.get(ENV_API_KEY):
         values["api_key"] = os.environ[ENV_API_KEY]
 
-    for key in values:
+    for key in names:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
 
-    for key in _INT_KEYS:
-        values[key] = int(values[key])
-    settings = Settings(**values)
+    try:  # flags and environment are typed already, so a mismatch is the config file's
+        settings = decode(Settings, values)
+    except DataError as exc:
+        raise DataError(f"config file {config_path}: {exc}") from None
     if getattr(args, "print_config", False):
         print(json.dumps(settings.masked(), sort_keys=True, indent=2))
     return settings
@@ -614,7 +614,6 @@ def build_parser() -> _Parser:
     p_validate = sub.add_parser("validate", help="lint any file the suite emits")
     p_validate.add_argument("path")
     p_validate.add_argument("--kind", default="auto", choices=("auto", *_KINDS))
-    _add_common(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
     return parser
@@ -626,10 +625,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, ValueError, OSError) as exc:  # OSError: an input file is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BackendError as exc:

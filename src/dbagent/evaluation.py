@@ -293,7 +293,6 @@ def run_topk_grid(
     base_config: RolloutConfig,
     text_ks: Sequence[int] = (1, 3, 5),
     image_ks: Sequence[int] = (1, 2, 3),
-    metric: str = "em",
     workers: int = 1,
 ) -> dict[tuple[int, int], Report | dict]:
     """Evaluate every (k_text, k_image) cell on identical tasks.
@@ -306,7 +305,7 @@ def run_topk_grid(
             config = replace(base_config, k_text=k_text, k_image=k_image)
             try:
                 trajectories = batch_rollout(samples, backend, tools, config, workers=workers)
-                records, stats = build_eval_records(trajectories, samples, metric=metric)
+                records, stats = build_eval_records(trajectories, samples)
                 grid[(k_text, k_image)] = aggregate(
                     records, config={"k_text": k_text, "k_image": k_image}, stats=stats
                 )
@@ -342,7 +341,6 @@ def run_kb_scale(
     base_config: RolloutConfig,
     sizes: Sequence[int],
     seed: int,
-    metric: str = "em",
     workers: int = 1,
 ) -> list[dict]:
     """Evaluate on growing corpus subsamples with gold articles pinned.
@@ -358,7 +356,7 @@ def run_kb_scale(
             image_retriever=ImageRetriever(build_image_index(sub, image_provider), image_provider, sub),
         )
         trajectories = batch_rollout(samples, backend, tools, base_config, workers=workers)
-        records, stats = build_eval_records(trajectories, samples, metric=metric)
+        records, stats = build_eval_records(trajectories, samples)
         report = aggregate(records, config={"kb_size": size}, stats=stats)
         series.append({"size": size, "report": report})
     return series

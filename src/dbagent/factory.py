@@ -16,10 +16,10 @@ model's first attempt went wrong:
 Each stage appends the turn its judge's verdict implies: the answer that
 ends the sample, or the search the next stage runs, with stage judge/choose
 text folded into its think. Each search appends its evidence block when it
-runs. The turns are built into a ``Trajectory`` recorded as strict without
-caption-before-answer, whatever the rollout config says, and a trajectory
-that breaks its rules is discarded; the trajectory type and difficulty are
-read off the result. Judging is either
+runs. The turns are built into a ``Trajectory`` recorded as strict,
+whatever the rollout config says, and a trajectory that breaks its rules
+is discarded; the trajectory type and difficulty are read off the result.
+Judging is either
 ``normalized_exact`` (closed-form string match plus synthesized routing
 text, so the whole factory runs offline) or ``model_judge`` (a chat backend
 grades and writes the routing text).
@@ -390,9 +390,7 @@ def _search(pipe: _Pipeline, tools: ToolBinding, rc: RolloutConfig) -> EvidenceB
     _, action, payload = pipe.parts[-1][:3]
     if action is ActionKind.IMAGE_SEARCH:
         # Always the sample's image; the payload is just a placeholder.
-        items = tools.image_retriever.search(
-            pipe.sample.image_ref, rc.k_image, full_article=rc.image_evidence_full_article
-        )
+        items = tools.image_retriever.search(pipe.sample.image_ref, rc.k_image)
     else:
         items = tools.text_retriever.search(payload, rc.k_text)
     pipe.observations.append(render_evidence(items))
@@ -569,7 +567,7 @@ def _stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) ->
 
 def _assemble(pipe: _Pipeline, rc: RolloutConfig) -> Trajectory:
     """The sample's turns as one agent trajectory, recorded (and so
-    validated) strict without caption-before-answer.
+    validated) strict.
 
     Raises _Discard when a turn does not parse, the trajectory breaks a rule
     (``Trajectory``), or it leaks a gold answer outside evidence.
@@ -589,7 +587,7 @@ def _assemble(pipe: _Pipeline, rc: RolloutConfig) -> Trajectory:
             turns=turns,
             observations=pipe.observations,
             terminated_by=TERMINATED_ANSWER,
-            config={**rc.snapshot(), "strict_protocol": True, "allow_caption_before_answer": False},
+            config={**rc.snapshot(), "strict_protocol": True},
         )
     except ValueError as exc:
         raise _Discard(f"assembled {exc}") from None

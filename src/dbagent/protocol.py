@@ -358,16 +358,13 @@ def validate_in_context(
     turn: TurnRecord,
     history: Sequence[TurnRecord],
     mode: str = "strict",
-    *,
-    allow_caption_before_answer: bool = False,
 ) -> list[ProtocolViolation]:
     """Validate a turn against the turns that precede it.
 
     ``strict`` reports the intra-turn grammar violations (``turn.violations``,
     found when the turn was parsed) and adds the contextual rules: a caption
-    requires a prior image-search turn, and (unless
-    ``allow_caption_before_answer``) a caption may not ride on an answer
-    turn. ``lenient`` reports only intra-turn grammar and downgrades
+    requires a prior image-search turn, and a caption may not ride on an
+    answer turn. ``lenient`` reports only intra-turn grammar and downgrades
     UnknownTag to a warning. Strict findings are always a superset of
     lenient findings for the same input. Nothing is parsed here.
     """
@@ -387,7 +384,7 @@ def validate_in_context(
                     "<caption> requires an earlier <image_search> turn",
                 )
             )
-        if turn.action is ActionKind.ANSWER and not allow_caption_before_answer:
+        if turn.action is ActionKind.ANSWER:
             out.append(
                 ProtocolViolation(
                     ViolationCode.CAPTION_MISPLACED,

@@ -769,9 +769,13 @@ def load_index(
     for field_name in ("dimension", "count", "modality", "keys", "provider", "texts_sha256", "vectors_sha256"):
         if field_name not in doc:
             raise ValueError(f"{path}: index header missing {field_name!r}")
+    if doc["modality"] not in ("text", "image"):
+        raise ValueError(f"{path}: index modality {doc['modality']!r} is not 'text' or 'image'")
     if expect_modality is not None and doc["modality"] != expect_modality:
         raise ValueError(f"{path}: index modality {doc['modality']!r}, expected {expect_modality!r}")
-    dimension = int(doc["dimension"])
+    dimension = doc["dimension"]
+    if type(dimension) is not int or dimension < 1:
+        raise ValueError(f"{path}: header dimension {dimension!r} is not an embedding dimension")
     if expect_dimension is not None and dimension != expect_dimension:
         raise ValueError(f"{path}: index dimension {dimension}, expected {expect_dimension}")
     count = doc["count"]

@@ -103,10 +103,8 @@ class RolloutConfig:
         strict_protocol: validate turns in strict mode (contextual caption
             rules, unknown tags fatal); lenient warns on unknown tags.
         system_prompt: instruction text; defaults to the packaged template.
-        allow_caption_before_answer: permit a caption on an answer turn in
-            strict mode.
-        image_evidence_full_article: render the whole matched article as
-            image evidence instead of title + lead section.
+
+    Every generation is sent with the ``GenerationParams`` defaults.
     """
 
     budget: int = 4
@@ -114,13 +112,6 @@ class RolloutConfig:
     k_image: int = 1
     strict_protocol: bool = True
     system_prompt: str = field(default_factory=default_system_prompt)
-    temperature: float = 0.0
-    max_new_tokens: int = 1024
-    allow_caption_before_answer: bool = False
-    image_evidence_full_article: bool = False
-
-    def generation_params(self) -> GenerationParams:
-        return GenerationParams(temperature=self.temperature, max_new_tokens=self.max_new_tokens)
 
     def snapshot(self) -> dict:
         """Scalar config fields plus the sha256 of the system prompt, which
@@ -167,32 +158,26 @@ class TextRetriever:
 
 
 class ImageRetriever:
-    """Image search returning article text: title + lead section, or the
-    full article when asked."""
+    """Image search returning article text: each matched article's title and
+    lead section."""
 
     def __init__(self, index, provider, corpus: Corpus):
         self.index = index
         self.provider = provider
         self.corpus = corpus
 
-    def search(self, image_ref: str, k: int, full_article: bool = False) -> list[EvidenceItem]:
+    def search(self, image_ref: str, k: int) -> list[EvidenceItem]:
         hits = image_search(self.index, self.provider, image_ref, k=k)
         items = []
         for hit in hits:
             article = self.corpus.article(hit.article_id)
-            if full_article:
-                heading = article.sections[0].heading
-                text = " ".join(f"{s.heading}: {s.text}" for s in article.sections)
-            else:
-                heading = article.lead_section.heading
-                text = article.lead_section.text
             items.append(
                 EvidenceItem(
                     article_id=hit.article_id,
                     section_id=None,
                     title=article.title,
-                    heading=heading,
-                    text=text,
+                    heading=article.lead_section.heading,
+                    text=article.lead_section.text,
                     score=hit.score,
                 )
             )
@@ -205,42 +190,45 @@ class ToolBinding:
     image_retriever: ImageRetriever
 
 
-def _searched(retriever, query: str, k: int, **options) -> EvidenceBlock:
+def _searched(retriever, query: str, k: int) -> EvidenceBlock:
     """Run a tool once; a failure surfaces as sentinel evidence so the model
     can react instead of the rollout dying. Transport retries belong to the
     provider's HTTP client."""
     try:
-        return render_evidence(retriever.search(query, k, **options))
+        return render_evidence(retriever.search(query, k))
     except Exception as exc:  # tool errors must not kill the rollout
         logger.warning("tool failed: %s", exc)
         return render_tool_error(str(exc))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """One rollout: its turns, the evidence block of each search turn in
     order, how it ended, and the config it ran with.
 
     Construction raises ``ValueError`` unless the rules of the module
     docstring hold; the validation mode is the one ``config`` records
-    (``validation``).
+    (``validation``). The record is frozen and holds its sequences as
+    tuples, so a trajectory stays what its checks passed.
     """
 
     task_id: str
     image_ref: str
     question: str
-    turns: list[TurnRecord]
-    observations: list[EvidenceBlock]
+    turns: tuple[TurnRecord, ...]
+    observations: tuple[EvidenceBlock, ...]
     terminated_by: str
     config: dict = field(default_factory=dict)
-    protocol_events: list[dict] = field(default_factory=list)
+    protocol_events: tuple[dict, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("turns", "observations", "protocol_events"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.terminated_by not in TERMINATED_KINDS:
             raise ValueError(
                 f"terminated_by {self.terminated_by!r} is not one of " + ", ".join(map(repr, TERMINATED_KINDS))
             )
-        mode, allow = self.validation
+        mode = self.validation
         turns = self.turns
         tool_turns = 0
         for i, turn in enumerate(turns):
@@ -248,7 +236,7 @@ class Trajectory:
                 tool_turns += 1
             elif i < len(turns) - 1:
                 raise ValueError(f"turn {i + 1} of {len(turns)} is an answer turn before the last")
-            problems = validate_in_context(turn, turns[:i], mode, allow_caption_before_answer=allow)
+            problems = validate_in_context(turn, turns[:i], mode)
             if problems:
                 raise ValueError(f"turn {i + 1} fails {mode} validation: " + "; ".join(v.message for v in problems))
         if (self.terminated_by == TERMINATED_ANSWER) != (tool_turns < len(turns)):
@@ -258,11 +246,10 @@ class Trajectory:
             raise ValueError(f"{len(self.observations)} observation(s) for {tool_turns} tool turn(s)")
 
     @property
-    def validation(self) -> tuple[str, bool]:
-        """The validation mode and caption-before-answer permission that
-        ``config`` records; a config without them is strict without it."""
-        strict = self.config.get("strict_protocol", True)
-        return "strict" if strict else "lenient", bool(self.config.get("allow_caption_before_answer", False))
+    def validation(self) -> str:
+        """The validation mode that ``config`` records; a config without one
+        is strict."""
+        return "strict" if self.config.get("strict_protocol", True) else "lenient"
 
     @property
     def final_answer(self) -> str | None:
@@ -296,7 +283,7 @@ def rollout(
     """Run the full agent loop for one (image, question) pair."""
     if not question or not question.strip():
         raise ValueError("question must be non-empty")
-    params = config.generation_params()
+    params = GenerationParams()
     messages: list[ChatMessage] = [
         ChatMessage(role="system", content=config.system_prompt),
         ChatMessage(role="user", content=question, images=(image_ref,) if image_ref else ()),
@@ -324,9 +311,7 @@ def rollout(
                 for v in violations:
                     if v.code is ViolationCode.UNKNOWN_TAG:
                         logger.warning("ignoring unknown tag in lenient mode: %s", v.message)
-            violations = validate_in_context(
-                record, turns, mode, allow_caption_before_answer=config.allow_caption_before_answer
-            )
+            violations = validate_in_context(record, turns, mode)
         elif mode == "lenient":  # lenient drops unknown tags also where there is no record to validate
             violations = [v for v in violations if v.code is not ViolationCode.UNKNOWN_TAG]
         if record is None or violations:
@@ -355,9 +340,7 @@ def rollout(
             block = _searched(tools.text_retriever, record.action_payload, config.k_text)
         else:
             # Always the original input image; the payload is just a placeholder.
-            block = _searched(
-                tools.image_retriever, image_ref, config.k_image, full_article=config.image_evidence_full_article
-            )
+            block = _searched(tools.image_retriever, image_ref, config.k_image)
         observations.append(block)
         messages.append(ChatMessage(role="user", content=block.rendered))
 

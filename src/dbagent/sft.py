@@ -111,15 +111,13 @@ def _instruction_text(traj: Trajectory, system_prompt: str) -> str:
 
 
 def linearize(traj: Trajectory, system_prompt: str) -> LinearizedSample:
-    """Turn one answer-terminated trajectory, recorded strict without
-    caption-before-answer, into segments. The trajectory checked its turns
-    and observations when it was built."""
+    """Turn one answer-terminated trajectory, recorded strict, into
+    segments. The trajectory checked its turns and observations when it was
+    built."""
     if traj.terminated_by != TERMINATED_ANSWER:
         raise SftError(f"{traj.task_id}: trajectory terminated by {traj.terminated_by!r}, not answer")
-    mode, allow = traj.validation
-    if mode != "strict" or allow:
-        recorded = mode + (" with caption-before-answer" if allow else "")
-        raise SftError(f"{traj.task_id}: trajectory recorded {recorded}, not strict without caption-before-answer")
+    if traj.validation != "strict":
+        raise SftError(f"{traj.task_id}: trajectory recorded {traj.validation}, not strict")
 
     segments = [Segment(role="instruction", text=_instruction_text(traj, system_prompt), supervise=False)]
     observations = iter(traj.observations)  # one per tool turn, in order

@@ -18,7 +18,6 @@ class Case:
     parses: bool  # parse_turn returns a record (possibly with violations)
     context: tuple[str, ...] | None = None  # prior turn raws, all well-formed
     mode: str = "strict"
-    allow_caption: bool = False
     context_codes: tuple[str, ...] | None = None
 
 
@@ -248,9 +247,7 @@ def run_case(case: Case) -> list[str]:
                 prior, prior_violations = parse_turn(prior_raw)
                 assert prior is not None and not prior_violations, "context turns must be clean"
                 history.append(prior)
-            ctx = validate_in_context(
-                record, history, mode=case.mode, allow_caption_before_answer=case.allow_caption
-            )
+            ctx = validate_in_context(record, history, mode=case.mode)
             got_ctx = tuple(sorted(v.code.value for v in ctx))
             if got_ctx != tuple(sorted(case.context_codes or ())):
                 problems.append(f"context codes {got_ctx} != expected {case.context_codes}")

@@ -103,6 +103,47 @@ def test_data_error_exits_2(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+# Each subcommand with one input file missing ("MISSING"); every other
+# input it reads is a valid file that holds no records, or a small corpus.
+_MISSING_INPUTS = [
+    ("index", "build", "--corpus", "MISSING", "--out-dir", "OUT"),
+    ("agent", "run", "--question", "q?", "--corpus", "MISSING", "--script", "SCRIPT"),
+    ("agent", "run", "--question", "q?", "--corpus", "CORPUS", "--script", "MISSING"),
+    ("agent", "batch", "--dataset", "DATASET", "--corpus", "MISSING", "--out", "OUT", "--script", "SCRIPT"),
+    ("agent", "batch", "--dataset", "MISSING", "--corpus", "CORPUS", "--out", "OUT", "--script", "SCRIPT"),
+    ("factory", "build", "--dataset", "MISSING", "--corpus", "CORPUS", "--out", "OUT", "--script", "SCRIPT"),
+    ("dataset", "emit", "--outcomes", "MISSING", "--out", "OUT"),
+    ("dataset", "emit", "--outcomes", "EMPTY", "--out", "OUT", "--system-prompt-file", "MISSING"),
+    ("eval", "report", "--trajectories", "MISSING", "--dataset", "DATASET"),
+    ("eval", "report", "--trajectories", "EMPTY", "--dataset", "MISSING"),
+    ("eval", "topk-grid", "--dataset", "MISSING", "--corpus", "CORPUS", "--script", "SCRIPT"),
+    ("eval", "kb-scale", "--dataset", "DATASET", "--corpus", "MISSING", "--script", "SCRIPT"),
+    ("validate", "MISSING"),
+]
+
+
+def _missing_input_id(argv: tuple[str, ...]) -> str:
+    """The subcommand and the flag of the missing file, as in ``agent-run-script``."""
+    at = argv.index("MISSING")
+    return "-".join((*argv[: min(at, 2)], *([argv[at - 1][2:]] if at > 1 else [])))
+
+
+@pytest.mark.parametrize("argv", _MISSING_INPUTS, ids=_missing_input_id)
+def test_a_missing_input_file_exits_2(tmp_path, capsys, argv):
+    files = {
+        "MISSING": str(tmp_path / "missing.jsonl"),
+        "OUT": str(tmp_path / "out"),
+        "CORPUS": write_corpus(tmp_path, 2),
+        "DATASET": write_dataset(tmp_path, 2),
+        "SCRIPT": write_script(tmp_path, factory_rules(0, "A")),
+        "EMPTY": str(write_jsonl(tmp_path / "empty.jsonl", [])),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and files["MISSING"] in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_corrupt_corpus_exits_2(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"article_id": "a0", "sections": 7}\n', encoding="utf-8")
@@ -194,6 +235,38 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"strict": "false"}, "strict: expected boolean, got string"),
+        ({"budget": True}, "budget: expected integer, got boolean"),
+        ({"dimension": "32"}, "dimension: expected integer, got string"),
+        ({"workers": 2.0}, "workers: expected integer, got number"),
+        ({"seed": None}, "seed: expected integer, got null"),
+        ({"chat_url": 5}, "chat_url: expected string or null, got integer"),
+    ],
+    ids=["strict-string", "budget-bool", "dimension-string", "workers-float", "seed-null", "chat_url-int"],
+)
+def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    corpus = write_corpus(tmp_path, 2)
+    code = main(["index", "build", "--corpus", corpus, "--out-dir", str(tmp_path / "i"), "--config", str(cfg)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: config file {cfg}: {message}\n"
+    assert not (tmp_path / "i").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--config", "cfg.json"], ["--print-config"], ["--seed", "1"], ["--dimension", "8"]], ids=lambda f: f[0][2:]
+)
+def test_validate_takes_no_settings(tmp_path, flags):
+    dataset = write_dataset(tmp_path, 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", dataset, *flags])
+    assert exc.value.code == 1
+
+
 def test_derive_seed_is_stable_and_stream_keyed():
     assert derive_seed(0, "balance") == derive_seed(0, "balance")
     assert derive_seed(0, "balance") != derive_seed(0, "kb-scale")
@@ -221,6 +294,29 @@ def test_validate_names_version_1_index(tmp_path, capsys):
     path.write_text(json.dumps(v1), encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_DATA
     assert "unsupported index format_version 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dimension", 8.9, "header dimension 8.9 is not an embedding dimension"),
+        ("dimension", "8", "header dimension '8' is not an embedding dimension"),
+        ("dimension", True, "header dimension True is not an embedding dimension"),
+        ("dimension", 0, "header dimension 0 is not an embedding dimension"),
+        ("modality", 5, "index modality 5 is not 'text' or 'image'"),
+        ("modality", "audio", "index modality 'audio' is not 'text' or 'image'"),
+    ],
+    ids=["dimension-float", "dimension-string", "dimension-bool", "dimension-zero", "modality-int", "modality-other"],
+)
+def test_validate_refuses_an_index_header_field_of_the_wrong_type(tmp_path, capsys, key, value, message):
+    out_dir = tmp_path / "idx"
+    assert main(["index", "build", "--corpus", write_corpus(tmp_path, 2), "--out-dir", str(out_dir), "--dimension", "8"]) == EXIT_OK
+    header = out_dir / "text_index.json"
+    doc = json.loads(header.read_text(encoding="utf-8"))
+    header.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(header)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {header}: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["auto", "corpus"])
@@ -523,7 +619,7 @@ def test_validate_rejects_observations_that_do_not_follow_the_tool_turns(tmp_pat
     if len(indexes) == 2:
         assert _validate_one(tmp_path, capsys, row) == (EXIT_OK, "")
         (read,) = read_trajectory_file(tmp_path / "trajectories.jsonl")
-        assert read.observations == [make_canonical_trajectory("q000", "I-T-A").observations[0]] * 2
+        assert read.observations == (make_canonical_trajectory("q000", "I-T-A").observations[0],) * 2
     else:
         assert _validate_one(tmp_path, capsys, row) == (
             EXIT_DATA,

@@ -242,7 +242,7 @@ def test_direct_answer_think_merges_entity_sentence(tools):
         f"This is {marker(1)}, whose special fact is {value(1)}. "
         f"The main entity is Topic 1 {marker(1)}."
     )
-    assert out.assembled.observations == []
+    assert out.assembled.observations == ()
 
 
 def test_text_route_query_and_choose_text(tools):
@@ -320,16 +320,12 @@ def test_image_branch_stage_names(tools):
     assert out.stages[-1].verdict == "correct"
 
 
-def test_image_evidence_follows_the_full_article_setting(tools):
-    rendered = {}
-    for full_article in (False, True):
-        cfg = FactoryConfig(rollout_config=RolloutConfig(image_evidence_full_article=full_article))
-        out = build_outcome(qa_sample(5), ScriptedBackend(factory_rules(5, "I-A")), tools, cfg)
-        assert out.assembled.config["image_evidence_full_article"] is full_article
-        rendered[full_article] = out.assembled.observations[0].rendered
-    # Full-article rendering concatenates every section, not just the lead.
-    assert "Part 1:" in rendered[True]
-    assert "Part 1:" not in rendered[False]
+def test_image_evidence_is_the_title_and_lead_section(tools):
+    out = build_outcome(qa_sample(5), ScriptedBackend(factory_rules(5, "I-A")), tools, FactoryConfig())
+    (item,) = out.assembled.observations[0].items
+    lead = tools.image_retriever.corpus.article(item.article_id).lead_section
+    assert (item.section_id, item.heading, item.text) == (None, lead.heading, lead.text)
+    assert "Part 1:" not in out.assembled.observations[0].rendered  # no later section
 
 
 def test_missing_gold_entity_defaults_to_text_route(tools):
@@ -815,8 +811,8 @@ def test_outcome_bytes_are_pinned_in_both_judge_modes(tools, tmp_path):
         write_outcome_file(outcomes, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests == [
-        "32ef1df6324a106ea9d04eeae60522e05c92adb55e37eb28be54f9e7a8f898ff",
-        "aa66ff76037e6a321853e1767606b6632c7d6afa81df196d8e45709f310b35b0",
+        "4ed21c2023f99c540dfb9022335e9ad3da83f6b3c5709a15d0464de9e8ef3db1",
+        "464cf17ce7490e07a5aa12561716d11fbcd176d5cb404eb518b00aba617ba40e",
     ]
 
 

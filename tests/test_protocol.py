@@ -45,19 +45,17 @@ def test_preparsed_violations_change_nothing(case, monkeypatch):
     assert list(record.violations) == violations
     history = [parse_turn(raw)[0] for raw in case.context or ()]
     for mode in ("strict", "lenient"):
-        for allow in (False, True):
-            kwargs = {"mode": mode, "allow_caption_before_answer": allow}
-            expected = validate_in_context(record, history, **kwargs)
-            with monkeypatch.context() as m:
-                m.setattr(protocol, "parse_turn", None)  # neither may be called
-                m.setattr(protocol, "_parse", None)
-                got = validate_in_context(record, history, **kwargs)
-            assert got == expected
-            assert got == sorted(got, key=lambda v: v.span)
-            if mode == "lenient":
-                assert got == [v for v in violations if v.code is not ViolationCode.UNKNOWN_TAG]
-            else:
-                assert set(violations) <= set(got)
+        expected = validate_in_context(record, history, mode)
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "parse_turn", None)  # neither may be called
+            m.setattr(protocol, "_parse", None)
+            got = validate_in_context(record, history, mode)
+        assert got == expected
+        assert got == sorted(got, key=lambda v: v.span)
+        if mode == "lenient":
+            assert got == [v for v in violations if v.code is not ViolationCode.UNKNOWN_TAG]
+        else:
+            assert set(violations) <= set(got)
 
 
 def test_every_case_that_parses_round_trips_through_the_codec():
@@ -169,13 +167,6 @@ def test_caption_after_image_search_is_legal():
 def test_caption_on_answer_rejected_by_default():
     out = validate_in_context(_parsed(_CAPTIONED_ANSWER), [_parsed(_IMG)], mode="strict")
     assert [v.code for v in out] == [ViolationCode.CAPTION_MISPLACED]
-
-
-def test_caption_on_answer_allowed_when_configured():
-    out = validate_in_context(
-        _parsed(_CAPTIONED_ANSWER), [_parsed(_IMG)], mode="strict", allow_caption_before_answer=True
-    )
-    assert out == []
 
 
 def test_a_contextual_caption_violation_spans_the_caption_block_the_parse_paired():

@@ -4,7 +4,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import pytest
@@ -97,8 +97,8 @@ def test_direct_answer_shape(tools12):
     assert traj.action_kinds == (ActionKind.ANSWER,)
     assert traj.final_answer == value(3)
     assert traj.terminated_by == TERMINATED_ANSWER
-    assert traj.observations == []
-    assert traj.protocol_events == []
+    assert traj.observations == ()
+    assert traj.protocol_events == ()
 
 
 def test_text_then_answer_shape(tools12):
@@ -290,7 +290,7 @@ def test_two_consecutive_violations_terminate(tools12):
     )
     traj = rollout("img-002", question(2), backend, tools12, RolloutConfig())
     assert traj.terminated_by == TERMINATED_PROTOCOL
-    assert traj.turns == []
+    assert traj.turns == ()
     assert traj.final_answer is None
     assert len(traj.protocol_events) == 2
 
@@ -382,7 +382,7 @@ class RecordingRetriever:
         self.fail_times = fail_times
         self.calls = []
 
-    def search(self, query, k, full_article=False):
+    def search(self, query, k):
         self.calls.append((query, k))
         if self.fail_times > 0:
             self.fail_times -= 1
@@ -491,7 +491,7 @@ def test_an_empty_generation_ends_the_rollout_at_once(caplog):
         traj = rollout("img-x", "q?", backend, fake_tools(), RolloutConfig())
     assert backend.calls == 1
     assert traj.terminated_by == TERMINATED_PROTOCOL
-    assert traj.turns == []
+    assert traj.turns == ()
     assert [r.getMessage() for r in caplog.records] == ["empty generation at index 0: nothing"]
 
 
@@ -502,10 +502,10 @@ def test_persistent_empty_generation_is_protocol_failure():
 
     traj = rollout("img-x", "q?", DeadBackend(), fake_tools(), RolloutConfig())
     assert traj.terminated_by == TERMINATED_PROTOCOL
-    assert traj.turns == []
+    assert traj.turns == ()
 
 
-def test_full_article_image_evidence(tools12):
+def test_image_evidence_is_the_title_and_lead_section(tools12):
     backend = ScriptedBackend(
         [
             ScriptedRule(
@@ -514,15 +514,11 @@ def test_full_article_image_evidence(tools12):
             ScriptedRule(output=turn_raw("Done.", "answer", value(6)), turn_index=1),
         ]
     )
-    rendered = {}
-    for full_article in (False, True):
-        config = RolloutConfig(image_evidence_full_article=full_article)
-        traj = rollout("img-006", question(6), backend, tools12, config)
-        assert traj.config["image_evidence_full_article"] is full_article
-        rendered[full_article] = traj.observations[0].rendered
-    # Full-article rendering concatenates every section, not just the lead.
-    assert "Part 1:" in rendered[True]
-    assert "Part 1:" not in rendered[False]
+    traj = rollout("img-006", question(6), backend, tools12, RolloutConfig())
+    (item,) = traj.observations[0].items
+    lead = tools12.image_retriever.corpus.article(item.article_id).lead_section
+    assert (item.section_id, item.heading, item.text) == (None, lead.heading, lead.text)
+    assert "Part 1:" not in traj.observations[0].rendered  # no later section
 
 
 # --- config snapshot -------------------------------------------------------
@@ -733,7 +729,7 @@ def test_trajectory_bytes_are_pinned(tools12, tmp_path):
     ]
     assert out[11 + 9].terminated_by == TERMINATED_ANSWER  # lenient: the unknown tag is ignored
     assert "[tool error] index offline" in out[10].observations[0].rendered
-    assert digests == ["633423b006e5ac6b8a5bbd05d8dd0754eab8edb09dd5398a0cec69a8df0694e6"] * 2
+    assert digests == ["c243497e98aa25b8a9730497e7c2af55f846ec063440139eaa88bcb103f2d401"] * 2
 
 
 # --- the rules a trajectory holds ------------------------------------------
@@ -762,13 +758,12 @@ _GENERATIONS = [
 @given(
     outputs=st.lists(st.sampled_from(_GENERATIONS), min_size=1, max_size=10),
     strict=st.booleans(),
-    allow_caption_before_answer=st.booleans(),
     budget=st.integers(min_value=0, max_value=4),
 )
-@example(outputs=[_GENERATIONS[1], _GENERATIONS[3], _GENERATIONS[4]], strict=True, allow_caption_before_answer=True, budget=4)
-@example(outputs=[_GENERATIONS[1], _GENERATIONS[4]], strict=True, allow_caption_before_answer=False, budget=4)
-def test_every_trajectory_a_rollout_writes_reads_back(tools12, outputs, strict, allow_caption_before_answer, budget):
-    config = RolloutConfig(budget=budget, strict_protocol=strict, allow_caption_before_answer=allow_caption_before_answer)
+@example(outputs=[_GENERATIONS[1], _GENERATIONS[3], _GENERATIONS[4]], strict=True, budget=4)
+@example(outputs=[_GENERATIONS[1], _GENERATIONS[4]], strict=True, budget=4)
+def test_every_trajectory_a_rollout_writes_reads_back(tools12, outputs, strict, budget):
+    config = RolloutConfig(budget=budget, strict_protocol=strict)
     backend = _ReplayByQuestion({question(1): outputs})
     traj = rollout("img-001", question(1), backend, _golden_tools(tools12), config, task_id="q001")
     # Built, so it holds every rule; a file line of it reads back as itself.
@@ -793,6 +788,23 @@ def test_each_rule_rejects_its_case(tmp_path, name, fields, message):
     path = write_jsonl(tmp_path / "outcomes.jsonl", [json.dumps(o) for o in outcomes])
     with pytest.raises(DataError, match=f"1 error\\(s\\)\nline 2: assembled: {re.escape(message)}$"):
         read_outcome_file(path)
+
+
+def test_a_built_trajectory_cannot_be_edited(tmp_path):
+    # Its rules were checked when it was built; an edit that broke one would
+    # be written as a line that every reader refuses.
+    traj = make_canonical_trajectory("q0", "T-A")
+    with pytest.raises(AttributeError):
+        traj.observations.append(traj.observations[0])
+    with pytest.raises(AttributeError):
+        traj.turns.append(traj.turns[-1])
+    with pytest.raises(FrozenInstanceError):
+        traj.observations = ()
+    built = Trajectory(**{**{name: getattr(traj, name) for name in traj.__dataclass_fields__},
+                          "turns": list(traj.turns), "observations": list(traj.observations)})
+    assert (type(built.turns), type(built.observations), type(built.protocol_events)) == (tuple, tuple, tuple)
+    write_trajectory_file([traj], tmp_path / "trajectories.jsonl")
+    assert read_trajectory_file(tmp_path / "trajectories.jsonl") == [traj]
 
 
 def test_lenient_mode_accepts_a_caption_before_any_image_search(tmp_path):

@@ -133,11 +133,11 @@ def test_linearize_rejects_contextually_invalid_turns():
 
 @pytest.mark.parametrize(
     "config, recorded",
-    [({"strict_protocol": False}, "lenient"), ({"allow_caption_before_answer": True}, "strict with caption-before-answer")],
+    [({"strict_protocol": False}, "lenient")],
 )
 def test_linearize_refuses_a_trajectory_not_recorded_strict_even_when_its_turns_are(config, recorded):
     traj = replace(canonical("I-T-A"), config=config)
-    with pytest.raises(SftError, match=f"^t0: trajectory recorded {recorded}, not strict without caption-before-answer$"):
+    with pytest.raises(SftError, match=f"^t0: trajectory recorded {recorded}, not strict$"):
         linearize(traj, SYSTEM)
 
 

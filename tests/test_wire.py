@@ -3,10 +3,12 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +29,7 @@ from dbagent.factory import (
 )
 from dbagent.gateway import ChatBackendError, ChatMessage, GenerationParams, HttpChatBackend, load_script
 from dbagent.kb import ImageAttachment, KbArticle, SectionChunk, load_corpus, parse_corpus_lines
-from dbagent.protocol import EvidenceBlock, EvidenceItem, TurnRecord, render_evidence, render_tool_error
+from dbagent.protocol import EvidenceBlock, EvidenceItem, TurnRecord, make_turn, render_evidence, render_tool_error
 from dbagent.retrieval import DeterministicEmbedder, EmbeddingError, RemoteEmbedder, build_text_index, save_index
 from dbagent.runtime import Trajectory, read_trajectory_file, write_trajectory_file
 from dbagent.sft import DatasetManifest, LinearizedSample, Segment, linearize, read_sft_file
@@ -170,9 +172,43 @@ def test_an_outcome_in_the_old_shape_with_edited_fields_gives_what_its_raw_holds
     assert (tmp_path / "old-sft.jsonl").read_bytes() == (tmp_path / "good-sft.jsonl").read_bytes()
 
 
+# The settings that trajectory and outcome files recorded in their config
+# before those settings became constants, at the values every run used.
+_OLD_CONFIG_KEYS = {"temperature": 0.0, "max_new_tokens": 1024, "allow_caption_before_answer": False,
+                    "image_evidence_full_article": False}
+
+
+def test_files_written_with_the_old_config_keys_still_load(tmp_path, capsys):
+    trajectory = json.loads(json.dumps(READERS["trajectories"][1]))
+    trajectory["config"].update(_OLD_CONFIG_KEYS)
+    outcome = json.loads(json.dumps(READERS["outcomes"][1]))
+    outcome["assembled"]["config"].update(_OLD_CONFIG_KEYS)
+    for name, obj, read in (("trajectories", trajectory, read_trajectory_file), ("outcomes", outcome, read_outcome_file)):
+        path = write_jsonl(tmp_path / f"{name}.jsonl", [json.dumps(obj)])
+        (record,) = read(path)
+        assert encode(record) == obj  # the old keys are kept as data and rewrite to the same bytes
+        assert main(["validate", str(path)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_an_old_file_that_allowed_a_caption_on_its_answer_turn_is_refused_at_its_line(tmp_path, capsys):
+    # The setting that allowed it is gone: the file's config key is ignored,
+    # and a strict trajectory never holds a caption on an answer turn.
+    good = READERS["trajectories"][1]
+    old = json.loads(json.dumps(good))
+    old["config"].update(_OLD_CONFIG_KEYS, allow_caption_before_answer=True)
+    answer = decode(TurnRecord, good["turns"][-1])
+    old["turns"][-1] = encode(make_turn(answer.think, answer.action, answer.action_payload, caption="A photo."))
+    path = write_jsonl(tmp_path / "trajectories.jsonl", [json.dumps(good), json.dumps(old)])
+    message = "line 2: turn 3 fails strict validation: <caption> is not allowed on an answer turn"
+    with pytest.raises(DataError, match=f"1 error\\(s\\)\n{re.escape(message)}$"):
+        read_trajectory_file(path)
+    assert main(["validate", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err.endswith(message + "\n")
+
+
 def test_a_record_is_written_without_what_it_derives():
-    traj = make_canonical_trajectory("q000", "T-A")
-    traj.observations[0] = render_tool_error("index offline")
+    traj = replace(make_canonical_trajectory("q000", "T-A"), observations=[render_tool_error("index offline")])
     obj = encode(traj)
     assert "final_answer" not in obj
     assert [set(turn) for turn in obj["turns"]] == [{"raw"}, {"raw"}]
@@ -207,7 +243,7 @@ _MANIFEST = encode(
 # Each record type, a JSON object of it holding every key, and the value of
 # each key that may be absent when it is. Every other key is required.
 RECORDS = {
-    Trajectory: (_TRAJECTORY, {"config": {}, "protocol_events": []}),
+    Trajectory: (_TRAJECTORY, {"config": {}, "protocol_events": ()}),
     TurnRecord: (_TRAJECTORY["turns"][1], {}),
     EvidenceBlock: ({"items": [], "error": "index offline"}, {"error": None}),
     EvidenceItem: ({**_TRAJECTORY["observations"][0]["items"][0], "section_id": "a000-s0"}, {"section_id": None}),
