@@ -10,7 +10,8 @@ file that cannot be read, 3 backend unavailable.
 Settings resolve with precedence flags > environment > config file >
 defaults. Environment variables: DBAGENT_CHAT_URL, DBAGENT_EMBED_URL,
 DBAGENT_API_KEY. The config file is JSON with the same keys the flags use,
-each holding a value of its setting's type.
+each holding a value of its setting's type; it may hold any setting, while
+each subcommand takes only the setting flags it reads.
 ``--print-config`` dumps the effective merged settings (API key masked);
 the key itself is never logged or echoed.
 """
@@ -220,8 +221,8 @@ def _tools(corpus, settings: Settings, index_dir: str | None) -> ToolBinding:
 
 def cmd_index_build(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
-    corpus = load_corpus(args.corpus)
     text_provider, image_provider = _embedders(settings)
+    corpus = load_corpus(args.corpus)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text_index = build_text_index(corpus, text_provider)
@@ -237,6 +238,7 @@ def cmd_index_build(args, parser: _Parser) -> int:
 
 def cmd_agent_run(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
+    config = _rollout_config(settings)
     corpus = load_corpus(args.corpus)
     tools = _tools(corpus, settings, args.index_dir)
     backend = _backend(settings, parser)
@@ -245,7 +247,7 @@ def cmd_agent_run(args, parser: _Parser) -> int:
         args.question,
         backend,
         tools,
-        _rollout_config(settings),
+        config,
         task_id=args.task_id,
     )
     obs = 0
@@ -261,12 +263,13 @@ def cmd_agent_run(args, parser: _Parser) -> int:
 
 def cmd_agent_batch(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
+    config = _rollout_config(settings)
     corpus = load_corpus(args.corpus)
     samples = load_qa_dataset(args.dataset)
     tools = _tools(corpus, settings, args.index_dir)
     backend = _backend(settings, parser)
     trajectories = batch_rollout(
-        samples, backend, tools, _rollout_config(settings), workers=settings.workers
+        samples, backend, tools, config, workers=settings.workers
     )
     write_trajectory_file(trajectories, args.out)
     print(f"wrote {len(trajectories)} trajectories to {args.out}")
@@ -275,15 +278,15 @@ def cmd_agent_batch(args, parser: _Parser) -> int:
 
 def cmd_factory_build(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
-    corpus = load_corpus(args.corpus)
-    samples = load_qa_dataset(args.dataset)
-    tools = _tools(corpus, settings, args.index_dir)
-    backend = _backend(settings, parser)
     cfg = FactoryConfig(
         judge_mode=args.judge_mode,
         keep_failed=args.keep_failed,
         rollout_config=_rollout_config(settings),
     )
+    corpus = load_corpus(args.corpus)
+    samples = load_qa_dataset(args.dataset)
+    tools = _tools(corpus, settings, args.index_dir)
+    backend = _backend(settings, parser)
     outcomes = run_factory(samples, backend, tools, cfg, workers=settings.workers)
     write_outcome_file(outcomes, args.out)
     counts: dict[str, int] = {}
@@ -356,6 +359,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def cmd_eval_topk_grid(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
+    config = _rollout_config(settings)
     corpus = load_corpus(args.corpus)
     samples = load_qa_dataset(args.dataset)
     tools = _tools(corpus, settings, args.index_dir)
@@ -364,7 +368,7 @@ def cmd_eval_topk_grid(args, parser: _Parser) -> int:
         samples,
         backend,
         tools,
-        _rollout_config(settings),
+        config,
         text_ks=_parse_int_list(args.text_ks, "text_k"),
         image_ks=_parse_int_list(args.image_ks, "image_k"),
         workers=settings.workers,
@@ -383,9 +387,10 @@ def cmd_eval_topk_grid(args, parser: _Parser) -> int:
 
 def cmd_eval_kb_scale(args, parser: _Parser) -> int:
     settings = resolve_settings(args)
+    config = _rollout_config(settings)
+    text_provider, image_provider = _embedders(settings)
     corpus = load_corpus(args.corpus)
     samples = load_qa_dataset(args.dataset)
-    text_provider, image_provider = _embedders(settings)
     backend = _backend(settings, parser)
     series = run_kb_scale(
         samples,
@@ -393,7 +398,7 @@ def cmd_eval_kb_scale(args, parser: _Parser) -> int:
         text_provider,
         image_provider,
         backend,
-        _rollout_config(settings),
+        config,
         sizes=_parse_int_list(args.sizes, "sizes"),
         seed=derive_seed(settings.seed, "kb-scale"),
         workers=settings.workers,
@@ -402,10 +407,9 @@ def cmd_eval_kb_scale(args, parser: _Parser) -> int:
     doc = []
     for entry in series:
         report = entry["report"]
-        recalls = [
-            v["retrieval_recall"] for v in report.per_type.values() if v["retrieval_recall"] is not None
-        ]
-        recall = sum(recalls) / len(recalls) if recalls else None
+        # Recall over every sample it applies to: hits / (hits + misses).
+        hits, misses = (report.contingency[row]["n"] for row in ("retrieval_correct", "retrieval_incorrect"))
+        recall = 100.0 * hits / (hits + misses) if hits + misses else None
         lines.append(
             f"{entry['size']:<9}{report.overall_accuracy:>8.1f}"
             + (f"{recall:>9.1f}" if recall is not None else "        -")
@@ -514,19 +518,31 @@ def cmd_validate(args, parser: _Parser) -> int:
 # --- wiring --------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--print-config", action="store_true", help="dump effective settings")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dimension", type=int, default=None, help="embedding dimension")
-    p.add_argument("--chat-url", dest="chat_url", default=None)
-    p.add_argument("--embed-url", dest="embed_url", default=None)
-    p.add_argument("--api-key", dest="api_key", default=None)
-    p.add_argument("--script", default=None, help="scripted backend rules (JSONL)")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--k-text", dest="k_text", type=int, default=None)
-    p.add_argument("--k-image", dest="k_image", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+# Every flag that more than one subcommand takes, defined once: its
+# ``add_argument`` keywords. Each subcommand lists the ones it reads.
+_SHARED = {
+    "--config": {"help": "JSON config file"},
+    "--print-config": {"action": "store_true", "help": "dump effective settings"},
+    "--dimension": {"type": int, "help": "embedding dimension"},
+    "--script": {"help": "scripted backend rules (JSONL)"},
+    **dict.fromkeys(("--seed", "--budget", "--k-text", "--k-image", "--workers"), {"type": int}),
+    **dict.fromkeys(("--chat-url", "--embed-url", "--api-key", "--index-dir", "--out-prefix"), {}),
+    **dict.fromkeys(("--corpus", "--dataset", "--out"), {"required": True}),
+}
+_CFG = ("--config", "--print-config")
+_SETTINGS = (*_CFG, "--seed", "--dimension", "--chat-url", "--embed-url", "--api-key", "--script",
+             "--budget", "--k-text", "--k-image", "--workers")
+
+
+def _subcommand(sub, name: str, help: str, func, shared=(), exclude=()) -> argparse.ArgumentParser:
+    """A subcommand parser that runs ``func`` and takes the ``shared`` flags
+    less those in ``exclude``."""
+    p = sub.add_parser(name, help=help)
+    for flag in shared:
+        if flag not in exclude:
+            p.add_argument(flag, **_SHARED[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -535,86 +551,56 @@ def build_parser() -> _Parser:
 
     p_index = sub.add_parser("index", help="vector index operations")
     index_sub = p_index.add_subparsers(dest="index_command", required=True)
-    p_build = index_sub.add_parser("build", help="embed a corpus into text/image indexes")
-    p_build.add_argument("--corpus", required=True)
+    p_build = _subcommand(index_sub, "build", "embed a corpus into text/image indexes", cmd_index_build,
+                          ("--corpus", *_CFG, "--seed", "--dimension", "--embed-url", "--api-key"))
     p_build.add_argument("--out-dir", required=True)
-    _add_common(p_build)
-    p_build.set_defaults(func=cmd_index_build)
 
     p_agent = sub.add_parser("agent", help="run the search agent")
     agent_sub = p_agent.add_subparsers(dest="agent_command", required=True)
-    p_run = agent_sub.add_parser("run", help="single question")
+    p_run = _subcommand(agent_sub, "run", "single question", cmd_agent_run,
+                        ("--corpus", "--index-dir", *_SETTINGS), exclude=("--workers",))
     p_run.add_argument("--question", required=True)
     p_run.add_argument("--image", default=None, help="image ref for the question")
-    p_run.add_argument("--corpus", required=True)
-    p_run.add_argument("--index-dir", default=None)
     p_run.add_argument("--task-id", default="task")
-    _add_common(p_run)
-    p_run.set_defaults(func=cmd_agent_run)
-    p_batch = agent_sub.add_parser("batch", help="roll out a QA dataset")
-    p_batch.add_argument("--dataset", required=True)
-    p_batch.add_argument("--corpus", required=True)
-    p_batch.add_argument("--index-dir", default=None)
-    p_batch.add_argument("--out", required=True)
-    _add_common(p_batch)
-    p_batch.set_defaults(func=cmd_agent_batch)
+    _subcommand(agent_sub, "batch", "roll out a QA dataset", cmd_agent_batch,
+                ("--dataset", "--corpus", "--index-dir", "--out", *_SETTINGS))
 
     p_factory = sub.add_parser("factory", help="trajectory construction")
     factory_sub = p_factory.add_subparsers(dest="factory_command", required=True)
-    p_fbuild = factory_sub.add_parser("build", help="run the three-stage factory")
-    p_fbuild.add_argument("--dataset", required=True)
-    p_fbuild.add_argument("--corpus", required=True)
-    p_fbuild.add_argument("--index-dir", default=None)
-    p_fbuild.add_argument("--out", required=True)
-    p_fbuild.add_argument(
-        "--judge-mode", choices=("normalized_exact", "model_judge"), default="normalized_exact"
-    )
+    p_fbuild = _subcommand(factory_sub, "build", "run the three-stage factory", cmd_factory_build,
+                           ("--dataset", "--corpus", "--index-dir", "--out", *_SETTINGS))
+    p_fbuild.add_argument("--judge-mode", choices=("normalized_exact", "model_judge"), default="normalized_exact")
     p_fbuild.add_argument("--keep-failed", action="store_true")
-    _add_common(p_fbuild)
-    p_fbuild.set_defaults(func=cmd_factory_build)
 
     p_dataset = sub.add_parser("dataset", help="SFT dataset operations")
     dataset_sub = p_dataset.add_subparsers(dest="dataset_command", required=True)
-    p_emit = dataset_sub.add_parser("emit", help="linearize outcomes into an SFT file")
+    p_emit = _subcommand(dataset_sub, "emit", "linearize outcomes into an SFT file", cmd_dataset_emit,
+                         ("--out", *_CFG, "--seed"))
     p_emit.add_argument("--outcomes", required=True)
-    p_emit.add_argument("--out", required=True)
     p_emit.add_argument("--max-chars", type=int, default=49152)
     p_emit.add_argument("--n-per-tier", type=int, default=0, help="balance tiers before emitting")
     p_emit.add_argument("--system-prompt-file", default=None)
-    _add_common(p_emit)
-    p_emit.set_defaults(func=cmd_dataset_emit)
 
     p_eval = sub.add_parser("eval", help="evaluation and sweeps")
     eval_sub = p_eval.add_subparsers(dest="eval_command", required=True)
-    p_report = eval_sub.add_parser("report", help="score a trajectory file")
+    p_report = _subcommand(eval_sub, "report", "score a trajectory file", cmd_eval_report,
+                           ("--dataset", "--out-prefix", *_CFG, "--script", "--chat-url", "--api-key"))
     p_report.add_argument("--trajectories", required=True)
-    p_report.add_argument("--dataset", required=True)
     p_report.add_argument("--metric", choices=("em", "judge"), default="em")
     p_report.add_argument("--raw-exact", action="store_true")
-    p_report.add_argument("--out-prefix", default=None)
-    _add_common(p_report)
-    p_report.set_defaults(func=cmd_eval_report)
-    p_grid = eval_sub.add_parser("topk-grid", help="retrieval-depth grid")
-    p_grid.add_argument("--dataset", required=True)
-    p_grid.add_argument("--corpus", required=True)
-    p_grid.add_argument("--index-dir", default=None)
+    # Each grid cell replaces k_text and k_image.
+    p_grid = _subcommand(eval_sub, "topk-grid", "retrieval-depth grid", cmd_eval_topk_grid,
+                         ("--dataset", "--corpus", "--index-dir", "--out-prefix", *_SETTINGS),
+                         exclude=("--k-text", "--k-image"))
     p_grid.add_argument("--text-ks", default="1,3,5")
     p_grid.add_argument("--image-ks", default="1,2,3")
-    p_grid.add_argument("--out-prefix", default=None)
-    _add_common(p_grid)
-    p_grid.set_defaults(func=cmd_eval_topk_grid)
-    p_scale = eval_sub.add_parser("kb-scale", help="corpus-size sweep")
-    p_scale.add_argument("--dataset", required=True)
-    p_scale.add_argument("--corpus", required=True)
+    p_scale = _subcommand(eval_sub, "kb-scale", "corpus-size sweep", cmd_eval_kb_scale,
+                          ("--dataset", "--corpus", "--out-prefix", *_SETTINGS))
     p_scale.add_argument("--sizes", default="200,1000,5000")
-    p_scale.add_argument("--out-prefix", default=None)
-    _add_common(p_scale)
-    p_scale.set_defaults(func=cmd_eval_kb_scale)
 
-    p_validate = sub.add_parser("validate", help="lint any file the suite emits")
+    p_validate = _subcommand(sub, "validate", "lint any file the suite emits", cmd_validate)
     p_validate.add_argument("path")
     p_validate.add_argument("--kind", default="auto", choices=("auto", *_KINDS))
-    p_validate.set_defaults(func=cmd_validate)
 
     return parser
 

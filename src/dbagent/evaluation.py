@@ -302,8 +302,8 @@ def run_topk_grid(
     grid: dict[tuple[int, int], Report | dict] = {}
     for k_text in text_ks:
         for k_image in image_ks:
-            config = replace(base_config, k_text=k_text, k_image=k_image)
-            try:
+            try:  # a k below 1 fails in RolloutConfig, and only its cell
+                config = replace(base_config, k_text=k_text, k_image=k_image)
                 trajectories = batch_rollout(samples, backend, tools, config, workers=workers)
                 records, stats = build_eval_records(trajectories, samples)
                 grid[(k_text, k_image)] = aggregate(

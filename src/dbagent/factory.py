@@ -158,20 +158,20 @@ def judge_answer(
             raise ValueError("model_judge mode needs a backend")
         messages = [
             ChatMessage(role="system", content=load_prompt("stage3_judge")),
-            ChatMessage(
-                role="user",
-                content="\n".join(
-                    [
-                        f"[question] {question or '(not provided)'}",
-                        f"[answer] {predicted}",
-                        f"[gold_answer] {'|'.join(golds)}",
-                    ]
-                ),
-            ),
+            ChatMessage(role="user", content="\n".join(_judge_lines(question, predicted, golds))),
         ]
         output = backend.complete(messages, GenerationParams(), turn_index=0)
         return _parse_verdict(output) == "correct"
     raise ValueError(f"unknown judge mode: {mode!r}")
+
+
+def _judge_lines(question: str | None, predicted: str, golds: Sequence[str]) -> list[str]:
+    """The user message lines of a grade-only judge (``stage3_judge``)."""
+    return [
+        f"[question] {question or '(not provided)'}",
+        f"[answer] {predicted}",
+        f"[gold_answer] {'|'.join(golds)}",
+    ]
 
 
 def entity_matches(predicted_entity: str, gold_entity: str) -> bool:
@@ -360,10 +360,6 @@ def _ask(pipe: _Pipeline, backend, template: str, lines: Sequence[str], extract,
     return pipe.stages[-1]
 
 
-def _judge_backend(backend, cfg: FactoryConfig):
-    return cfg.judge_backend if cfg.judge_backend is not None else backend
-
-
 def _judge(pipe: _Pipeline, backend, cfg: FactoryConfig, template: str, rewrite, lines, extract) -> StageRecord:
     """Grade the latest answer and record the judge; a wrong verdict's fields
     route the next stage.
@@ -373,7 +369,8 @@ def _judge(pipe: _Pipeline, backend, cfg: FactoryConfig, template: str, rewrite,
     with ``lines`` and parses its reply with ``extract``.
     """
     if cfg.judge_mode != "normalized_exact":
-        return _ask(pipe, _judge_backend(backend, cfg), template, lines, extract)
+        judge = cfg.judge_backend if cfg.judge_backend is not None else backend
+        return _ask(pipe, judge, template, lines, extract)
     correct = judge_answer(pipe.answer, pipe.sample.answers)
     fields = {} if correct else rewrite(pipe)
     pipe.stages.append(StageRecord(template, _EXACT_JUDGE, "", fields, "correct" if correct else "wrong"))
@@ -449,6 +446,10 @@ def _stage1_rewrite(pipe: _Pipeline) -> dict[str, str]:
         "choose": "The identified entity does not match the image, so the image itself must be re-identified.",
         "image_search": IMAGE_PAYLOAD,
     }
+
+
+def _verdict(output: str) -> dict[str, str]:
+    return {"verdict": _parse_verdict(output)}
 
 
 def _parse_stage1_judge(output: str) -> dict[str, str]:
@@ -543,21 +544,11 @@ def _stage3(pipe: _Pipeline, tools: ToolBinding, backend, cfg: FactoryConfig) ->
     fields = _ask(pipe, backend, f"stage3_{_branch(pipe)}_answer", lines, _tags("think", "answer")).parsed_fields
     pipe.answer = fields["answer"]
 
-    # The stage-3 judge only grades: one call, recorded without its output.
-    if cfg.judge_mode == "normalized_exact":
-        correct, judge_id = judge_answer(pipe.answer, sample.answers), _EXACT_JUDGE
-    else:
-        judge = _judge_backend(backend, cfg)
-        try:
-            correct = judge_answer(
-                pipe.answer, sample.answers, mode="model_judge", backend=judge, question=sample.question
-            )
-        except JudgeParseFailure as exc:
-            # Not FAILED: the answer was never graded.
-            raise _Discard(f"stage3_judge: {exc}") from exc
-        judge_id = prompt_id("stage3_judge")
-    pipe.stages.append(StageRecord("stage3_judge", judge_id, "", {}, "correct" if correct else "wrong"))
-    if not correct:
+    # The stage-3 judge only grades. A judge output with no verdict after the
+    # retry discards the sample, never FAILED: the answer was never graded.
+    lines = _judge_lines(sample.question, pipe.answer, sample.answers)
+    judged = _judge(pipe, backend, cfg, "stage3_judge", lambda _: {}, lines, _verdict)
+    if judged.verdict != "correct":
         raise _Discard("stage3 answer judged wrong", failed=True)
     pipe.parts.append((fields["think"], ActionKind.ANSWER, pipe.answer))
 

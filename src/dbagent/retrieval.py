@@ -168,13 +168,18 @@ class DeterministicEmbedder:
     ``f"{seed}:{gram}"`` and is memoized per instance under the packed key,
     so ``seed`` and ``dimension`` must not change after the first
     ``embed``. The memo is shared safely across threads: a racing miss
-    stores the same value twice.
+    stores the same value twice. A ``dimension`` below 1 raises
+    ``ValueError``.
     """
 
     dimension: int = 64
     seed: int = 0
     modality: str = "text"
     _memo: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ValueError(f"embedding dimension must be >= 1, got {self.dimension}")
 
     def _code(self, key: int) -> int:
         gram = "".join(chr(c) for c in (key >> 42, key >> 21 & _PAD, key & _PAD) if c != _PAD)
@@ -244,7 +249,8 @@ class RemoteEmbedder:
     Args:
         url: endpoint accepting POST with the embed payload.
         modality: "text" or "image"; sent verbatim.
-        dimension: expected vector width; mismatches are fatal.
+        dimension: expected vector width, at least 1 (else ``ValueError``);
+            mismatches are fatal.
         timeout: per-request timeout, seconds.
         retries: extra attempts after the first on transport failure.
     """
@@ -255,6 +261,10 @@ class RemoteEmbedder:
     api_key: str | None = None
     timeout: float = 30.0
     retries: int = 2
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ValueError(f"embedding dimension must be >= 1, got {self.dimension}")
 
     def embed(self, inputs: Sequence[str]) -> np.ndarray:
         payload = {"modality": self.modality, "inputs": list(inputs)}

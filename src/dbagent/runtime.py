@@ -34,6 +34,7 @@ import functools
 import hashlib
 import json
 import logging
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,7 +105,9 @@ class RolloutConfig:
             rules, unknown tags fatal); lenient warns on unknown tags.
         system_prompt: instruction text; defaults to the packaged template.
 
-    Every generation is sent with the ``GenerationParams`` defaults.
+    Every generation is sent with the ``GenerationParams`` defaults. A
+    ``k_text`` or ``k_image`` below 1 raises ``ValueError``; a budget of 0
+    is valid and gives a trajectory with no turns.
     """
 
     budget: int = 4
@@ -112,6 +115,11 @@ class RolloutConfig:
     k_image: int = 1
     strict_protocol: bool = True
     system_prompt: str = field(default_factory=default_system_prompt)
+
+    def __post_init__(self) -> None:
+        for name in ("k_text", "k_image"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def snapshot(self) -> dict:
         """Scalar config fields plus the sha256 of the system prompt, which
@@ -208,8 +216,9 @@ class Trajectory:
 
     Construction raises ``ValueError`` unless the rules of the module
     docstring hold; the validation mode is the one ``config`` records
-    (``validation``). The record is frozen and holds its sequences as
-    tuples, so a trajectory stays what its checks passed.
+    (``validation``). The record is frozen, holds its sequences as tuples
+    and a read-only copy of ``config``, so a trajectory stays what its
+    checks passed.
     """
 
     task_id: str
@@ -224,6 +233,7 @@ class Trajectory:
     def __post_init__(self) -> None:
         for name in ("turns", "observations", "protocol_events"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "config", types.MappingProxyType(dict(self.config)))
         if self.terminated_by not in TERMINATED_KINDS:
             raise ValueError(
                 f"terminated_by {self.terminated_by!r} is not one of " + ", ".join(map(repr, TERMINATED_KINDS))

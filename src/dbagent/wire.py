@@ -114,8 +114,8 @@ def _codec(hint) -> tuple[tuple[type, ...], Callable | None, Callable | None, st
         write = None if to_json is None else (lambda value: {k: to_json(v) for k, v in value.items()})
         return (dict,), _elements(item, dict), write, "object"
     leaves = {str: (str,), int: (int,), float: (float, int), bool: (bool,), dict: (dict,)}
-    if hint in leaves:
-        return leaves[hint], None, None, _JSON_NAMES[hint]
+    if hint in leaves:  # a dict leaf may be held read-only, and is written as a dict
+        return leaves[hint], None, dict if hint is dict else None, _JSON_NAMES[hint]
     raise TypeError(f"no JSON form for type {hint!r}")
 
 

@@ -463,7 +463,8 @@ def rule_breaking_trajectories() -> list[tuple[str, dict, str]]:
 def trajectory_json(fields: dict) -> dict:
     """The JSON object ``encode`` would write for a trajectory of these
     fields, built without the trajectory (which may not be buildable)."""
-    return {name: [encode(x) for x in value] if name in ("turns", "observations") else value
+    return {name: [encode(x) for x in value] if name in ("turns", "observations")
+            else dict(value) if name == "config" else value
             for name, value in fields.items()}
 
 

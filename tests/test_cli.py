@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, derive_seed, main
+from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, build_parser, derive_seed, main
+from dbagent.evaluation import EvalRecord, aggregate
 from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import DeterministicEmbedder, build_image_index, save_index
 from dbagent.runtime import read_trajectory_file
@@ -174,22 +179,17 @@ def test_unreachable_backend_exits_3(tmp_path, capsys):
 
 
 def run_print_config(tmp_path, capsys, extra):
+    """The settings ``agent run --print-config`` prints, which reads every
+    setting but ``workers``. The script answers at once, and a script wins
+    over a chat URL, so no request is made."""
+    from dbagent.gateway import ScriptedRule
+
     corpus = write_corpus(tmp_path, 2)
-    out_dir = str(tmp_path / "idx")
-    argv = [
-        "index",
-        "build",
-        "--corpus",
-        corpus,
-        "--out-dir",
-        out_dir,
-        "--dimension",
-        "8",
-        "--print-config",
-    ] + extra
+    script = write_script(tmp_path, [ScriptedRule(pattern=".", output="<think>Known.</think>\n<answer>x</answer>")])
+    argv = ["agent", "run", "--question", question(0), "--corpus", corpus, "--script", script,
+            "--dimension", "8", "--print-config", *extra]
     assert main(argv) == EXIT_OK
-    out = capsys.readouterr().out
-    return json.loads(out[: out.rindex("}") + 1])
+    return json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]
 
 
 def test_print_config_masks_api_key(tmp_path, capsys):
@@ -257,6 +257,53 @@ def test_config_file_value_of_the_wrong_type_exits_2(tmp_path, capsys, config, m
     assert not (tmp_path / "i").exists()
 
 
+_SETTING_FLAGS = ("--config", "--print-config", "--seed", "--dimension", "--chat-url", "--embed-url", "--api-key",
+                  "--script", "--budget", "--k-text", "--k-image", "--workers")
+# Each subcommand: arguments that parse, and the setting flags it reads.
+_READS = {
+    "index build": (["--corpus", "c", "--out-dir", "o"],
+                    {"--config", "--print-config", "--seed", "--dimension", "--embed-url", "--api-key"}),
+    "agent run": (["--corpus", "c", "--question", "q"], set(_SETTING_FLAGS) - {"--workers"}),
+    "agent batch": (["--corpus", "c", "--dataset", "d", "--out", "o"], set(_SETTING_FLAGS)),
+    "factory build": (["--corpus", "c", "--dataset", "d", "--out", "o"], set(_SETTING_FLAGS)),
+    "dataset emit": (["--outcomes", "o", "--out", "s"], {"--config", "--print-config", "--seed"}),
+    "eval report": (["--trajectories", "t", "--dataset", "d"],
+                    {"--config", "--print-config", "--script", "--chat-url", "--api-key"}),
+    "eval topk-grid": (["--dataset", "d", "--corpus", "c"], set(_SETTING_FLAGS) - {"--k-text", "--k-image"}),
+    "eval kb-scale": (["--dataset", "d", "--corpus", "c"], set(_SETTING_FLAGS)),
+    "validate": (["path"], set()),
+}
+
+
+def test_each_subcommand_takes_the_settings_it_reads():
+    def leaves(parser, name=()):
+        actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not actions:
+            yield " ".join(name), parser
+        for action in actions:
+            for child, sub in action.choices.items():
+                yield from leaves(sub, (*name, child))
+
+    takes = {name: {o for a in p._actions for o in a.option_strings} & set(_SETTING_FLAGS)
+             for name, p in leaves(build_parser())}
+    assert takes == {name: reads for name, (_, reads) in _READS.items()}
+    assert sum(map(len, takes.values())) == 71
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, reads) in _READS.items() for flag in _SETTING_FLAGS if flag not in reads],
+    ids=lambda x: x.replace(" ", "-").lstrip("-"),
+)
+def test_a_subcommand_refuses_a_setting_it_does_not_read(capsys, command, flag):
+    argv, _ = _READS[command]
+    value = [] if flag == "--print-config" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), *argv, flag, *value])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags", [["--config", "cfg.json"], ["--print-config"], ["--seed", "1"], ["--dimension", "8"]], ids=lambda f: f[0][2:]
 )
@@ -265,6 +312,16 @@ def test_validate_takes_no_settings(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:
         main(["validate", dataset, *flags])
     assert exc.value.code == 1
+
+
+def test_every_readme_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    commands = [line for line in "\n".join(blocks).replace("\\\n", " ").splitlines() if line.startswith("dbagent ")]
+    assert len(commands) == 9
+    for command in commands:
+        args = build_parser().parse_args(shlex.split(command)[1:])
+        assert callable(args.func), command
 
 
 def test_derive_seed_is_stable_and_stream_keyed():
@@ -841,7 +898,7 @@ def test_eval_topk_grid_cli(tmp_path, capsys):
             "--dimension",
             "256",
             "--text-ks",
-            "1",
+            "0,1",
             "--image-ks",
             "1,2",
             "--out-prefix",
@@ -851,9 +908,12 @@ def test_eval_topk_grid_cli(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "text_k \\ image_k" in out
-    assert out.count("100.0") == 2
+    # A k below 1 fails its own cells only.
+    assert out.splitlines()[3].split() == ["0", "ERR", "ERR"]
+    assert out.splitlines()[4].split() == ["1", "100.0", "100.0"]
     doc = json.loads((tmp_path / "grid.json").read_text(encoding="utf-8"))
-    assert set(doc) == {"text1_image1", "text1_image2"}
+    assert set(doc) == {"text0_image1", "text0_image2", "text1_image1", "text1_image2"}
+    assert doc["text0_image1"] == {"error": "k_text must be >= 1, got 0"}
 
 
 def test_eval_kb_scale_cli(tmp_path, capsys):
@@ -883,6 +943,47 @@ def test_eval_kb_scale_cli(tmp_path, capsys):
     assert out.splitlines()[0].startswith("size")
     assert len(out.splitlines()) == 3
     assert out.count("100.0") >= 2
+
+
+def test_kb_scale_recall_is_over_every_applicable_sample(tmp_path, capsys, monkeypatch):
+    # 9 T→A samples that hit and 1 I→T→A that misses: 9 of 10 hit, where
+    # the mean of the two per-type recalls would read 50.0.
+    records = [EvalRecord(f"s{i}", "T→A", True, True, 1) for i in range(9)]
+    records.append(EvalRecord("s9", "I→T→A", False, False, 2))
+    no_retrieval = [EvalRecord("s0", "A", True, None, 0)]
+    series = [{"size": 10, "report": aggregate(records)}, {"size": 20, "report": aggregate(no_retrieval)}]
+    monkeypatch.setattr("dbagent.cli.run_kb_scale", lambda *args, **kwargs: series)
+    corpus, dataset = write_corpus(tmp_path, 2), write_dataset(tmp_path, 1)
+    script = agent_script(tmp_path, 2)
+    assert main(["eval", "kb-scale", "--dataset", dataset, "--corpus", corpus, "--script", script]) == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["10", "90.0", "90.0"], ["20", "100.0", "-"]]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["index", "build", "--corpus", "CORPUS", "--out-dir", "OUT", "--dimension", "0"],
+         "embedding dimension must be >= 1, got 0"),
+        (["agent", "run", "--question", "q?", "--corpus", "CORPUS", "--script", "SCRIPT", "--k-text", "0"],
+         "k_text must be >= 1, got 0"),
+        (["agent", "batch", "--dataset", "DATASET", "--corpus", "CORPUS", "--script", "SCRIPT", "--out", "OUT",
+          "--k-image", "0"], "k_image must be >= 1, got 0"),
+        (["factory", "build", "--dataset", "DATASET", "--corpus", "CORPUS", "--script", "SCRIPT", "--out", "OUT",
+          "--dimension", "-1"], "embedding dimension must be >= 1, got -1"),
+    ],
+    ids=["index-build-dimension", "agent-run-k-text", "agent-batch-k-image", "factory-build-dimension"],
+)
+def test_an_out_of_range_setting_exits_2_before_any_work(tmp_path, capsys, argv, error):
+    files = {
+        "OUT": str(tmp_path / "out"),
+        "CORPUS": write_corpus(tmp_path, 2),
+        "DATASET": write_dataset(tmp_path, 2),
+        "SCRIPT": write_script(tmp_path, factory_rules(0, "A")),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_sizes_list_exits_2(tmp_path, capsys):

@@ -812,7 +812,7 @@ def test_outcome_bytes_are_pinned_in_both_judge_modes(tools, tmp_path):
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests == [
         "4ed21c2023f99c540dfb9022335e9ad3da83f6b3c5709a15d0464de9e8ef3db1",
-        "464cf17ce7490e07a5aa12561716d11fbcd176d5cb404eb518b00aba617ba40e",
+        "5e5b887730d192e8cc0763381f446826e8268ea65189ff5ebd5a49ee34feb7d1",
     ]
 
 
@@ -829,6 +829,20 @@ def test_stage3_judge_without_verdict_discards_only_that_sample(tools):
     assert [o.trajectory_type for o in outcomes] == [TYPE_TEXT_TEXT, TYPE_DISCARDED]
     assert outcomes[1].discard_reason.startswith("stage3_judge: judge output has no verdict marker")
     assert outcomes[1].assembled is None
+
+
+def test_stage3_judge_without_verdict_is_asked_again(tools):
+    # The stage-3 judge is retried like every other stage output, and its
+    # output is recorded.
+    text1 = f"[wrong]\n<choose>Look the fact up.</choose>\n<text_search>{marker(4)}</text_search>"
+    rewrite = f"[wrong]\n<think>Target the fact.</think>\n<text_search>{marker(4)} special fact</text_search>"
+    judge = _FlakyOnce(ScriptedBackend(_judge_rules(4, text1, rewrite, "[correct]")), r"\n\[answer\] ", "no verdict")
+    cfg = FactoryConfig(judge_mode="model_judge", judge_backend=judge)
+    outcome = build_outcome(qa_sample(4), factory_backend([(4, "T-T-A")]), tools, cfg)
+    assert outcome.trajectory_type == TYPE_TEXT_TEXT
+    assert [(r.stage, r.model_output, r.verdict) for r in outcome.stages[-1:]] == [
+        ("stage3_judge", "[correct]", "correct")
+    ]
 
 
 def test_every_outcome_record_round_trips_through_the_codec(tools):

@@ -91,6 +91,17 @@ def test_shared_substrings_raise_similarity():
     assert float(a @ b) > float(a @ c)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda d: DeterministicEmbedder(dimension=d), lambda d: retrieval.RemoteEmbedder("http://e", "text", d)],
+    ids=["deterministic", "remote"],
+)
+def test_an_embedding_dimension_below_1_is_refused(make):
+    for dimension in (0, -3):
+        with pytest.raises(ValueError, match=f"^embedding dimension must be >= 1, got {dimension}$"):
+            make(dimension)
+    assert make(1).dimension == 1
+
+
 def test_embed_batch_rejects_empty_inputs():
     embedder = DeterministicEmbedder()
     with pytest.raises(ValueError, match="at least one"):

@@ -256,6 +256,15 @@ def test_budget_respected_for_other_values(tools12):
     assert traj.terminated_by == TERMINATED_BUDGET
 
 
+@pytest.mark.parametrize("field", ["k_text", "k_image"])
+def test_a_retrieval_depth_below_1_is_refused(field):
+    # A search at k 0 could only fail, so every search would be tool-error
+    # evidence; a budget of 0 stays valid (a trajectory with no turns).
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+        RolloutConfig(**{field: 0})
+    assert RolloutConfig(budget=0, **{field: 1}).budget == 0
+
+
 # --- protocol handling -----------------------------------------------------
 
 
@@ -537,7 +546,7 @@ def test_config_snapshot_digests_system_prompt(tools12):
     assert snap["strict_protocol"] is True
     expected = hashlib.sha256(b"custom instructions").hexdigest()
     assert snap["system_prompt_sha256"] == expected
-    assert "custom instructions" not in json.dumps(snap)
+    assert "custom instructions" not in json.dumps(dict(snap))
 
 
 def _parent_snapshot(config):
@@ -810,5 +819,19 @@ def test_a_built_trajectory_cannot_be_edited(tmp_path):
 def test_lenient_mode_accepts_a_caption_before_any_image_search(tmp_path):
     (fields,) = [fields for name, fields, _ in _RULE_CASES if name == "caption before any image search"]
     lenient = Trajectory(**{**fields, "config": {"strict_protocol": False}})
+    write_trajectory_file([lenient], tmp_path / "lenient.jsonl")
+    assert read_trajectory_file(tmp_path / "lenient.jsonl") == [lenient]
+
+
+def test_a_built_trajectorys_config_cannot_be_edited(tmp_path):
+    # The validation mode is read from the config: a lenient trajectory
+    # edited to record strict would be written as a line every reader refuses.
+    (fields,) = [fields for name, fields, _ in _RULE_CASES if name == "caption before any image search"]
+    config = {"strict_protocol": False}
+    lenient = Trajectory(**{**fields, "config": config})
+    with pytest.raises(TypeError):
+        lenient.config["strict_protocol"] = True
+    config["strict_protocol"] = True  # the trajectory holds its own copy
+    assert lenient.validation == "lenient"
     write_trajectory_file([lenient], tmp_path / "lenient.jsonl")
     assert read_trajectory_file(tmp_path / "lenient.jsonl") == [lenient]
