@@ -55,7 +55,6 @@ from .retrieval import (
     RemoteEmbedder,
     build_image_index,
     build_text_index,
-    index_mismatch,
     load_index,
     save_index,
 )
@@ -188,25 +187,15 @@ def _backend(settings: Settings, parser: _Parser):
     parser.error("no backend: pass --script or --chat-url (or set " + ENV_CHAT_URL + ")")
 
 
-def _load_indexes(corpus, providers: tuple, dimension: int, index_dir: str) -> tuple:
-    """The indexes ``index build`` wrote to ``index_dir``, checked to be what
-    it would write now: the embedding dimension, the provider, and the row
-    keys and texts of ``corpus``."""
-    indexes = []
-    for provider in providers:
-        path = Path(index_dir) / f"{provider.modality}_index.json"
-        index = load_index(path, expect_dimension=dimension, expect_modality=provider.modality)
-        problem = index_mismatch(index, corpus, provider)
-        if problem:
-            raise DataError(f"{path}: {problem}")
-        indexes.append(index)
-    return tuple(indexes)
-
-
 def _tools(corpus, settings: Settings, index_dir: str | None) -> ToolBinding:
+    """Search tools over ``corpus``: indexes built here, or those ``index
+    build`` wrote to ``index_dir``, which the retrievers bind to ``corpus``."""
     text_provider, image_provider = _embedders(settings)
     if index_dir:
-        text_index, image_index = _load_indexes(corpus, (text_provider, image_provider), settings.dimension, index_dir)
+        text_index, image_index = (
+            load_index(Path(index_dir) / f"{p.modality}_index.json", settings.dimension, p.modality)
+            for p in (text_provider, image_provider)
+        )
     else:
         text_index = build_text_index(corpus, text_provider)
         image_index = build_image_index(corpus, image_provider)
@@ -328,6 +317,11 @@ def _write_report(path: str, text: str) -> None:
 
 
 def cmd_eval_report(args, parser: _Parser) -> int:
+    # The backend flags configure the judge alone; checked before any file is read.
+    backend_flags = {"--script": args.script, "--chat-url": args.chat_url, "--api-key": args.api_key}
+    given = [flag for flag, value in backend_flags.items() if value is not None]
+    if given and args.metric != "judge":
+        parser.error(f"{' '.join(given)}: only --metric judge reads a backend")
     settings = resolve_settings(args)
     trajectories = read_trajectory_file(args.trajectories)
     samples = load_qa_dataset(args.dataset)

@@ -33,21 +33,13 @@ Two embedding providers share one duck-typed interface
   strings are refs the server resolves (image ids/uris for the image
   modality).
 
-On disk an index is two files side by side (format version 3):
+On disk an index is two files side by side (format version 4):
 
 * ``<name>.json``: a one-line JSON header with ``format_version``,
-  ``dimension``, ``count``, ``modality``, ``keys``, ``provider``,
-  ``texts_sha256`` and ``vectors_sha256``, the sha256 of the sidecar.
+  ``dimension``, ``count``, ``modality``, ``provider``, ``texts_sha256`` and
+  ``vectors_sha256``, the sha256 of the sidecar.
 * ``<name>.npy``: the ``(count, dimension)`` float64 matrix of unit rows,
   as written by ``np.save`` without pickling.
-
-``keys`` holds the row keys as two columns in row order: the first strings
-of every pair, then the second ones. A column whose values are all distinct
-(image ids) is the plain list of them. A column whose values repeat (the
-article ids and section ids of a text index) is ``{"codes", "values"}``:
-its distinct values in the order their first rows come, and the position
-in ``values`` of each row's value. Order comes from the rows alone, so the
-header bytes do not depend on the string hash seed.
 
 ``provider`` names what embedded the rows: ``{"kind": "trigram", "seed",
 "dimension"}`` for ``DeterministicEmbedder``, ``{"kind": "remote", "url"}``
@@ -57,35 +49,41 @@ for ``RemoteEmbedder`` with the URL's userinfo, query and fragment left out
 (section texts for a text index, image ids for an image index), each
 preceded by the 8-byte big-endian length of its UTF-8 bytes; null when the
 index was not built from texts. ``build_text_index`` and
-``build_image_index`` compute both once, and ``index_mismatch`` recomputes
-them from a corpus and a provider to tell whether an index is still what a
-build would make.
+``build_image_index`` compute both once.
 
-In memory ``Index.keys`` is a ``KeyTable`` whether the index was built or
-loaded. It holds each column as its distinct values laid end to end in one
-string with their end offsets (``array('q')``), plus one code per row
-(``array('i')``) when values repeat, so a key costs a few bytes and no
-Python object per row; ``keys[row]`` cuts the pair out in O(1), and indexing
-an ``array`` gives a Python int, not a numpy scalar.
+The header holds no row keys; as in a FAISS flat index, ids live outside
+the vectors. An index's rows are its corpus's entries in sorted order, so
+``load_index`` returns an index whose ``keys`` is None, and ``bind`` gives
+it a corpus's keys once the provider and ``texts_sha256`` equal what a build
+from that corpus would record: the digest frames every embedded string in
+row order, so the matrix is then exactly what a rebuild would give. A corpus
+whose article or section ids change but keep the row order is served, and
+its hits name its own ids. ``TextRetriever`` and ``ImageRetriever`` bind an
+index that has no keys.
+
+A bound index's ``keys`` is a ``KeyTable``. It holds each column as its
+distinct values laid end to end in one string with their end offsets
+(``array('q')``), plus one code per row (``array('i')``) when values
+repeat, so a key costs a few bytes and no Python object per row;
+``keys[row]`` cuts the pair out in O(1), and indexing an ``array`` gives a
+Python int, not a numpy scalar.
 
 ``save_index`` writes the matrix straight into the sidecar and then hashes
 the file in blocks, so it holds no second copy of the matrix. Both files
 are written under temp names and replace the old pair only when both are
-complete, the header last (``wire.atomic_write``). ``load_index`` parses
-the header and turns its key columns into a ``KeyTable``, checked with no
-Python loop over the rows (lengths equal ``count``, codes are integers in
-range, values are strings), before it reads the sidecar: the parsed JSON is gone before the
-matrix buffer exists. It reads the sidecar once into one buffer the size of
-the file, hashes that buffer, parses the ``.npy`` header in it and makes the
+complete, the header last (``wire.atomic_write``). ``load_index`` checks
+the header, then reads the sidecar once into one buffer the size of the
+file, hashes that buffer, parses the ``.npy`` header in it and makes the
 matrix a writable float64 view of the bytes after the header: the bytes the
-checksum covers are the bytes searched. A loaded index holds its matrix, its
-key columns and little more. Row norms are checked with ``einsum``, which
-makes no matrix-sized temporary.
+checksum covers are the bytes searched. A loaded index holds its matrix and
+little more. Row norms are checked with ``einsum``, which makes no
+matrix-sized temporary.
 
 The header does not name its sidecar, so saving one index under two names
 writes byte-identical headers. Headers of versions 1 (vectors inline as JSON
-text) and 2 (one key pair per row, no provider or texts digest) are rejected
-on load; rebuild them with ``dbagent index build``.
+text), 2 (one key pair per row, no provider or texts digest) and 3 (the row
+keys stored as columns) are rejected on load; rebuild them with
+``dbagent index build``.
 """
 
 from __future__ import annotations
@@ -96,15 +94,16 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
-from .errors import BackendError
+from .errors import BackendError, DataError
 from .kb import Corpus
 from .wire import atomic_write, post_json
 
@@ -118,14 +117,14 @@ __all__ = [
     "embed_batch",
     "build_text_index",
     "build_image_index",
-    "index_mismatch",
+    "bind",
     "text_search",
     "image_search",
     "save_index",
     "load_index",
 ]
 
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 _REBUILD = "rebuild with `dbagent index build`"
 _NORM_TOLERANCE = 1e-6
 # The part of a sidecar its .npy header is parsed from; numpy refuses a
@@ -341,46 +340,10 @@ class _Column:
             return cls(rows, None)
         return cls(list(code_of), array("i", map(code_of.__getitem__, rows)))
 
-    @classmethod
-    def from_json(cls, raw, count: int) -> _Column:
-        """A column as ``to_json`` writes it, checked without a Python loop
-        over its rows."""
-        codes = None
-        if isinstance(raw, dict):
-            if raw.keys() != {"codes", "values"}:
-                raise ValueError("a coded key column has exactly the keys 'codes' and 'values'")
-            raw, codes = raw["values"], raw["codes"]
-            if not isinstance(codes, list) or not isinstance(raw, list):
-                raise ValueError("a coded key column holds two lists")
-            if len(codes) != count:
-                raise ValueError(f"header count {count} != {len(codes)} rows in a key column")
-            # Builtins that loop in C: JSON true is a bool, not the code 1.
-            if set(map(type, codes)) - {int}:
-                raise ValueError("key codes must be integers")
-            if codes and not (min(codes) >= 0 and max(codes) < len(raw)):
-                raise ValueError(f"a key code lies outside the column's {len(raw)} values")
-            codes = array("i", codes)
-        elif not isinstance(raw, list):
-            raise ValueError("a key column is a list of strings or {'codes', 'values'}")
-        elif len(raw) != count:
-            raise ValueError(f"header count {count} != {len(raw)} rows in a key column")
-        try:
-            return cls(raw, codes)
-        except TypeError as exc:
-            raise ValueError(f"key values must be strings ({exc})") from None
-
-    def values(self) -> list[str]:
-        ends = self.ends.tolist()
-        return [self.chars[start:end] for start, end in zip(ends, ends[1:])]
-
     def rows(self) -> list[str]:
-        values = self.values()
+        ends = self.ends.tolist()
+        values = [self.chars[start:end] for start, end in zip(ends, ends[1:])]
         return values if self.codes is None else [values[code] for code in self.codes.tolist()]
-
-    def to_json(self) -> list[str] | dict:
-        if self.codes is None:
-            return self.values()
-        return {"codes": self.codes.tolist(), "values": self.values()}
 
     def __getitem__(self, row: int) -> str:
         j = row if self.codes is None else self.codes[row]
@@ -401,18 +364,6 @@ class KeyTable:
         pairs = list(pairs)
         self._count = len(pairs)
         self._columns = (_Column.of_rows([a for a, _ in pairs]), _Column.of_rows([b for _, b in pairs]))
-
-    @classmethod
-    def _from_json(cls, raw, count: int) -> KeyTable:
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ValueError("index keys must hold string pairs as two columns")
-        table = cls.__new__(cls)
-        table._count = count
-        table._columns = (_Column.from_json(raw[0], count), _Column.from_json(raw[1], count))
-        return table
-
-    def _to_json(self) -> list:
-        return [column.to_json() for column in self._columns]
 
     def __len__(self) -> int:
         return self._count
@@ -441,14 +392,15 @@ class Index:
 
     Text rows are (article_id, section_id), sorted by both; image rows are
     (image_id, article_id), sorted by image_id. ``keys`` may be given as any
-    sequence of pairs and is held as a ``KeyTable``. ``provider`` and
-    ``texts_sha256`` record what the rows were embedded with and from (see
-    the module docstring); None when unknown.
+    sequence of pairs and is held as a ``KeyTable``; it is None, and the
+    index cannot be searched, until ``bind`` gives a loaded index a corpus.
+    ``provider`` and ``texts_sha256`` record what the rows were embedded
+    with and from (see the module docstring); None when unknown. The length
+    and ``dimension`` are the matrix's.
     """
 
-    keys: KeyTable
+    keys: KeyTable | None
     matrix: np.ndarray
-    dimension: int
     modality: str
     provider: dict | None = None
     texts_sha256: str | None = None
@@ -458,11 +410,15 @@ class Index:
     _screened: tuple[np.ndarray | None, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.keys, KeyTable):
+        if self.keys is not None and not isinstance(self.keys, KeyTable):
             self.keys = KeyTable(self.keys)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.matrix)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
 
 def _provider_spec(provider) -> dict | None:
@@ -492,43 +448,36 @@ def _texts_sha256(texts: Iterable[str]) -> str:
 def _entries(corpus: Corpus, modality: str) -> tuple[list[tuple[str, str]], list[str]]:
     """The row keys of ``corpus``'s index of ``modality`` in row order, and
     the string each row embeds."""
-    if modality == "text":
-        rows = sorted(
-            ((a.article_id, s.section_id, s.text) for a in corpus.articles.values() for s in a.sections),
-            key=lambda e: (e[0], e[1]),
-        )
-        return [(aid, sid) for aid, sid, _ in rows], [text for _, _, text in rows]
+    if modality == "text":  # article ids are distinct, so this is a stable sort by (article_id, section_id)
+        keys, texts = [], []
+        for a in sorted(corpus.articles.values(), key=attrgetter("article_id")):
+            for s in sorted(a.sections, key=attrgetter("section_id")):
+                keys.append((a.article_id, s.section_id))
+                texts.append(s.text)
+        return keys, texts
     keys = sorted(
         ((img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images), key=lambda e: e[0]
     )
     return keys, [iid for iid, _ in keys]
 
 
-def index_mismatch(index: Index, corpus: Corpus, provider) -> str | None:
-    """Why ``index`` is not what building it from ``corpus`` with
-    ``provider`` would give, ending in the advice to rebuild, or None when
-    it is. The provider, the row keys and ``texts_sha256`` are compared;
-    the vectors are the sidecar's, which ``load_index`` checks against the
+def bind(index: Index, corpus: Corpus, provider) -> Index:
+    """``index`` with the row keys of ``corpus``, when its provider and
+    ``texts_sha256`` are those a build from ``corpus`` with ``provider``
+    would record; else ``DataError``, ending in the advice to rebuild. The
+    vectors are the sidecar's, which ``load_index`` checks against the
     header."""
     spec = _provider_spec(provider)
-    keys, texts = _entries(corpus, index.modality)
     if index.provider != spec:
         built, now = (json.dumps(x, sort_keys=True) for x in (index.provider, spec))
-        problem = f"index built with provider {built}, this run embeds with {now}"
-    elif index.keys != keys:
-        what = "(article_id, section_id)" if index.modality == "text" else "(image_id, article_id)"
-        known = set(keys)
-        stale = [key for key in index.keys if key not in known]
-        if stale:
-            problem = f"{len(stale)} of {len(index)} index rows name no {what} of the corpus, first {list(stale[0])}"
-        else:
-            problem = f"the index's {len(index)} rows are not the corpus's {len(keys)} {what} keys in order"
-    elif index.texts_sha256 != _texts_sha256(texts):
+        raise DataError(f"{index.modality} index built with provider {built}, this run embeds with {now}; {_REBUILD}")
+    keys, texts = _entries(corpus, index.modality)
+    if index.texts_sha256 != _texts_sha256(texts):
         what = "section texts" if index.modality == "text" else "image ids"
-        problem = f"the corpus's {what} are not those the index was built from (texts_sha256)"
-    else:
-        return None
-    return f"{problem}; {_REBUILD}"
+        raise DataError(
+            f"the corpus's {what} are not those the {index.modality} index was built from (texts_sha256); {_REBUILD}"
+        )
+    return replace(index, keys=KeyTable(keys))
 
 
 def _build_index(
@@ -551,7 +500,6 @@ def _build_index(
     return Index(
         keys=keys,
         matrix=matrix,
-        dimension=provider.dimension,
         modality=modality,
         provider=_provider_spec(provider),
         texts_sha256=_texts_sha256(texts),
@@ -659,12 +607,18 @@ def _ranked_order(
     return rows[order], -neg[: len(order)]
 
 
+def _check_searchable(index: Index, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if index.keys is None:
+        raise ValueError(f"the {index.modality} index has no row keys; bind it to its corpus with retrieval.bind")
+
+
 def text_search(index: Index, provider, query: str, k: int = 3) -> list[RetrievalHit]:
     """Top-k sections by cosine; equal float64 scores break by ascending
     (article_id, section_id). Cosines equal as real numbers may round one
     ulp apart and then follow their rounded scores (see the module docstring)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_searchable(index, k)
     if not query or not query.strip():
         raise ValueError("text_search query is empty")
     if len(index) == 0:
@@ -689,8 +643,7 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
     prefix of the full ranking, so the hits are those of a full sort. The
     screen is computed once for all windows.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_searchable(index, k)
     if not image_ref or not image_ref.strip():
         raise ValueError(f"image_search ref is empty: {image_ref!r}")
     if len(index) == 0:
@@ -750,7 +703,6 @@ def save_index(index: Index, path: str | Path) -> None:
             "dimension": index.dimension,
             "count": len(index),
             "modality": index.modality,
-            "keys": index.keys._to_json(),
             "provider": index.provider,
             "texts_sha256": index.texts_sha256,
             "vectors_sha256": digest.hexdigest(),
@@ -764,7 +716,8 @@ def load_index(
     expect_modality: str | None = None,
 ) -> Index:
     """Read an index written by ``save_index``, checking the header against
-    the sidecar and every row for a finite unit norm."""
+    the sidecar and every row for a finite unit norm. Its ``keys`` is None
+    until ``bind`` gives it a corpus."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -776,7 +729,7 @@ def load_index(
         raise ValueError(f"{path}: index header missing 'format_version'")
     if doc["format_version"] != INDEX_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported index format_version {doc['format_version']}; {_REBUILD}")
-    for field_name in ("dimension", "count", "modality", "keys", "provider", "texts_sha256", "vectors_sha256"):
+    for field_name in ("dimension", "count", "modality", "provider", "texts_sha256", "vectors_sha256"):
         if field_name not in doc:
             raise ValueError(f"{path}: index header missing {field_name!r}")
     if doc["modality"] not in ("text", "image"):
@@ -795,10 +748,6 @@ def load_index(
         raise ValueError(f"{path}: index provider must be an object or null")
     if not (doc["texts_sha256"] is None or isinstance(doc["texts_sha256"], str)):
         raise ValueError(f"{path}: index texts_sha256 must be a string or null")
-    try:  # popped, so the parsed key lists are freed before the sidecar buffer exists
-        keys = KeyTable._from_json(doc.pop("keys"), count)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     sidecar = path.with_suffix(".npy")
     # One read into one buffer: it is hashed, and the matrix is a view of it.
     try:
@@ -826,8 +775,8 @@ def load_index(
         raise ValueError(f"{path}: unreadable index vectors: {exc}") from exc
     if dtype != np.float64:
         raise ValueError(f"{path}: index vectors are {dtype}, expected float64")
-    if len(shape) != 2 or shape[0] != len(keys):
-        raise ValueError(f"{path}: index vectors have shape {shape}, header count is {len(keys)}")
+    if len(shape) != 2 or shape[0] != count:
+        raise ValueError(f"{path}: index vectors have shape {shape}, header count is {count}")
     if shape[1] != dimension:
         raise ValueError(f"{path}: vectors are {shape[1]}-dimensional, header says {dimension}")
     if fortran_order:  # never written by save_index; copied to C order
@@ -838,9 +787,8 @@ def load_index(
     if not (np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) <= _NORM_TOLERANCE).all():
         raise ValueError(f"{path}: stored vectors are not unit-normalized")
     return Index(
-        keys=keys,
+        keys=None,
         matrix=matrix,
-        dimension=dimension,
         modality=doc["modality"],
         provider=doc["provider"],
         texts_sha256=doc["texts_sha256"],

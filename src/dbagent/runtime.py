@@ -57,7 +57,7 @@ from .protocol import (
     render_tool_error,
     validate_in_context,
 )
-from .retrieval import image_search, text_search
+from .retrieval import bind, image_search, text_search
 from .wire import atomic_write, decode, encode, parse_jsonl
 
 __all__ = [
@@ -137,14 +137,20 @@ def _prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-class TextRetriever:
-    """Text search bound to an index, a provider, and the corpus for display
-    text."""
+class _Retriever:
+    """A search tool over ``corpus``: an index of it and the provider that
+    embeds its queries. An index without row keys (one ``load_index`` read)
+    is bound to ``corpus`` here; ``retrieval.bind`` raises ``DataError``
+    unless it is what a build from ``corpus`` with ``provider`` would give."""
 
     def __init__(self, index, provider, corpus: Corpus):
-        self.index = index
+        self.index = bind(index, corpus, provider) if index.keys is None else index
         self.provider = provider
         self.corpus = corpus
+
+
+class TextRetriever(_Retriever):
+    """Text search returning each hit section's title, heading and text."""
 
     def search(self, query: str, k: int) -> list[EvidenceItem]:
         hits = text_search(self.index, self.provider, query, k=k)
@@ -165,14 +171,9 @@ class TextRetriever:
         return items
 
 
-class ImageRetriever:
+class ImageRetriever(_Retriever):
     """Image search returning article text: each matched article's title and
     lead section."""
-
-    def __init__(self, index, provider, corpus: Corpus):
-        self.index = index
-        self.provider = provider
-        self.corpus = corpus
 
     def search(self, image_ref: str, k: int) -> list[EvidenceItem]:
         hits = image_search(self.index, self.provider, image_ref, k=k)
@@ -210,6 +211,15 @@ def _searched(retriever, query: str, k: int) -> EvidenceBlock:
 
 
 @dataclass(frozen=True)
+class _ProtocolEvent:
+    """One ``Trajectory.protocol_events`` entry: a rejected generation, and why."""
+
+    generation_index: int
+    raw: str
+    violations: tuple[ProtocolViolation, ...]
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """One rollout: its turns, the evidence block of each search turn in
     order, how it ended, and the config it ran with.
@@ -218,7 +228,9 @@ class Trajectory:
     docstring hold; the validation mode is the one ``config`` records
     (``validation``). The record is frozen, holds its sequences as tuples
     and a read-only copy of ``config``, so a trajectory stays what its
-    checks passed.
+    checks passed. Each protocol event, a ``_ProtocolEvent`` or a mapping
+    decoded as one (unknown keys dropped), is held as a read-only mapping of
+    its encoding.
     """
 
     task_id: str
@@ -231,8 +243,17 @@ class Trajectory:
     protocol_events: tuple[dict, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("turns", "observations", "protocol_events"):
+        for name in ("turns", "observations"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        events = []
+        for i, event in enumerate(self.protocol_events):
+            if not isinstance(event, _ProtocolEvent):  # rollout builds typed records; a mapping is checked
+                try:
+                    event = decode(_ProtocolEvent, dict(event))
+                except DataError as exc:
+                    raise ValueError(f"protocol_events[{i}]: {exc}") from None
+            events.append(types.MappingProxyType(encode(event)))
+        object.__setattr__(self, "protocol_events", tuple(events))
         object.__setattr__(self, "config", types.MappingProxyType(dict(self.config)))
         if self.terminated_by not in TERMINATED_KINDS:
             raise ValueError(
@@ -300,7 +321,7 @@ def rollout(
     ]
     turns: list[TurnRecord] = []
     observations: list[EvidenceBlock] = []
-    protocol_events: list[dict] = []
+    protocol_events: list[_ProtocolEvent] = []
     mode = "strict" if config.strict_protocol else "lenient"
     generation_index = 0
     violation_streak = 0
@@ -325,13 +346,7 @@ def rollout(
         elif mode == "lenient":  # lenient drops unknown tags also where there is no record to validate
             violations = [v for v in violations if v.code is not ViolationCode.UNKNOWN_TAG]
         if record is None or violations:
-            protocol_events.append(
-                {
-                    "generation_index": generation_index - 1,
-                    "raw": raw,
-                    "violations": [encode(v) for v in violations],
-                }
-            )
+            protocol_events.append(_ProtocolEvent(generation_index - 1, raw, tuple(violations)))
             if violation_streak >= 1:
                 terminated_by = TERMINATED_PROTOCOL
                 break

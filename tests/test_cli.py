@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, build_parser, derive_seed, main
+from dbagent.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, derive_seed, main
 from dbagent.evaluation import EvalRecord, aggregate
 from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import DeterministicEmbedder, build_image_index, save_index
@@ -426,21 +426,37 @@ def test_index_dir_built_from_other_corpus_exits_2(tmp_path, capsys):
     script = agent_script(tmp_path, 4)
     other_dir = tmp_path / "other"
     other_dir.mkdir()
-    renamed = []
-    for line in corpus_lines(4):
-        article = json.loads(line)
-        article["article_id"] = "old-" + article["article_id"]
-        renamed.append(json.dumps(article))
-    other_corpus = str(write_jsonl(other_dir / "corpus.jsonl", renamed))
+    other_corpus = str(write_jsonl(other_dir / "corpus.jsonl", corpus_lines(5)))
     out_dir = str(tmp_path / "idx")
     assert main(["index", "build", "--corpus", other_corpus, "--out-dir", out_dir]) == EXIT_OK
     capsys.readouterr()
-    code = main(agent_run_argv(corpus, script, "--index-dir", out_dir))
-    assert code == EXIT_DATA
-    captured = capsys.readouterr()
-    assert "text_index.json: 8 of 8 index rows name no (article_id, section_id) of the corpus" in captured.err
-    assert "['old-a000', 'a000-s0']" in captured.err
-    assert "<evidence>" not in captured.out
+    _rebuild_message_exit(
+        agent_run_argv(corpus, script, "--index-dir", out_dir),
+        capsys,
+        "error: the corpus's section texts are not those the text index was built from (texts_sha256)",
+    )
+
+
+def test_index_dir_built_from_renamed_ids_in_the_same_order_is_served(tmp_path, capsys):
+    # Ids are not embedded, so an index of the corpus before every id was
+    # prefixed is the index of the corpus after, and hits name the new ids.
+    renamed = []
+    for line in corpus_lines(4):
+        article = json.loads(line)
+        article["article_id"] = "new-" + article["article_id"]
+        renamed.append(json.dumps(article))
+    corpus = str(write_jsonl(tmp_path / "renamed.jsonl", renamed))
+    out_dir = str(tmp_path / "idx")
+    assert main(["index", "build", "--corpus", write_corpus(tmp_path, 4), "--out-dir", out_dir]) == EXIT_OK
+    argv = ["agent", "batch", "--dataset", write_dataset(tmp_path, 4), "--corpus", corpus,
+            "--script", agent_script(tmp_path, 4), "--k-text", "1"]
+    assert main([*argv, "--out", str(tmp_path / "loaded.jsonl"), "--index-dir", out_dir]) == EXIT_OK
+    assert main([*argv, "--out", str(tmp_path / "built.jsonl")]) == EXIT_OK
+    loaded = (tmp_path / "loaded.jsonl").read_bytes()
+    assert loaded == (tmp_path / "built.jsonl").read_bytes()
+    (first, *_) = read_trajectory_file(tmp_path / "loaded.jsonl")
+    assert first.observations[0].items[0].article_id == "new-a000"
+    assert first.final_answer == "val000"
 
 
 def test_index_dir_image_rows_are_checked_too(tmp_path, capsys):
@@ -449,7 +465,7 @@ def test_index_dir_image_rows_are_checked_too(tmp_path, capsys):
     out_dir = tmp_path / "idx"
     assert main(["index", "build", "--corpus", corpus, "--out-dir", str(out_dir)]) == EXIT_OK
     capsys.readouterr()
-    # Rebuild only the image index from a corpus whose images moved articles.
+    # Rebuild only the image index from a corpus whose image ids changed.
     moved = []
     for line in corpus_lines(4):
         article = json.loads(line)
@@ -457,8 +473,11 @@ def test_index_dir_image_rows_are_checked_too(tmp_path, capsys):
         moved.append(json.dumps(article))
     other = parse_corpus_lines(moved)
     save_index(build_image_index(other, DeterministicEmbedder(modality="image")), out_dir / "image_index.json")
-    assert main(agent_run_argv(corpus, script, "--index-dir", str(out_dir))) == EXIT_DATA
-    assert "image_index.json: 4 of 4 index rows name no (image_id, article_id)" in capsys.readouterr().err
+    _rebuild_message_exit(
+        agent_run_argv(corpus, script, "--index-dir", str(out_dir)),
+        capsys,
+        "error: the corpus's image ids are not those the image index was built from (texts_sha256)",
+    )
 
 
 def _rebuild_message_exit(argv, capsys, fragment):
@@ -486,6 +505,26 @@ def test_index_dir_with_version_2_header_exits_2(tmp_path, capsys):
     )
 
 
+def _write_version_3_header(path):
+    """Turn the v4 header at ``path`` into the v3 header of the same rows."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    keys = [{"codes": [0, 0, 1, 1, 2, 2, 3, 3], "values": [f"a{i:03d}" for i in range(4)]},
+            [f"a{i:03d}-s{s}" for i in range(4) for s in range(2)]]
+    path.write_text(json.dumps(dict(doc, format_version=3, keys=keys)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["validate", "agent run"])
+def test_a_version_3_index_exits_2_with_the_rebuild_advice(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path, 4)
+    out_dir = tmp_path / "idx"
+    assert main(["index", "build", "--corpus", corpus, "--out-dir", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    _write_version_3_header(out_dir / "text_index.json")
+    argv = (["validate", str(out_dir / "text_index.json")] if command == "validate"
+            else agent_run_argv(corpus, agent_script(tmp_path, 4), "--index-dir", str(out_dir)))
+    _rebuild_message_exit(argv, capsys, "text_index.json: unsupported index format_version 3")
+
+
 def test_index_dir_built_with_another_seed_exits_2(tmp_path, capsys):
     corpus = write_corpus(tmp_path, 4)
     script = agent_script(tmp_path, 4)
@@ -495,7 +534,7 @@ def test_index_dir_built_with_another_seed_exits_2(tmp_path, capsys):
     _rebuild_message_exit(
         agent_run_argv(corpus, script, "--seed", "1", "--index-dir", out_dir),
         capsys,
-        'text_index.json: index built with provider {"dimension": 64, "kind": "trigram", "seed": 0}, '
+        'error: text index built with provider {"dimension": 64, "kind": "trigram", "seed": 0}, '
         'this run embeds with {"dimension": 64, "kind": "trigram", "seed": 1}',
     )
 
@@ -512,7 +551,7 @@ def test_index_dir_of_an_edited_section_text_exits_2(tmp_path, capsys):
     _rebuild_message_exit(
         agent_run_argv(corpus, script, "--index-dir", out_dir),
         capsys,
-        "text_index.json: the corpus's section texts are not those the index was built from (texts_sha256)",
+        "error: the corpus's section texts are not those the text index was built from (texts_sha256)",
     )
 
 
@@ -588,6 +627,37 @@ def test_agent_batch_then_eval_report(tmp_path, capsys):
     assert doc["overall_accuracy"] == 100.0
     assert (tmp_path / "report.txt").read_text(encoding="utf-8") == out
     assert (tmp_path / "report.csv").read_text(encoding="utf-8").startswith("row,label,")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--script", "no-such-script.jsonl"], ["--chat-url", "http://judge"], ["--api-key", "k"],
+     ["--metric", "em", "--script", "s.jsonl", "--api-key", "k"]],
+    ids=["script", "chat-url", "api-key", "explicit-em"],
+)
+def test_eval_report_refuses_backend_flags_without_the_judge(tmp_path, capsys, flags):
+    # Checked before any file is read: the inputs here do not exist.
+    argv = ["eval", "report", "--trajectories", str(tmp_path / "missing.jsonl"), "--dataset",
+            str(tmp_path / "missing-qa.jsonl"), "--out-prefix", str(tmp_path / "report"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "only --metric judge reads a backend" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_report_em_ignores_a_backend_from_the_config_file_or_environment(tmp_path, capsys, monkeypatch):
+    corpus = write_corpus(tmp_path, 2)
+    dataset = write_dataset(tmp_path, 2)
+    trajectories = str(tmp_path / "trajectories.jsonl")
+    argv = ["agent", "batch", "--dataset", dataset, "--corpus", corpus, "--out", trajectories]
+    assert main(argv + ["--script", agent_script(tmp_path, 2), "--dimension", "256", "--k-text", "1"]) == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"script": "no-such-script.jsonl"}), encoding="utf-8")
+    monkeypatch.setenv("DBAGENT_CHAT_URL", "http://judge")
+    capsys.readouterr()
+    assert main(["eval", "report", "--trajectories", trajectories, "--dataset", dataset, "--config", str(cfg)]) == EXIT_OK
+    assert "overall accuracy: 100.0%" in capsys.readouterr().out
 
 
 def test_validate_trajectories_parses_each_turn_once(tmp_path, capsys, monkeypatch):

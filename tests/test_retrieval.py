@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbagent import retrieval
+from dbagent.errors import DataError
 from dbagent.kb import parse_corpus_lines
 from dbagent.retrieval import (
     DeterministicEmbedder,
@@ -27,11 +28,11 @@ from dbagent.retrieval import (
     Index,
     KeyTable,
     RemoteEmbedder,
+    bind,
     build_image_index,
     build_text_index,
     embed_batch,
     image_search,
-    index_mismatch,
     load_index,
     save_index,
     text_search,
@@ -561,7 +562,7 @@ def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
     # Any matrix, scores compared only against the same numpy scores.
     matrix = np.asarray(rows, dtype=np.float64)
     keys = [(f"a{i // 3:02d}", f"s{i % 3}") for i in range(len(rows))]
-    index = Index(keys=keys, matrix=matrix, dimension=3, modality="text")
+    index = Index(keys=keys, matrix=matrix, modality="text")
     provider = _Palette({"query": [float(x) for x in query]}, 3)
     reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
     for k in _ks(len(rows)):
@@ -571,8 +572,8 @@ def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
 
 def test_single_row_indexes():
     provider = _Palette({"only": [0.0, 1.0], "query": [1.0, 0.0]}, 2)
-    text = Index(keys=[("a", "s")], matrix=np.array([[0.0, 1.0]]), dimension=2, modality="text")
-    image = Index(keys=[("only", "a")], matrix=np.array([[0.0, 1.0]]), dimension=2, modality="image")
+    text = Index(keys=[("a", "s")], matrix=np.array([[0.0, 1.0]]), modality="text")
+    image = Index(keys=[("only", "a")], matrix=np.array([[0.0, 1.0]]), modality="image")
     for k in (1, 3):
         text_hits = text_search(text, provider, "query", k=k)
         assert [(h.article_id, h.section_id, h.score) for h in text_hits] == [("a", "s", 0.0)]
@@ -591,7 +592,7 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
             rows.append([score, 1.0])
     order = sorted(range(len(keys)), key=lambda i: keys[i])
     index = Index(
-        keys=[keys[i] for i in order], matrix=np.array([rows[i] for i in order]), dimension=2, modality="image"
+        keys=[keys[i] for i in order], matrix=np.array([rows[i] for i in order]), modality="image"
     )
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     windows = []
@@ -614,7 +615,7 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
 def test_nan_scores_rank_last_as_in_a_full_sort():
     matrix = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0], [np.nan, 1.0], [1.0, 0.0]])
     keys = [("a", f"s{i}") for i in range(len(matrix))]
-    index = Index(keys=keys, matrix=matrix, dimension=2, modality="text")
+    index = Index(keys=keys, matrix=matrix, modality="text")
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
     assert reference[:3] == [("a", "s0"), ("a", "s4"), ("a", "s2")]
@@ -656,7 +657,7 @@ def test_screened_search_equals_full_sort_of_exact_scores(data):
     matrix, query = data
     n, dimension = matrix.shape
     keys = [(f"a{i:03d}", "s") for i in range(n)]
-    index = Index(keys=keys, matrix=matrix, dimension=dimension, modality="text")
+    index = Index(keys=keys, matrix=matrix, modality="text")
     provider = _Palette({"query": [float(x) for x in query]}, dimension)
     vec = embed_batch(provider, ["query"])[0]
     assert retrieval._screen(index, vec) is not None  # the two-pass path, not the fallback
@@ -672,7 +673,7 @@ def test_rows_beyond_float32_range_rank_as_a_full_sort():
     # 1e39 overflows float32, so no screen bound holds: every row is ranked exactly.
     matrix = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [2.0, 5.0]]) * 1e39
     keys = [("a", f"s{i}") for i in range(len(matrix))]
-    index = Index(keys=keys, matrix=matrix, dimension=2, modality="text")
+    index = Index(keys=keys, matrix=matrix, modality="text")
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     assert retrieval._screen(index, embed_batch(provider, ["query"])[0]) is None
     for k in range(1, 6):
@@ -731,7 +732,7 @@ def test_save_load_identity(tmp_path, embedder):
     index = build_text_index(corpus, embedder)
     path = tmp_path / "text.json"
     save_index(index, path)
-    loaded = load_index(path, expect_dimension=64, expect_modality="text")
+    loaded = bind(load_index(path, expect_dimension=64, expect_modality="text"), corpus, embedder)
     for query in [f"fact of {marker(i)}" for i in range(10)]:
         original = [(h.article_id, h.section_id, h.score) for h in text_search(index, embedder, query, k=3)]
         reloaded = [(h.article_id, h.section_id, h.score) for h in text_search(loaded, embedder, query, k=3)]
@@ -769,7 +770,7 @@ def test_load_rejects_bad_files(tmp_path, embedder):
 
     bad_matrix = index.matrix.copy()
     bad_matrix[0] = 2.0
-    save_index(Index(keys=index.keys, matrix=bad_matrix, dimension=64, modality="text"), path)
+    save_index(Index(keys=index.keys, matrix=bad_matrix, modality="text"), path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
 
@@ -787,14 +788,10 @@ def test_save_writes_header_and_npy_sidecar(tmp_path, embedder):
     header = json.loads(path.read_text(encoding="utf-8"))
     sidecar = tmp_path / "text_index.npy"
     assert header == {
-        "format_version": 3,
+        "format_version": 4,
         "dimension": 64,
         "count": 6,
         "modality": "text",
-        "keys": [
-            {"codes": [0, 0, 1, 1, 2, 2], "values": ["a000", "a001", "a002"]},
-            ["a000-s0", "a000-s1", "a001-s0", "a001-s1", "a002-s0", "a002-s1"],
-        ],
         "provider": {"kind": "trigram", "seed": 0, "dimension": 64},
         "texts_sha256": _framed_sha256(s.text for a in make_corpus(3).articles.values() for s in a.sections),
         "vectors_sha256": hashlib.sha256(sidecar.read_bytes()).hexdigest(),
@@ -802,8 +799,9 @@ def test_save_writes_header_and_npy_sidecar(tmp_path, embedder):
     assert np.load(sidecar, allow_pickle=False).tobytes() == index.matrix.tobytes()
 
     loaded = load_index(path, expect_dimension=64, expect_modality="text")
-    assert loaded.modality == "text"
-    assert loaded.keys == index.keys
+    assert loaded.modality == "text" and loaded.keys is None
+    assert (len(loaded), loaded.dimension) == (6, 64)
+    assert bind(loaded, make_corpus(3), embedder).keys == index.keys
     assert loaded.matrix.dtype == np.float64
     assert loaded.matrix.tobytes() == index.matrix.tobytes()
 
@@ -812,9 +810,12 @@ def test_image_and_empty_indexes_round_trip(tmp_path):
     embedder = DeterministicEmbedder(dimension=8, modality="image")
     image_index = build_image_index(make_corpus(3), embedder)
     save_index(image_index, tmp_path / "image_index.json")
+    header = json.loads((tmp_path / "image_index.json").read_text(encoding="utf-8"))
+    assert header["provider"] == {"kind": "trigram", "seed": 0, "dimension": 8}
+    assert header["texts_sha256"] == _framed_sha256(["img-000", "img-001", "img-002"])
     loaded = load_index(tmp_path / "image_index.json", expect_modality="image")
     assert loaded.modality == "image"
-    assert loaded.keys == image_index.keys
+    assert bind(loaded, make_corpus(3), embedder).keys == image_index.keys
     assert loaded.matrix.tobytes() == image_index.matrix.tobytes()
 
     empty = build_text_index(make_corpus(0), embedder)
@@ -878,12 +879,6 @@ def test_load_checks_the_sidecar(tmp_path, embedder):
     with pytest.raises(ValueError, match="float32, expected float64"):
         load_index(path)
 
-    save_index(index, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    path.write_text(json.dumps(dict(doc, keys=[*doc["keys"], ["extra"] * 4])), encoding="utf-8")
-    with pytest.raises(ValueError, match="string pairs"):
-        load_index(path)
-
 
 def _framed_sha256(texts) -> str:
     """The header's texts digest written out: each string's UTF-8 byte count
@@ -911,55 +906,8 @@ def test_key_table_behaves_like_its_list_of_pairs(pairs):
     for row in (len(pairs), -len(pairs) - 1):
         with pytest.raises(IndexError):
             table[row]
-    index = Index(keys=pairs, matrix=np.eye(2)[[0] * len(pairs)], dimension=2, modality="text")
+    index = Index(keys=pairs, matrix=np.eye(2)[[0] * len(pairs)], modality="text")
     assert isinstance(index.keys, KeyTable) and index.keys == pairs
-
-
-def test_key_columns_are_plain_when_distinct_and_coded_in_first_seen_order(tmp_path):
-    path = tmp_path / "idx.json"
-    keys = [("b", "x"), ("a", "x"), ("b", "y"), ("c", "x")]
-    save_index(Index(keys=keys, matrix=np.eye(2)[[0, 1, 0, 1]], dimension=2, modality="text"), path)
-    assert json.loads(path.read_text(encoding="utf-8"))["keys"] == [
-        {"codes": [0, 1, 0, 2], "values": ["b", "a", "c"]},
-        {"codes": [0, 0, 1, 0], "values": ["x", "y"]},
-    ]
-    assert load_index(path).keys == keys
-
-    # Image ids are distinct, and here so are their articles: both plain.
-    image_index = build_image_index(make_corpus(3), DeterministicEmbedder(dimension=8, modality="image"))
-    save_index(image_index, path)
-    header = json.loads(path.read_text(encoding="utf-8"))
-    assert header["keys"] == [["img-000", "img-001", "img-002"], ["a000", "a001", "a002"]]
-    assert header["provider"] == {"kind": "trigram", "seed": 0, "dimension": 8}
-    assert header["texts_sha256"] == _framed_sha256(["img-000", "img-001", "img-002"])
-
-
-@pytest.mark.parametrize(
-    "keys, message",
-    [
-        ([["a"], ["s"]], "header count 2 != 1 rows"),
-        ({"codes": [0, 0], "values": ["a"]}, "two columns"),
-        ([{"codes": [0, 1], "values": ["a"]}, ["s", "t"]], "outside the column's 1 values"),
-        ([{"codes": [0, -1], "values": ["a", "b"]}, ["s", "t"]], "outside the column's 2 values"),
-        ([{"codes": [0, 1.0], "values": ["a", "b"]}, ["s", "t"]], "codes must be integers"),
-        ([{"codes": [0, "1"], "values": ["a", "b"]}, ["s", "t"]], "codes must be integers"),
-        ([{"codes": [0, True], "values": ["a", "b"]}, ["s", "t"]], "codes must be integers"),
-        ([{"codes": [0, [1]], "values": ["a", "b"]}, ["s", "t"]], "codes must be integers"),
-        ([{"codes": [0], "values": ["a"]}, ["s", "t"]], "header count 2 != 1 rows"),
-        ([{"codes": [0, 0], "values": ["a"], "more": 1}, ["s", "t"]], "exactly the keys"),
-        ([{"codes": [0, 0], "values": "a"}, ["s", "t"]], "two lists"),
-        ([["a", 5], ["s", "t"]], "key values must be strings"),
-        ([{"codes": [0, 0], "values": [None]}, ["s", "t"]], "key values must be strings"),
-        (["ab", ["s", "t"]], "a list of strings"),
-    ],
-)
-def test_load_rejects_malformed_key_columns(tmp_path, keys, message):
-    path = tmp_path / "idx.json"
-    save_index(Index(keys=[("a", "s"), ("a", "t")], matrix=np.eye(2), dimension=2, modality="text"), path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    path.write_text(json.dumps(dict(doc, keys=keys)), encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
-        load_index(path)
 
 
 def test_load_rejects_a_version_2_header_and_names_the_rebuild(tmp_path, embedder):
@@ -973,6 +921,16 @@ def test_load_rejects_a_version_2_header_and_names_the_rebuild(tmp_path, embedde
         load_index(path)
 
 
+def test_load_rejects_a_version_3_header_and_names_the_rebuild(tmp_path, embedder):
+    path = tmp_path / "idx.json"
+    save_index(build_text_index(make_corpus(2), embedder), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    keys = [{"codes": [0, 0, 1, 1], "values": ["a000", "a001"]}, ["a000-s0", "a000-s1", "a001-s0", "a001-s1"]]
+    path.write_text(json.dumps(dict(doc, format_version=3, keys=keys)), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported index format_version 3; rebuild with `dbagent index build`"):
+        load_index(path)
+
+
 @given(data=_palette_corpus())
 @settings(max_examples=40, deadline=None)
 def test_loaded_index_searches_as_the_built_one_on_ties(data):
@@ -981,7 +939,7 @@ def test_loaded_index_searches_as_the_built_one_on_ties(data):
         for build, search in ((build_text_index, text_search), (build_image_index, image_search)):
             built = build(corpus, provider)
             save_index(built, Path(tmp) / "idx.json")
-            loaded = load_index(Path(tmp) / "idx.json")
+            loaded = bind(load_index(Path(tmp) / "idx.json"), corpus, provider)
             assert loaded.keys == built.keys and loaded.provider is None
             for k in _ks(len(built)):
                 assert search(loaded, provider, "query", k=k) == search(built, provider, "query", k=k), k
@@ -1000,7 +958,6 @@ def test_index_header_bytes_do_not_depend_on_the_string_hash_seed(tmp_path):
         )
         headers.append([(out_dir / name).read_bytes() for name in ("text_index.json", "image_index.json")])
     assert headers[0] == headers[1]
-    assert json.loads(headers[0][0])["keys"][0]["values"] == [f"a{i:03d}" for i in range(12)]
 
 
 def test_provider_records_no_credentials():
@@ -1020,34 +977,96 @@ def test_texts_digest_frames_each_string():
     assert retrieval._texts_sha256(["é"]) == _framed_sha256(["é"])
 
 
-def test_index_mismatch_names_what_differs(embedder):
+def _edited(n: int, edit) -> object:
+    """``make_corpus(n)`` after ``edit`` changed its list of article objects."""
+    articles = [json.loads(line) for line in corpus_lines(n)]
+    edit(articles)
+    return parse_corpus_lines([json.dumps(article) for article in articles])
+
+
+def test_bind_serves_renamed_ids_in_the_same_row_order(tmp_path, embedder):
+    # Ids are not embedded: a corpus whose ids keep the row order gives the
+    # same index files, and its hits name its own ids.
+    def prefix(articles):
+        for article in articles:
+            article["article_id"] = "new-" + article["article_id"]
+            for section in article["sections"]:
+                section["section_id"] = "new-" + section["section_id"]
+
+    corpus, renamed = make_corpus(4), _edited(4, prefix)
+    files = []
+    for name, source in (("old", corpus), ("new", renamed)):
+        save_index(build_text_index(source, embedder), tmp_path / f"{name}.json")
+        files.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "npy")])
+    assert files[0] == files[1]
+    bound = bind(load_index(tmp_path / "old.json"), renamed, embedder)
+    assert bound.keys == build_text_index(renamed, embedder).keys
+    hits = text_search(bound, embedder, f"special fact of {marker(2)}", k=2)
+    assert [(h.article_id, h.section_id) for h in hits][0] == ("new-a002", "new-a002-s0")
+
+
+def _reorder(articles):
+    # The same ids and texts, but the texts of a000-s0 and a000-s1 swap rows.
+    first, second = articles[0]["sections"]
+    first["section_id"], second["section_id"] = second["section_id"], first["section_id"]
+
+
+def _extra_article(articles):
+    articles.append(article_obj(len(articles)))
+
+
+def _edit_text(articles):
+    articles[1]["sections"][0]["text"] += " Edited."
+
+
+def _rename_image(articles):
+    articles[2]["images"][0]["image_id"] = "img-new"
+
+
+@pytest.mark.parametrize(
+    "modality, edit, seed, message",
+    [
+        ("text", _reorder, 0, "the corpus's section texts are not those the text index was built from (texts_sha256)"),
+        ("text", _extra_article, 0, "the corpus's section texts are not those the text index was built from"),
+        ("text", _edit_text, 0, "the corpus's section texts are not those the text index was built from"),
+        ("text", None, 1, 'text index built with provider {"dimension": 64, "kind": "trigram", "seed": 0}, '
+                          'this run embeds with {"dimension": 64, "kind": "trigram", "seed": 1}'),
+        ("image", _extra_article, 0, "the corpus's image ids are not those the image index was built from"),
+        ("image", _rename_image, 0, "the corpus's image ids are not those the image index was built from"),
+        ("image", None, 1, "image index built with provider"),
+    ],
+    ids=["reordered", "extra-article", "edited-text", "other-seed", "image-extra-article", "image-renamed",
+         "image-other-seed"],
+)
+def test_bind_refuses_a_corpus_or_provider_the_index_was_not_built_from(
+    tmp_path, embedder, modality, edit, seed, message
+):
+    build = build_text_index if modality == "text" else build_image_index
     corpus = make_corpus(3)
-    index = build_text_index(corpus, embedder)
-    assert index_mismatch(index, corpus, embedder) is None
-    other_seed = DeterministicEmbedder(dimension=64, seed=1)
-    rebuild = "rebuild with `dbagent index build`"
-    assert index_mismatch(index, corpus, other_seed).startswith("index built with provider")
-    problem = index_mismatch(index, make_corpus(4), embedder)
-    assert problem == "the index's 6 rows are not the corpus's 8 (article_id, section_id) keys in order; " + rebuild
-    edited = [json.loads(line) for line in corpus_lines(3)]
-    edited[1]["sections"][0]["text"] += " Edited."
-    edited = parse_corpus_lines([json.dumps(article) for article in edited])
-    assert "section texts are not those the index was built from" in index_mismatch(index, edited, embedder)
-    renamed = [json.loads(line) for line in corpus_lines(3)]
-    renamed[2]["images"][0]["image_id"] = "img-new"
-    image_index = build_image_index(corpus, embedder)
-    assert index_mismatch(image_index, corpus, embedder) is None
-    assert "1 of 3 index rows name no (image_id, article_id)" in index_mismatch(
-        image_index, parse_corpus_lines([json.dumps(article) for article in renamed]), embedder
-    )
+    save_index(build(corpus, embedder), tmp_path / "idx.json")
+    loaded = load_index(tmp_path / "idx.json")
+    assert bind(loaded, corpus, embedder).keys == build(corpus, embedder).keys
+    served = _edited(3, edit) if edit else corpus
+    with pytest.raises(DataError) as err:
+        bind(loaded, served, DeterministicEmbedder(dimension=64, seed=seed))
+    assert message in str(err.value)
+    assert str(err.value).endswith("; rebuild with `dbagent index build`")
+
+
+def test_an_unbound_index_cannot_be_searched(tmp_path, embedder):
+    corpus = make_corpus(2)
+    for build, search, query in ((build_text_index, text_search, "fact"), (build_image_index, image_search, "img-000")):
+        save_index(build(corpus, embedder), tmp_path / "idx.json")
+        loaded = load_index(tmp_path / "idx.json")
+        with pytest.raises(ValueError, match=f"the {loaded.modality} index has no row keys; .*retrieval.bind"):
+            search(loaded, embedder, query, k=1)
+        assert search(bind(loaded, corpus, embedder), embedder, query, k=1)
 
 
 @pytest.mark.parametrize("bad_row", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]])
 def test_load_rejects_nan_inf_and_zero_rows(tmp_path, bad_row):
     path = tmp_path / "idx.json"
-    index = Index(
-        keys=[("a", "s0"), ("a", "s1")], matrix=np.array([[1.0, 0.0], bad_row]), dimension=2, modality="text"
-    )
+    index = Index(keys=[("a", "s0"), ("a", "s1")], matrix=np.array([[1.0, 0.0], bad_row]), modality="text")
     save_index(index, path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
@@ -1111,23 +1130,27 @@ def test_load_reads_other_npy_layouts_to_the_same_rows(tmp_path, embedder, order
 
 
 def test_save_load_and_first_search_hold_the_matrix_about_once(tmp_path, embedder):
-    rng = np.random.default_rng(0)
-    matrix = rng.standard_normal((20000, 64))
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    index = Index(keys=[(f"a{i:05d}", "s0") for i in range(20000)], matrix=matrix, dimension=64, modality="text")
+    corpus = make_corpus(10000)
+    index = build_text_index(corpus, embedder)
+    matrix = index.matrix
+    assert matrix.shape == (20000, 64)
     path = tmp_path / "idx.json"
 
     # The sidecar is written from the matrix itself and hashed in blocks.
     _, peak = traced_peak(lambda: save_index(index, path))
     assert peak < 1.0 * matrix.nbytes
     # One buffer holds the file; the matrix is a view of it, and the norm
-    # check makes no matrix-sized temporary. The keys are two columns, made
-    # before the buffer exists, and the parsed header is gone by then.
+    # check makes no matrix-sized temporary. The header holds no keys.
     loaded, kept, peak = traced(lambda: load_index(path))
     assert peak < 1.2 * matrix.nbytes
     assert kept - matrix.nbytes < 0.1 * matrix.nbytes
+    # Binding keeps the two key columns; the corpus's entry list and the
+    # texts it hashed are gone when it returns, and the matrix is shared.
+    bound, kept, _ = traced(lambda: bind(loaded, corpus, embedder))
+    assert kept < 0.1 * matrix.nbytes
+    assert bound.matrix is loaded.matrix and bound.keys == index.keys
     # The float32 screen is half the matrix; its row norms take no more.
-    hits, peak = traced_peak(lambda: text_search(loaded, embedder, "a query", k=3))
+    hits, peak = traced_peak(lambda: text_search(bound, embedder, "a query", k=3))
     assert peak < 0.75 * matrix.nbytes
     assert len(hits) == 3
     assert loaded.matrix.tobytes() == matrix.tobytes()

@@ -624,6 +624,37 @@ def test_read_trajectory_file_reports_missing_keys(tmp_path):
         read_trajectory_file(path)
 
 
+def test_protocol_events_are_checked_and_read_only(tmp_path, tools12):
+    backend = ScriptedBackend(
+        [
+            ScriptedRule(output=f"<answer>{value(2)}</answer>", turn_index=0),  # no think
+            ScriptedRule(output=turn_raw("Second try.", "answer", value(2)), turn_index=1),
+        ]
+    )
+    traj = rollout("img-002", question(2), backend, tools12, RolloutConfig(), task_id="q002")
+    (event,) = traj.protocol_events
+    with pytest.raises(TypeError):
+        event["raw"] = None
+    good = tmp_path / "good.jsonl"
+    write_trajectory_file([traj, traj], good)
+    lines = good.read_text(encoding="utf-8").splitlines()
+    # An unknown key is dropped, and the line rewrites to the bytes written.
+    extra = json.loads(lines[0])
+    extra["protocol_events"][0]["injected"] = 1
+    path = tmp_path / "extra.jsonl"
+    path.write_text(json.dumps(extra, sort_keys=True, ensure_ascii=False) + "\n" + lines[1] + "\n", encoding="utf-8")
+    loaded = read_trajectory_file(path)
+    assert loaded == [traj, traj] and "injected" not in loaded[0].protocol_events[0]
+    write_trajectory_file(loaded, path)
+    assert path.read_bytes() == good.read_bytes()
+    # A value of the wrong type is refused at its line.
+    bad = json.loads(lines[1])
+    bad["protocol_events"][0]["raw"] = None
+    path.write_text(lines[0] + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(TrajectoryError, match=r"line 2: protocol_events\[0\]: raw: expected string, got null"):
+        read_trajectory_file(path)
+
+
 def test_serialized_turn_round_trips_through_file(tmp_path):
     from dbagent.protocol import make_turn
 
