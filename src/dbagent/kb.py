@@ -75,12 +75,6 @@ class Corpus:
     def n_images(self) -> int:
         return sum(len(a.images) for a in self.articles.values())
 
-    def article(self, article_id: str) -> KbArticle:
-        try:
-            return self.articles[article_id]
-        except KeyError:
-            raise KeyError(f"article {article_id!r} not in corpus") from None
-
 
 # Each record's name in errors, and its string fields that may not be blank.
 _TEXT_FIELDS = {

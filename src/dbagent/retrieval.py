@@ -52,21 +52,17 @@ index was not built from texts. ``build_text_index`` and
 ``build_image_index`` compute both once.
 
 The header holds no row keys; as in a FAISS flat index, ids live outside
-the vectors. An index's rows are its corpus's entries in sorted order, so
-``load_index`` returns an index whose ``keys`` is None, and ``bind`` gives
-it a corpus's keys once the provider and ``texts_sha256`` equal what a build
-from that corpus would record: the digest frames every embedded string in
-row order, so the matrix is then exactly what a rebuild would give. A corpus
-whose article or section ids change but keep the row order is served, and
-its hits name its own ids. ``TextRetriever`` and ``ImageRetriever`` bind an
-index that has no keys.
-
-A bound index's ``keys`` is a ``KeyTable``. It holds each column as its
-distinct values laid end to end in one string with their end offsets
-(``array('q')``), plus one code per row (``array('i')``) when values
-repeat, so a key costs a few bytes and no Python object per row;
-``keys[row]`` cuts the pair out in O(1), and indexing an ``array`` gives a
-Python int, not a numpy scalar.
+the vectors. An index's rows are its corpus's entries in sorted order, and
+an index holds the corpus records behind them: ``articles[i]`` is row i's
+``KbArticle`` and ``entries[i]`` its ``SectionChunk`` (text) or
+``ImageAttachment`` (image), two tuples of references. ``load_index``
+returns an index with neither, and ``bind`` gives it a corpus's records
+once the provider and ``texts_sha256`` equal what a build from that corpus
+would record: the digest frames every embedded string in row order, so the
+matrix is then exactly what a rebuild would give. A corpus whose article or
+section ids change but keep the row order is served, and its hits name its
+own ids. ``TextRetriever`` and ``ImageRetriever`` bind an index that has no
+records.
 
 ``save_index`` writes the matrix straight into the sidecar and then hashes
 the file in blocks, so it holds no second copy of the matrix. Both files
@@ -93,18 +89,16 @@ import io
 import json
 import math
 import os
-from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
 from .errors import BackendError, DataError
-from .kb import Corpus
+from .kb import Corpus, ImageAttachment, KbArticle, SectionChunk
 from .wire import atomic_write, post_json
 
 __all__ = [
@@ -112,7 +106,6 @@ __all__ = [
     "DeterministicEmbedder",
     "RemoteEmbedder",
     "RetrievalHit",
-    "KeyTable",
     "Index",
     "embed_batch",
     "build_text_index",
@@ -311,107 +304,40 @@ def embed_batch(provider, inputs: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RetrievalHit:
+    """One search result: ``row`` is the index row it was read off, so
+    ``index.articles[row]`` and ``index.entries[row]`` are its records."""
+
     article_id: str
     score: float
     rank: int
+    row: int
     section_id: str | None = None
     image_id: str | None = None
 
 
-class _Column:
-    """One key column: its distinct values laid end to end in ``chars``
-    (value j is ``chars[ends[j]:ends[j + 1]]``) and, when values repeat,
-    the ``codes`` naming each row's value; without codes row i holds
-    value i."""
-
-    __slots__ = ("chars", "ends", "codes")
-
-    def __init__(self, values: list[str], codes: array | None):
-        self.chars = "".join(values)  # a TypeError unless every value is a string
-        self.ends = array("q", accumulate(map(len, values), initial=0))
-        self.codes = codes
-
-    @classmethod
-    def of_rows(cls, rows: list[str]) -> _Column:
-        """The column of one string per row: distinct values in the order
-        their first rows come, and codes only when some value repeats."""
-        code_of = {value: code for code, value in enumerate(dict.fromkeys(rows))}
-        if len(code_of) == len(rows):
-            return cls(rows, None)
-        return cls(list(code_of), array("i", map(code_of.__getitem__, rows)))
-
-    def rows(self) -> list[str]:
-        ends = self.ends.tolist()
-        values = [self.chars[start:end] for start, end in zip(ends, ends[1:])]
-        return values if self.codes is None else [values[code] for code in self.codes.tolist()]
-
-    def __getitem__(self, row: int) -> str:
-        j = row if self.codes is None else self.codes[row]
-        return self.chars[self.ends[j] : self.ends[j + 1]]
-
-
-class KeyTable:
-    """The row keys of an index, read-only: ``keys[row]`` is row ``row``'s
-    string pair, cut out of two columns in O(1) (see the module docstring).
-
-    Built from any sequence of pairs; iterates as tuples, and equals a
-    ``KeyTable``, list or tuple that holds the same pairs in the same order.
-    """
-
-    __slots__ = ("_columns", "_count")
-
-    def __init__(self, pairs: Iterable[Sequence[str]]):
-        pairs = list(pairs)
-        self._count = len(pairs)
-        self._columns = (_Column.of_rows([a for a, _ in pairs]), _Column.of_rows([b for _, b in pairs]))
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, row: int) -> tuple[str, str]:
-        row = range(self._count)[row]  # IndexError past either end; a negative row counts from the end
-        first, second = self._columns
-        return first[row], second[row]
-
-    def __iter__(self):
-        first, second = self._columns
-        return zip(first.rows(), second.rows())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (KeyTable, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == [tuple(pair) for pair in other]
-
-    def __repr__(self) -> str:
-        return f"KeyTable(<{self._count} rows>)"
-
-
 @dataclass
 class Index:
-    """Exact-search index of one modality; ``keys[i]`` owns ``matrix[i]``.
+    """Exact-search index of one modality; ``articles[i]`` and ``entries[i]``
+    are the corpus records behind ``matrix[i]``.
 
-    Text rows are (article_id, section_id), sorted by both; image rows are
-    (image_id, article_id), sorted by image_id. ``keys`` may be given as any
-    sequence of pairs and is held as a ``KeyTable``; it is None, and the
+    Text rows are sections, sorted by (article_id, section_id); image rows
+    are images, sorted by image_id. Both record tuples are None, and the
     index cannot be searched, until ``bind`` gives a loaded index a corpus.
     ``provider`` and ``texts_sha256`` record what the rows were embedded
     with and from (see the module docstring); None when unknown. The length
     and ``dimension`` are the matrix's.
     """
 
-    keys: KeyTable | None
     matrix: np.ndarray
     modality: str
     provider: dict | None = None
     texts_sha256: str | None = None
+    articles: tuple[KbArticle, ...] | None = field(default=None, repr=False)
+    entries: tuple[SectionChunk | ImageAttachment, ...] | None = field(default=None, repr=False)
     # The float32 screen of ``matrix`` (None when no error bound can hold)
     # and its largest row norm, built by the first search and never saved;
     # ``matrix`` must not change after.
     _screened: tuple[np.ndarray | None, float] | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.keys is not None and not isinstance(self.keys, KeyTable):
-            self.keys = KeyTable(self.keys)
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -445,24 +371,23 @@ def _texts_sha256(texts: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def _entries(corpus: Corpus, modality: str) -> tuple[list[tuple[str, str]], list[str]]:
-    """The row keys of ``corpus``'s index of ``modality`` in row order, and
-    the string each row embeds."""
+def _entries(corpus: Corpus, modality: str) -> tuple[tuple, tuple, list[str]]:
+    """The records behind the rows of ``corpus``'s index of ``modality`` in
+    row order, as its ``articles`` and ``entries``, and the string each row
+    embeds."""
     if modality == "text":  # article ids are distinct, so this is a stable sort by (article_id, section_id)
-        keys, texts = [], []
+        articles, entries = [], []
         for a in sorted(corpus.articles.values(), key=attrgetter("article_id")):
-            for s in sorted(a.sections, key=attrgetter("section_id")):
-                keys.append((a.article_id, s.section_id))
-                texts.append(s.text)
-        return keys, texts
-    keys = sorted(
-        ((img.image_id, a.article_id) for a in corpus.articles.values() for img in a.images), key=lambda e: e[0]
-    )
-    return keys, [iid for iid, _ in keys]
+            sections = sorted(a.sections, key=attrgetter("section_id"))
+            articles += [a] * len(sections)
+            entries += sections
+        return tuple(articles), tuple(entries), [s.text for s in entries]
+    rows = sorted(((img.image_id, a, img) for a in corpus.articles.values() for img in a.images), key=lambda r: r[0])
+    return tuple(a for _, a, _ in rows), tuple(img for _, _, img in rows), [iid for iid, _, _ in rows]
 
 
 def bind(index: Index, corpus: Corpus, provider) -> Index:
-    """``index`` with the row keys of ``corpus``, when its provider and
+    """``index`` with the records of ``corpus``, when its provider and
     ``texts_sha256`` are those a build from ``corpus`` with ``provider``
     would record; else ``DataError``, ending in the advice to rebuild. The
     vectors are the sidecar's, which ``load_index`` checks against the
@@ -471,20 +396,19 @@ def bind(index: Index, corpus: Corpus, provider) -> Index:
     if index.provider != spec:
         built, now = (json.dumps(x, sort_keys=True) for x in (index.provider, spec))
         raise DataError(f"{index.modality} index built with provider {built}, this run embeds with {now}; {_REBUILD}")
-    keys, texts = _entries(corpus, index.modality)
+    articles, entries, texts = _entries(corpus, index.modality)
     if index.texts_sha256 != _texts_sha256(texts):
         what = "section texts" if index.modality == "text" else "image ids"
         raise DataError(
             f"the corpus's {what} are not those the {index.modality} index was built from (texts_sha256); {_REBUILD}"
         )
-    return replace(index, keys=KeyTable(keys))
+    return replace(index, articles=articles, entries=entries)
 
 
-def _build_index(
-    provider, modality: str, keys: list[tuple[str, str]], texts: list[str], label: Callable[[int], str]
-) -> Index:
-    """Embed ``texts`` in chunks, one row per key; on a failing chunk, retry
-    singly to name the entry (``label(i)`` describes ``texts[i]``)."""
+def _build_index(corpus: Corpus, provider, modality: str) -> Index:
+    """Embed the rows of ``corpus``'s index of ``modality`` in chunks; on a
+    failing chunk, retry singly to name the entry."""
+    articles, entries, texts = _entries(corpus, modality)
     chunk = 128
     matrix = np.empty((len(texts), provider.dimension))
     for start in range(0, len(texts), chunk):
@@ -492,34 +416,35 @@ def _build_index(
         try:
             matrix[start : start + len(batch)] = embed_batch(provider, batch)
         except (EmbeddingError, ValueError):
-            for offset, text in enumerate(batch):
+            for row in range(start, start + len(batch)):
                 try:
-                    matrix[start + offset] = embed_batch(provider, [text])[0]
+                    matrix[row] = embed_batch(provider, [texts[row]])[0]
                 except (EmbeddingError, ValueError) as exc:
-                    raise EmbeddingError(f"embedding failed for {label(start + offset)}: {exc}") from exc
+                    aid, entry = articles[row].article_id, entries[row]
+                    where = (
+                        f"(article {aid!r}, section {entry.section_id!r})"
+                        if modality == "text"
+                        else f"(image {entry.image_id!r}, article {aid!r})"
+                    )
+                    raise EmbeddingError(f"embedding failed for {where}: {exc}", getattr(exc, "attempts", 1)) from exc
     return Index(
-        keys=keys,
         matrix=matrix,
         modality=modality,
         provider=_provider_spec(provider),
         texts_sha256=_texts_sha256(texts),
+        articles=articles,
+        entries=entries,
     )
 
 
 def build_text_index(corpus: Corpus, provider) -> Index:
-    keys, texts = _entries(corpus, "text")
-    return _build_index(
-        provider, "text", keys, texts, lambda i: f"(article {keys[i][0]!r}, section {keys[i][1]!r})"
-    )
+    return _build_index(corpus, provider, "text")
 
 
 def build_image_index(corpus: Corpus, provider) -> Index:
     """Index KB images by embedding their id strings (the provider resolves
     refs; the test embedder hashes the string itself)."""
-    keys, texts = _entries(corpus, "image")
-    return _build_index(
-        provider, "image", keys, texts, lambda i: f"(image {keys[i][0]!r}, article {keys[i][1]!r})"
-    )
+    return _build_index(corpus, provider, "image")
 
 
 def _gamma(n: int, u: float) -> float:
@@ -610,8 +535,8 @@ def _ranked_order(
 def _check_searchable(index: Index, k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if index.keys is None:
-        raise ValueError(f"the {index.modality} index has no row keys; bind it to its corpus with retrieval.bind")
+    if index.articles is None:
+        raise ValueError(f"the {index.modality} index has no corpus records; bind it to its corpus with retrieval.bind")
 
 
 def text_search(index: Index, provider, query: str, k: int = 3) -> list[RetrievalHit]:
@@ -625,11 +550,13 @@ def text_search(index: Index, provider, query: str, k: int = 3) -> list[Retrieva
         return []
     vec = embed_batch(provider, [query])[0]
     rows, scores = _ranked_order(index, vec, _screen(index, vec), k)
-    hits = []
-    for rank, (row, score) in enumerate(zip(rows[:k].tolist(), scores[:k].tolist()), start=1):
-        aid, sid = index.keys[row]
-        hits.append(RetrievalHit(article_id=aid, section_id=sid, score=score, rank=rank))
-    return hits
+    articles, sections = index.articles, index.entries
+    return [
+        RetrievalHit(
+            article_id=articles[row].article_id, section_id=sections[row].section_id, score=score, rank=rank, row=row
+        )
+        for rank, (row, score) in enumerate(zip(rows[:k].tolist(), scores[:k].tolist()), start=1)
+    ]
 
 
 def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[RetrievalHit]:
@@ -651,7 +578,7 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
     try:
         vec = embed_batch(provider, [image_ref])[0]
     except EmbeddingError as exc:
-        raise EmbeddingError(f"could not resolve image ref {image_ref!r}: {exc}") from exc
+        raise EmbeddingError(f"could not resolve image ref {image_ref!r}: {exc}", exc.attempts) from exc
     screened = _screen(index, vec)
     m = k
     while True:
@@ -659,17 +586,17 @@ def image_search(index: Index, provider, image_ref: str, k: int = 1) -> list[Ret
         hits: list[RetrievalHit] = []
         seen: set[str] = set()
         for row, score in zip(rows.tolist(), scores.tolist()):
-            iid, aid = index.keys[row]
+            aid = index.articles[row].article_id
             if aid in seen:
                 continue
             seen.add(aid)
             hits.append(
                 RetrievalHit(
                     article_id=aid,
-                    section_id=None,
-                    image_id=iid,
+                    image_id=index.entries[row].image_id,
                     score=score,
                     rank=len(hits) + 1,
+                    row=row,
                 )
             )
             if len(hits) == k:
@@ -716,8 +643,8 @@ def load_index(
     expect_modality: str | None = None,
 ) -> Index:
     """Read an index written by ``save_index``, checking the header against
-    the sidecar and every row for a finite unit norm. Its ``keys`` is None
-    until ``bind`` gives it a corpus."""
+    the sidecar and every row for a finite unit norm. Its ``articles`` and
+    ``entries`` are None until ``bind`` gives it a corpus."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -787,7 +714,6 @@ def load_index(
     if not (np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) <= _NORM_TOLERANCE).all():
         raise ValueError(f"{path}: stored vectors are not unit-normalized")
     return Index(
-        keys=None,
         matrix=matrix,
         modality=doc["modality"],
         provider=doc["provider"],

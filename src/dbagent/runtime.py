@@ -139,25 +139,26 @@ def _prompt_sha256(prompt: str) -> str:
 
 class _Retriever:
     """A search tool over ``corpus``: an index of it and the provider that
-    embeds its queries. An index without row keys (one ``load_index`` read)
-    is bound to ``corpus`` here; ``retrieval.bind`` raises ``DataError``
-    unless it is what a build from ``corpus`` with ``provider`` would give."""
+    embeds its queries. An index without corpus records (one ``load_index``
+    read) is bound to ``corpus`` here; ``retrieval.bind`` raises
+    ``DataError`` unless it is what a build from ``corpus`` with
+    ``provider`` would give."""
 
     def __init__(self, index, provider, corpus: Corpus):
-        self.index = bind(index, corpus, provider) if index.keys is None else index
+        self.index = bind(index, corpus, provider) if index.articles is None else index
         self.provider = provider
         self.corpus = corpus
 
 
 class TextRetriever(_Retriever):
-    """Text search returning each hit section's title, heading and text."""
+    """Text search returning each hit section's title, heading and text,
+    read off the records of the hit's row."""
 
     def search(self, query: str, k: int) -> list[EvidenceItem]:
-        hits = text_search(self.index, self.provider, query, k=k)
+        index = self.index
         items = []
-        for hit in hits:
-            article = self.corpus.article(hit.article_id)
-            section = next(s for s in article.sections if s.section_id == hit.section_id)
+        for hit in text_search(index, self.provider, query, k=k):
+            article, section = index.articles[hit.row], index.entries[hit.row]
             items.append(
                 EvidenceItem(
                     article_id=hit.article_id,
@@ -172,14 +173,13 @@ class TextRetriever(_Retriever):
 
 
 class ImageRetriever(_Retriever):
-    """Image search returning article text: each matched article's title and
-    lead section."""
+    """Image search returning article text: the title and lead section of
+    the article of each hit's row."""
 
     def search(self, image_ref: str, k: int) -> list[EvidenceItem]:
-        hits = image_search(self.index, self.provider, image_ref, k=k)
         items = []
-        for hit in hits:
-            article = self.corpus.article(hit.article_id)
+        for hit in image_search(self.index, self.provider, image_ref, k=k):
+            article = self.index.articles[hit.row]
             items.append(
                 EvidenceItem(
                     article_id=hit.article_id,

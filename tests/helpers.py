@@ -21,9 +21,9 @@ from pathlib import Path
 from dbagent.evaluation import EvalRecord
 from dbagent.factory import QaSample
 from dbagent.gateway import ScriptedBackend, ScriptedRule
-from dbagent.kb import Corpus, parse_corpus_lines
+from dbagent.kb import Corpus, ImageAttachment, KbArticle, SectionChunk, parse_corpus_lines
 from dbagent.protocol import ActionKind, EvidenceItem, make_turn, render_evidence
-from dbagent.retrieval import DeterministicEmbedder, build_image_index, build_text_index
+from dbagent.retrieval import DeterministicEmbedder, Index, build_image_index, build_text_index
 from dbagent.runtime import ImageRetriever, TextRetriever, ToolBinding, Trajectory
 from dbagent.wire import encode
 
@@ -87,6 +87,30 @@ def make_tools(corpus, dimension=64, seed=0) -> ToolBinding:
     return ToolBinding(
         text_retriever=TextRetriever(text_index, embedder, corpus),
         image_retriever=ImageRetriever(image_index, embedder, corpus),
+    )
+
+
+def index_of(pairs, matrix, modality: str = "text") -> Index:
+    """An index of ``matrix`` whose rows hold records named by ``pairs``:
+    (article_id, section_id) per text row, (image_id, article_id) per image
+    row, in the given order. Each article id is one ``KbArticle`` that owns
+    its rows' sections (text) or images (image)."""
+    text = modality == "text"
+    rows = [(first, second) if text else (second, first) for first, second in pairs]  # (article id, entry id)
+    if text:
+        entries = [SectionChunk(eid, "H", f"{aid} {eid}") for aid, eid in rows]
+    else:
+        entries = [ImageAttachment(eid, f"u/{eid}") for _, eid in rows]
+    owned: dict[str, list] = {}
+    for (aid, _), entry in zip(rows, entries):
+        owned.setdefault(aid, []).append(entry)
+    lead = SectionChunk("s", "H", "lead")
+    articles = {
+        aid: KbArticle(aid, aid, tuple(own)) if text else KbArticle(aid, aid, (lead,), tuple(own))
+        for aid, own in owned.items()
+    }
+    return Index(
+        matrix=matrix, modality=modality, articles=tuple(articles[aid] for aid, _ in rows), entries=tuple(entries)
     )
 
 

@@ -323,7 +323,7 @@ def test_image_branch_stage_names(tools):
 def test_image_evidence_is_the_title_and_lead_section(tools):
     out = build_outcome(qa_sample(5), ScriptedBackend(factory_rules(5, "I-A")), tools, FactoryConfig())
     (item,) = out.assembled.observations[0].items
-    lead = tools.image_retriever.corpus.article(item.article_id).lead_section
+    lead = tools.image_retriever.corpus.articles[item.article_id].lead_section
     assert (item.section_id, item.heading, item.text) == (None, lead.heading, lead.text)
     assert "Part 1:" not in out.assembled.observations[0].rendered  # no later section
 

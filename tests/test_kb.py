@@ -18,7 +18,7 @@ def test_load_round_trip(tmp_path):
     assert corpus.n_articles == 4
     assert corpus.n_sections == 8
     assert corpus.n_images == 4
-    article = corpus.article("a002")
+    article = corpus.articles["a002"]
     assert article.title.endswith("topic002qq")
     assert article.lead_section.heading == "Lead"
 
@@ -34,12 +34,6 @@ def test_blank_lines_skipped():
     lines = corpus_lines(2)
     corpus = parse_corpus_lines([lines[0], "", "   ", lines[1]])
     assert corpus.n_articles == 2
-
-
-def test_unknown_article_raises_keyerror():
-    corpus = make_corpus(2)
-    with pytest.raises(KeyError, match="zzz"):
-        corpus.article("zzz")
 
 
 def test_errors_are_collected_with_line_numbers():

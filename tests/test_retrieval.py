@@ -26,7 +26,6 @@ from dbagent.retrieval import (
     DeterministicEmbedder,
     EmbeddingError,
     Index,
-    KeyTable,
     RemoteEmbedder,
     bind,
     build_image_index,
@@ -41,6 +40,7 @@ from helpers import (
     HttpStub,
     article_obj,
     corpus_lines,
+    index_of,
     make_corpus,
     marker,
     oracle_image_topk,
@@ -290,7 +290,7 @@ def test_memo_stays_out_of_equality_and_repr():
 def test_self_match_scores_one(embedder):
     corpus = make_corpus(5)
     index = build_text_index(corpus, embedder)
-    stored_text = corpus.article("a002").sections[0].text
+    stored_text = corpus.articles["a002"].sections[0].text
     hits = text_search(index, embedder, stored_text, k=1)
     assert hits[0].article_id == "a002"
     assert hits[0].section_id == "a002-s0"
@@ -450,12 +450,20 @@ def test_k_larger_than_corpus(embedder):
     assert len(text_search(index, embedder, "anything", k=10)) == 2
 
 
+def _ids(index) -> list[tuple[str, str]]:
+    """Each row's id pair, read off its records: (article_id, section_id)
+    for a text index, (image_id, article_id) for an image index."""
+    if index.modality == "text":
+        return [(a.article_id, s.section_id) for a, s in zip(index.articles, index.entries)]
+    return [(img.image_id, a.article_id) for a, img in zip(index.articles, index.entries)]
+
+
 @given(seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=25, deadline=None)
 def test_index_rows_sorted_by_key(seed):
     corpus = make_corpus(5)
     index = build_text_index(corpus, DeterministicEmbedder(dimension=16, seed=seed))
-    assert index.keys == sorted(index.keys)
+    assert _ids(index) == sorted(_ids(index))
 
 
 # --- exact top-k selection against a full sort ------------------------------
@@ -528,7 +536,8 @@ def test_text_search_equals_full_sort_and_oracle_on_ties(data):
     corpus, provider = data
     index = build_text_index(corpus, provider)
     n = len(index)
-    reference = [index.keys[row] for row in _reference_rows(index.matrix, provider, "query")]
+    ids = _ids(index)
+    reference = [ids[row] for row in _reference_rows(index.matrix, provider, "query")]
     for k in _ks(n):
         hits = text_search(index, provider, "query", k=k)
         got = [(h.article_id, h.section_id) for h in hits]
@@ -542,9 +551,9 @@ def test_text_search_equals_full_sort_and_oracle_on_ties(data):
 def test_image_search_equals_full_sort_and_oracle_on_ties(data):
     corpus, provider = data
     index = build_image_index(corpus, provider)
-    articles = []
+    articles, ids = [], _ids(index)
     for row in _reference_rows(index.matrix, provider, "query"):
-        iid, aid = index.keys[row]
+        iid, aid = ids[row]
         if aid not in {a for a, _ in articles}:
             articles.append((aid, iid))
     for k in _ks(corpus.n_articles):
@@ -562,7 +571,7 @@ def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
     # Any matrix, scores compared only against the same numpy scores.
     matrix = np.asarray(rows, dtype=np.float64)
     keys = [(f"a{i // 3:02d}", f"s{i % 3}") for i in range(len(rows))]
-    index = Index(keys=keys, matrix=matrix, modality="text")
+    index = index_of(keys, matrix)
     provider = _Palette({"query": [float(x) for x in query]}, 3)
     reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
     for k in _ks(len(rows)):
@@ -572,8 +581,8 @@ def test_text_search_equals_full_sort_on_quantized_matrices(rows, query):
 
 def test_single_row_indexes():
     provider = _Palette({"only": [0.0, 1.0], "query": [1.0, 0.0]}, 2)
-    text = Index(keys=[("a", "s")], matrix=np.array([[0.0, 1.0]]), modality="text")
-    image = Index(keys=[("only", "a")], matrix=np.array([[0.0, 1.0]]), modality="image")
+    text = index_of([("a", "s")], np.array([[0.0, 1.0]]))
+    image = index_of([("only", "a")], np.array([[0.0, 1.0]]), modality="image")
     for k in (1, 3):
         text_hits = text_search(text, provider, "query", k=k)
         assert [(h.article_id, h.section_id, h.score) for h in text_hits] == [("a", "s", 0.0)]
@@ -591,9 +600,7 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
             keys.append((f"{aid}-img{j}", aid))
             rows.append([score, 1.0])
     order = sorted(range(len(keys)), key=lambda i: keys[i])
-    index = Index(
-        keys=[keys[i] for i in order], matrix=np.array([rows[i] for i in order]), modality="image"
-    )
+    index = index_of([keys[i] for i in order], np.array([rows[i] for i in order]), modality="image")
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     windows = []
     real = retrieval._ranked_order
@@ -615,7 +622,7 @@ def test_image_window_grows_until_k_distinct_articles(monkeypatch):
 def test_nan_scores_rank_last_as_in_a_full_sort():
     matrix = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0], [np.nan, 1.0], [1.0, 0.0]])
     keys = [("a", f"s{i}") for i in range(len(matrix))]
-    index = Index(keys=keys, matrix=matrix, modality="text")
+    index = index_of(keys, matrix)
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     reference = [keys[row] for row in _reference_rows(matrix, provider, "query")]
     assert reference[:3] == [("a", "s0"), ("a", "s4"), ("a", "s2")]
@@ -657,7 +664,7 @@ def test_screened_search_equals_full_sort_of_exact_scores(data):
     matrix, query = data
     n, dimension = matrix.shape
     keys = [(f"a{i:03d}", "s") for i in range(n)]
-    index = Index(keys=keys, matrix=matrix, modality="text")
+    index = index_of(keys, matrix)
     provider = _Palette({"query": [float(x) for x in query]}, dimension)
     vec = embed_batch(provider, ["query"])[0]
     assert retrieval._screen(index, vec) is not None  # the two-pass path, not the fallback
@@ -673,7 +680,7 @@ def test_rows_beyond_float32_range_rank_as_a_full_sort():
     # 1e39 overflows float32, so no screen bound holds: every row is ranked exactly.
     matrix = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [2.0, 5.0]]) * 1e39
     keys = [("a", f"s{i}") for i in range(len(matrix))]
-    index = Index(keys=keys, matrix=matrix, modality="text")
+    index = index_of(keys, matrix)
     provider = _Palette({"query": [1.0, 0.0]}, 2)
     assert retrieval._screen(index, embed_batch(provider, ["query"])[0]) is None
     for k in range(1, 6):
@@ -770,7 +777,7 @@ def test_load_rejects_bad_files(tmp_path, embedder):
 
     bad_matrix = index.matrix.copy()
     bad_matrix[0] = 2.0
-    save_index(Index(keys=index.keys, matrix=bad_matrix, modality="text"), path)
+    save_index(Index(matrix=bad_matrix, modality="text"), path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
 
@@ -799,9 +806,9 @@ def test_save_writes_header_and_npy_sidecar(tmp_path, embedder):
     assert np.load(sidecar, allow_pickle=False).tobytes() == index.matrix.tobytes()
 
     loaded = load_index(path, expect_dimension=64, expect_modality="text")
-    assert loaded.modality == "text" and loaded.keys is None
+    assert loaded.modality == "text" and loaded.articles is None and loaded.entries is None
     assert (len(loaded), loaded.dimension) == (6, 64)
-    assert bind(loaded, make_corpus(3), embedder).keys == index.keys
+    assert _ids(bind(loaded, make_corpus(3), embedder)) == _ids(index)
     assert loaded.matrix.dtype == np.float64
     assert loaded.matrix.tobytes() == index.matrix.tobytes()
 
@@ -815,7 +822,7 @@ def test_image_and_empty_indexes_round_trip(tmp_path):
     assert header["texts_sha256"] == _framed_sha256(["img-000", "img-001", "img-002"])
     loaded = load_index(tmp_path / "image_index.json", expect_modality="image")
     assert loaded.modality == "image"
-    assert bind(loaded, make_corpus(3), embedder).keys == image_index.keys
+    assert _ids(bind(loaded, make_corpus(3), embedder)) == _ids(image_index)
     assert loaded.matrix.tobytes() == image_index.matrix.tobytes()
 
     empty = build_text_index(make_corpus(0), embedder)
@@ -887,36 +894,13 @@ def _framed_sha256(texts) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-_key_strings = st.sampled_from(["a", "b", "ab", "", "é", "a\x00b", "\U0001d4b3", "s0"])
-
-
-@given(pairs=st.lists(st.tuples(_key_strings, _key_strings), max_size=30))
-@settings(max_examples=150, deadline=None)
-def test_key_table_behaves_like_its_list_of_pairs(pairs):
-    table = KeyTable(pairs)
-    assert len(table) == len(pairs)
-    assert list(table) == pairs
-    assert [table[row] for row in range(len(pairs))] == pairs
-    assert [table[row - len(pairs)] for row in range(len(pairs))] == pairs
-    assert table == pairs and table == tuple(pairs) and table == KeyTable(pairs)
-    assert table == [list(pair) for pair in pairs]
-    assert table != [*pairs, ("a", "b")] and table != "ab" and table != None  # noqa: E711
-    assert (table == pairs[::-1]) == (pairs == pairs[::-1])
-    assert sorted(table) == sorted(pairs)
-    for row in (len(pairs), -len(pairs) - 1):
-        with pytest.raises(IndexError):
-            table[row]
-    index = Index(keys=pairs, matrix=np.eye(2)[[0] * len(pairs)], modality="text")
-    assert isinstance(index.keys, KeyTable) and index.keys == pairs
-
-
 def test_load_rejects_a_version_2_header_and_names_the_rebuild(tmp_path, embedder):
     path = tmp_path / "idx.json"
     index = build_text_index(make_corpus(2), embedder)
     save_index(index, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     del doc["provider"], doc["texts_sha256"]
-    path.write_text(json.dumps(dict(doc, format_version=2, keys=[list(key) for key in index.keys])), encoding="utf-8")
+    path.write_text(json.dumps(dict(doc, format_version=2, keys=[list(key) for key in _ids(index)])), encoding="utf-8")
     with pytest.raises(ValueError, match="unsupported index format_version 2; rebuild with `dbagent index build`"):
         load_index(path)
 
@@ -940,7 +924,7 @@ def test_loaded_index_searches_as_the_built_one_on_ties(data):
             built = build(corpus, provider)
             save_index(built, Path(tmp) / "idx.json")
             loaded = bind(load_index(Path(tmp) / "idx.json"), corpus, provider)
-            assert loaded.keys == built.keys and loaded.provider is None
+            assert _ids(loaded) == _ids(built) and loaded.provider is None
             for k in _ks(len(built)):
                 assert search(loaded, provider, "query", k=k) == search(built, provider, "query", k=k), k
 
@@ -1000,7 +984,7 @@ def test_bind_serves_renamed_ids_in_the_same_row_order(tmp_path, embedder):
         files.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "npy")])
     assert files[0] == files[1]
     bound = bind(load_index(tmp_path / "old.json"), renamed, embedder)
-    assert bound.keys == build_text_index(renamed, embedder).keys
+    assert _ids(bound) == _ids(build_text_index(renamed, embedder))
     hits = text_search(bound, embedder, f"special fact of {marker(2)}", k=2)
     assert [(h.article_id, h.section_id) for h in hits][0] == ("new-a002", "new-a002-s0")
 
@@ -1045,7 +1029,7 @@ def test_bind_refuses_a_corpus_or_provider_the_index_was_not_built_from(
     corpus = make_corpus(3)
     save_index(build(corpus, embedder), tmp_path / "idx.json")
     loaded = load_index(tmp_path / "idx.json")
-    assert bind(loaded, corpus, embedder).keys == build(corpus, embedder).keys
+    assert _ids(bind(loaded, corpus, embedder)) == _ids(build(corpus, embedder))
     served = _edited(3, edit) if edit else corpus
     with pytest.raises(DataError) as err:
         bind(loaded, served, DeterministicEmbedder(dimension=64, seed=seed))
@@ -1058,15 +1042,34 @@ def test_an_unbound_index_cannot_be_searched(tmp_path, embedder):
     for build, search, query in ((build_text_index, text_search, "fact"), (build_image_index, image_search, "img-000")):
         save_index(build(corpus, embedder), tmp_path / "idx.json")
         loaded = load_index(tmp_path / "idx.json")
-        with pytest.raises(ValueError, match=f"the {loaded.modality} index has no row keys; .*retrieval.bind"):
+        with pytest.raises(ValueError, match=f"the {loaded.modality} index has no corpus records; .*retrieval.bind"):
             search(loaded, embedder, query, k=1)
         assert search(bind(loaded, corpus, embedder), embedder, query, k=1)
+
+
+def test_a_hit_row_holds_the_corpus_records_themselves(tmp_path, embedder):
+    corpus = make_corpus(4)
+    for build, search, query in ((build_text_index, text_search, "fact"), (build_image_index, image_search, "img-002")):
+        built = build(corpus, embedder)
+        save_index(built, tmp_path / "idx.json")
+        bound = bind(load_index(tmp_path / "idx.json"), corpus, embedder)
+        for index in (built, bound):
+            hits = search(index, embedder, query, k=3)
+            assert len(hits) == 3
+            for hit in hits:
+                article = corpus.articles[hit.article_id]
+                if index.modality == "text":
+                    entry = next(s for s in article.sections if s.section_id == hit.section_id)
+                else:
+                    entry = next(img for img in article.images if img.image_id == hit.image_id)
+                assert index.articles[hit.row] is article and index.entries[hit.row] is entry
+        assert "articles" not in repr(bound) and "entries" not in repr(bound)
 
 
 @pytest.mark.parametrize("bad_row", [[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]])
 def test_load_rejects_nan_inf_and_zero_rows(tmp_path, bad_row):
     path = tmp_path / "idx.json"
-    index = Index(keys=[("a", "s0"), ("a", "s1")], matrix=np.array([[1.0, 0.0], bad_row]), modality="text")
+    index = Index(matrix=np.array([[1.0, 0.0], bad_row]), modality="text")
     save_index(index, path)
     with pytest.raises(ValueError, match="not unit-normalized"):
         load_index(path)
@@ -1144,11 +1147,11 @@ def test_save_load_and_first_search_hold_the_matrix_about_once(tmp_path, embedde
     loaded, kept, peak = traced(lambda: load_index(path))
     assert peak < 1.2 * matrix.nbytes
     assert kept - matrix.nbytes < 0.1 * matrix.nbytes
-    # Binding keeps the two key columns; the corpus's entry list and the
+    # Binding keeps two tuples of references to the corpus's records; the
     # texts it hashed are gone when it returns, and the matrix is shared.
     bound, kept, _ = traced(lambda: bind(loaded, corpus, embedder))
     assert kept < 0.1 * matrix.nbytes
-    assert bound.matrix is loaded.matrix and bound.keys == index.keys
+    assert bound.matrix is loaded.matrix and _ids(bound) == _ids(index)
     # The float32 screen is half the matrix; its row norms take no more.
     hits, peak = traced_peak(lambda: text_search(bound, embedder, "a query", k=3))
     assert peak < 0.75 * matrix.nbytes
@@ -1215,6 +1218,19 @@ def test_remote_embedder_gives_up_after_retries():
         with pytest.raises(EmbeddingError) as err:
             provider.embed(["x"])
         assert err.value.attempts == 2
+
+
+def test_an_embedding_error_re_raised_with_context_keeps_its_attempts():
+    index = build_image_index(make_corpus(2), DeterministicEmbedder(dimension=8, modality="image"))
+    with HttpStub(lambda record: (503, {"error": "down"})) as stub:
+        provider = RemoteEmbedder(stub.url, "image", 8, retries=1)
+        with pytest.raises(EmbeddingError, match="could not resolve image ref 'img-000'") as err:
+            image_search(index, provider, "img-000", k=1)
+        assert err.value.attempts == len(stub.requests) == 2
+        # The chunk fails after two attempts, then so does its single-row retry.
+        with pytest.raises(EmbeddingError, match=r"embedding failed for \(image 'img-000', article 'a000'\)") as err:
+            build_image_index(make_corpus(1), provider)
+        assert err.value.attempts == 2 and len(stub.requests) == 6
 
 
 def test_remote_embedder_4xx_is_fatal_not_retried():

@@ -525,7 +525,7 @@ def test_image_evidence_is_the_title_and_lead_section(tools12):
     )
     traj = rollout("img-006", question(6), backend, tools12, RolloutConfig())
     (item,) = traj.observations[0].items
-    lead = tools12.image_retriever.corpus.article(item.article_id).lead_section
+    lead = tools12.image_retriever.corpus.articles[item.article_id].lead_section
     assert (item.section_id, item.heading, item.text) == (None, lead.heading, lead.text)
     assert "Part 1:" not in traj.observations[0].rendered  # no later section
 
