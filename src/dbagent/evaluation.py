@@ -26,6 +26,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from .errors import DataError
 from .factory import SFT_TYPES, JudgeParseFailure, QaSample, judge_answer, trajectory_type_of
 from .kb import Corpus, subsample_corpus
 from .retrieval import build_image_index, build_text_index
@@ -113,8 +114,11 @@ def build_eval_records(
 ) -> tuple[list[EvalRecord], dict]:
     """Join rollouts with their QA samples and score them.
 
-    Returns (records, stats); stats counts unscored judge failures and
-    empty predictions. Unscored samples are excluded from records.
+    A trajectory joins the sample of its ``task_id``, and its ``question``
+    and ``image_ref`` must be that sample's, else ``DataError`` names the
+    id: a trajectory file scored against another dataset is refused, not
+    scored. Returns (records, stats); stats counts unscored judge failures
+    and empty predictions. Unscored samples are excluded from records.
     """
     by_id = {s.sample_id: s for s in samples}
     records: list[EvalRecord] = []
@@ -123,6 +127,12 @@ def build_eval_records(
         sample = by_id.get(traj.task_id)
         if sample is None:
             raise ValueError(f"no QA sample for trajectory {traj.task_id!r}")
+        for name in ("question", "image_ref"):
+            if getattr(traj, name) != getattr(sample, name):
+                raise DataError(
+                    f"trajectory {traj.task_id!r} has {name} {getattr(traj, name)!r},"
+                    f" its QA sample {getattr(sample, name)!r}"
+                )
         prediction = traj.final_answer
         if not prediction or not prediction.strip():
             stats["empty_predictions"] += 1

@@ -24,9 +24,10 @@ Two embedding providers share one duck-typed interface
   counts; ``embed_batch``, the one place rows are normalized, makes them
   unit. Same (seed, dimension, text) gives the same vector on any platform. A
   batch is decoded to code points in one numpy array, and each trigram is
-  packed into one int64 key of three 21-bit code points; the distinct keys
-  of a batch are looked up in a per-instance memo keyed by that int, and
-  only a miss unpacks its key to the gram string and hashes it.
+  packed into one int64 key of three 21-bit code points. A batch reads each
+  key's code from a direct-mapped cache; only the distinct keys it misses
+  are looked up in a per-instance memo keyed by that int, and only a memo
+  miss unpacks its key to the gram string and hashes it.
 * ``RemoteEmbedder`` POSTs ``{"modality", "inputs"}`` to an HTTP endpoint
   and expects ``{"vectors": [[float]]}`` back: one row of ``dimension``
   finite numbers per input, or the call raises ``EmbeddingError``. Input
@@ -89,6 +90,7 @@ import io
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -132,6 +134,12 @@ _SCREEN_LIMIT = 2.0**60
 # Trigram memo entries a DeterministicEmbedder keeps before it starts over;
 # bounds its memory on an open-ended stream of texts.
 _MEMO_CAP = 1 << 16
+# Slots of the direct-mapped code cache in front of the memo, as a power of
+# two, and the Fibonacci-hashing multiplier (2**64 / golden ratio) that picks
+# a key's slot from the top bits of its wrapped product: the low bits of a
+# packed key are its last code point's, so a plain mask would cluster.
+_CACHE_BITS = 15
+_CACHE_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # Fills out a text shorter than a trigram; above every code point, so a
 # padded key never equals a real trigram's. Also the 21-bit unpack mask.
 _PAD = 0x1FFFFF
@@ -159,15 +167,29 @@ class DeterministicEmbedder:
     (``+(bucket + 1)`` or ``-(bucket + 1)``) comes from a blake2b hash of
     ``f"{seed}:{gram}"`` and is memoized per instance under the packed key,
     so ``seed`` and ``dimension`` must not change after the first
-    ``embed``. The memo is shared safely across threads: a racing miss
-    stores the same value twice. A ``dimension`` below 1 raises
-    ``ValueError``.
+    ``embed``. A ``dimension`` below 1 raises ``ValueError``.
+
+    A batch of several texts reads its codes from a direct-mapped cache of
+    ``2**_CACHE_BITS`` slots (``_slots``): two arrays, of packed keys (-1
+    when empty; no key is negative) and of their codes. A hit costs two
+    gathers and a compare. Only the misses take the memo path, ``np.unique``
+    over them, a memo lookup each and a hash per memo miss; their codes then
+    go into the cache, evicting the keys whose slots they take. An evicted
+    key stays in the memo, and a code depends only on (seed, dimension, key),
+    so a cached code never goes stale. A single text skips the cache: its
+    few dozen grams cost less as dict lookups than as numpy calls. One lock
+    covers the cache's lookup and fill, so no reader pairs a slot's key with
+    another key's code: an instance is shared safely across threads, and a
+    memo miss racing another stores the same value twice.
     """
 
     dimension: int = 64
     seed: int = 0
     modality: str = "text"
     _memo: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The code cache's (keys, codes) arrays, made by the first batch.
+    _cache: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -185,21 +207,23 @@ class DeterministicEmbedder:
         self._memo[key] = code
         return code
 
+    def _codes(self, keys: np.ndarray) -> np.ndarray:
+        """The signed codes of ``keys`` from the memo; a miss is hashed."""
+        listed = keys.tolist()
+        codes = list(map(self._memo.get, listed))
+        if None in codes:  # a code is never 0, so `or` picks out the misses
+            codes = [code or self._code(key) for code, key in zip(codes, listed)]
+        return np.fromiter(codes, dtype=np.int64, count=len(codes))
+
     def embed(self, inputs: Sequence[str]) -> np.ndarray:
         keys, counts = _trigram_keys(inputs)
-        inverse = None
-        if len(counts) > 1:  # a batch repeats grams; hash each distinct one once
-            keys, inverse = np.unique(keys, return_inverse=True)
-        keys = keys.tolist()
-        codes = list(map(self._memo.get, keys))
-        if None in codes:  # a code is never 0, so `or` picks out the misses
-            codes = [code or self._code(key) for code, key in zip(codes, keys)]
-        signed = np.fromiter(codes, dtype=np.int64, count=len(codes))
         # Column of each gram in the flattened (text, bucket) grid.
-        flat = np.abs(signed) - 1
-        if inverse is not None:
-            signed = signed[inverse]
-            flat = flat[inverse] + np.repeat(np.arange(len(counts)) * self.dimension, counts)
+        if len(counts) == 1:  # a query's few dozen grams cost less as dict lookups than as numpy calls
+            signed = self._codes(keys)
+            flat = np.abs(signed) - 1
+        else:
+            signed = self._cached_codes(keys)
+            flat = np.abs(signed) - 1 + np.repeat(np.arange(len(counts)) * self.dimension, counts)
         # Every sum is a small integer, so the summation order cannot change
         # a bit of the result: a batch embeds each text exactly as embedding
         # it alone does, and so does the norm ``embed_batch`` divides by.
@@ -209,6 +233,39 @@ class DeterministicEmbedder:
             minlength=len(counts) * self.dimension,
         ).reshape(len(counts), self.dimension)
         return sums
+
+    def _cached_codes(self, keys: np.ndarray) -> np.ndarray:
+        """The signed codes of a batch's ``keys``, read from the code cache;
+        only the distinct keys it misses go to the memo, and their codes are
+        written into the cache."""
+        slots = _slots(keys)
+        with self._lock:
+            if self._cache is None:
+                # The dtype holds every code, -dimension to +dimension.
+                dtype = np.min_scalar_type(-self.dimension - 1)
+                self._cache = (np.full(1 << _CACHE_BITS, -1, dtype=np.int64), np.zeros(1 << _CACHE_BITS, dtype))
+            cached_keys, cached_codes = self._cache
+            signed = cached_codes[slots].astype(np.int64)
+            miss = cached_keys[slots] != keys
+            if miss.any():  # a batch repeats grams; hash each distinct one once
+                missed, inverse = np.unique(keys[miss], return_inverse=True)
+                filled = self._codes(missed)
+                signed[miss] = filled[inverse]
+                # Keys that share a slot overwrite each other, in an order
+                # numpy does not promise; a code goes in only beside the key
+                # that won its slot.
+                slots = _slots(missed)
+                cached_keys[slots] = missed
+                won = cached_keys[slots] == missed
+                cached_codes[slots[won]] = filled[won]
+        return signed
+
+
+def _slots(keys: np.ndarray) -> np.ndarray:
+    """The code-cache slot of each packed key: the top ``_CACHE_BITS`` bits
+    of its product with ``_CACHE_MULTIPLIER``, wrapped to 64 bits. Signed,
+    as numpy indexes with int64 without a converting copy."""
+    return ((keys.view(np.uint64) * _CACHE_MULTIPLIER) >> np.uint64(64 - _CACHE_BITS)).view(np.int64)
 
 
 def _trigram_keys(texts: Sequence[str]) -> tuple[np.ndarray, Sequence[int]]:
@@ -315,10 +372,11 @@ class RetrievalHit:
     image_id: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Index:
     """Exact-search index of one modality; ``articles[i]`` and ``entries[i]``
-    are the corpus records behind ``matrix[i]``.
+    are the corpus records behind ``matrix[i]``. Two indexes are equal only
+    when they are the same object.
 
     Text rows are sections, sorted by (article_id, section_id); image rows
     are images, sorted by image_id. Both record tuples are None, and the
@@ -337,7 +395,7 @@ class Index:
     # The float32 screen of ``matrix`` (None when no error bound can hold)
     # and its largest row norm, built by the first search and never saved;
     # ``matrix`` must not change after.
-    _screened: tuple[np.ndarray | None, float] | None = field(default=None, init=False, repr=False, compare=False)
+    _screened: tuple[np.ndarray | None, float] | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.matrix)

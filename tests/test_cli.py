@@ -804,6 +804,22 @@ def test_validate_reads_a_turn_from_its_raw_alone(tmp_path, capsys, key, value):
     assert read_trajectory_file(tmp_path / "trajectories.jsonl") == [make_canonical_trajectory("q000", "I-T-A")]
 
 
+def test_eval_report_refuses_trajectories_of_other_questions(tmp_path, capsys):
+    # Each sample's question and image ref swapped with the next sample's:
+    # every id still joins, but no trajectory asks its sample's question.
+    rows = [json.dumps(encode(make_canonical_trajectory(f"q00{i}", "A", i))) for i in range(2)]
+    path = write_jsonl(tmp_path / "trajectories.jsonl", rows)
+    first, second = qa_obj(0), qa_obj(1)
+    for key in ("question", "image_ref"):
+        first[key], second[key] = second[key], first[key]
+    dataset = write_jsonl(tmp_path / "dataset.jsonl", [json.dumps(first), json.dumps(second)])
+    assert main(["eval", "report", "--trajectories", str(path), "--dataset", str(dataset)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: trajectory 'q000' has question ")
+    assert "Traceback" not in captured.err
+
+
 def test_a_stored_final_answer_its_turns_do_not_hold_is_ignored(tmp_path, capsys):
     # The final answer is the answer turn's payload, whatever the line says.
     row = {**encode(make_canonical_trajectory("q000", "T-A")), "final_answer": "edited answer"}

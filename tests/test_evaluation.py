@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from dbagent.errors import DataError
 from dbagent.evaluation import (
     EvalRecord,
     aggregate,
@@ -117,6 +118,16 @@ def test_build_eval_records_excludes_unscored():
 def test_build_eval_records_requires_matching_sample():
     with pytest.raises(ValueError, match="no QA sample"):
         build_eval_records([make_canonical_trajectory("mystery", "A", 0)], [qa_sample(0)])
+
+
+@pytest.mark.parametrize("name", ["question", "image_ref"])
+def test_build_eval_records_refuses_a_trajectory_asked_about_another_sample(name):
+    # Sample 1's question or image under sample 0's id: the id alone would
+    # join them and score the answer against the wrong gold.
+    samples = [qa_sample(0, **{name: getattr(qa_sample(1), name)}), qa_sample(1)]
+    trajectories = [make_canonical_trajectory("q000", "A", 0), make_canonical_trajectory("q001", "A", 1)]
+    with pytest.raises(DataError, match=f"trajectory 'q000' has {name} "):
+        build_eval_records(trajectories, samples)
 
 
 # --- aggregation over a hand-checked fixture --------------------------------

@@ -210,6 +210,7 @@ def test_embed_matches_per_trigram_reference(dimension, seed, texts):
     want = np.stack([_reference_sums(text, dimension, seed) for text in texts])
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert embedder.embed(texts).tobytes() == want.tobytes()  # read back from the warm code cache
     nonempty = [text for text in texts if text]
     if nonempty:
         assert embed_batch(embedder, nonempty).tobytes() == _reference_embed(nonempty, dimension, seed).tobytes()
@@ -247,10 +248,44 @@ def test_memo_cap_clear_keeps_vectors(monkeypatch):
         assert len(embedder._memo) <= 4
 
 
+@functools.lru_cache(maxsize=None)
+def _last_bucket_text(dimension: int, seed: int) -> str:
+    """A three-letter text whose one trigram counts +1 in the last bucket:
+    its code is +dimension, the largest a cache slot must hold."""
+    for letters in itertools.product(string.ascii_lowercase, repeat=3):
+        text = "".join(letters)
+        if _reference_sums(text, dimension, seed)[dimension - 1] == 1.0:
+            return text
+    raise AssertionError(f"no last-bucket text for dimension {dimension}, seed {seed}")
+
+
+@pytest.mark.parametrize("dimension", [8, 127, 128])
+def test_a_tiny_code_cache_keeps_vectors(monkeypatch, dimension):
+    # Four slots: nearly every gram shares a slot, so each batch evicts the
+    # codes of the one before, and every read must check the slot's key.
+    # The pair reads a code of +dimension back from the cache: 127 and 128
+    # sit on either side of int8's range.
+    monkeypatch.setattr(retrieval, "_CACHE_BITS", 2)
+    texts = [f"section {i} about the tower of pisa and its lean" for i in range(6)] + ["x", "yz", ""]
+    pair = [_last_bucket_text(dimension, 5)] * 2
+    embedder = DeterministicEmbedder(dimension=dimension, seed=5)
+    for _ in range(3):  # a cold and then a warm cache
+        for batch in (texts, texts[::-1], texts[:2], texts[-3:], pair, pair):
+            want = np.stack([_reference_sums(text, dimension, 5) for text in batch])
+            assert embedder.embed(batch).tobytes() == want.tobytes()
+        for text in texts:
+            assert embedder.embed([text]).tobytes() == _reference_sums(text, dimension, 5)[None].tobytes()
+    keys, codes = embedder._cache
+    assert len(keys) == len(codes) == 4
+    assert (codes[keys >= 0] != 0).all()
+
+
 def test_shared_embedder_under_threads_matches_reference(monkeypatch):
     # Factory workers share one embedder. A tiny cap makes the threads clear
-    # the memo under each other while they read and fill it.
+    # the memo under each other while they read and fill it, and a code
+    # cache of four slots makes them refill each other's slots.
     monkeypatch.setattr(retrieval, "_MEMO_CAP", 8)
+    monkeypatch.setattr(retrieval, "_CACHE_BITS", 2)
     batches = [[f"worker {w} text {i} on the eiffel tower" for i in range(12)] for w in range(8)]
     want = [np.stack([_reference_sums(text, 32, 5) for text in batch]) for batch in batches]
     embedder = DeterministicEmbedder(dimension=32, seed=5)
@@ -279,9 +314,21 @@ def test_shared_embedder_under_threads_matches_reference(monkeypatch):
 
 def test_memo_stays_out_of_equality_and_repr():
     used = DeterministicEmbedder(dimension=8)
-    used.embed(["warm the memo"])
+    used.embed(["warm the memo", "and the code cache"])
+    assert used._memo and used._cache is not None
     assert used == DeterministicEmbedder(dimension=8)
     assert repr(used) == repr(DeterministicEmbedder(dimension=8))
+    assert used._lock is not DeterministicEmbedder(dimension=8)._lock
+
+
+def test_an_index_equals_itself_alone():
+    # Two builds of one corpus hold equal matrices, yet are two indexes;
+    # comparing them must not compare the matrices (numpy would raise).
+    corpus = make_corpus(3)
+    first, second = (build_text_index(corpus, DeterministicEmbedder()) for _ in range(2))
+    assert first == first
+    assert first != second
+    assert first.matrix.tobytes() == second.matrix.tobytes()
 
 
 # --- search vs oracle ----------------------------------------------------
